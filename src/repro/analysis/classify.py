@@ -250,6 +250,7 @@ class ClassificationReport:
         if decisions is not None:
             lines.append(
                 f"firing decisions: {decisions['entries']} decided, "
+                f"{decisions['prefiltered']} prefiltered / "
                 f"{decisions['hits']} hits / {decisions['misses']} misses "
                 f"(hit rate {decisions['hit_rate']:.0%}, "
                 f"{decisions['waits']} single-flight waits, "

@@ -641,14 +641,7 @@ class AdornmentAlgorithm:
         fulls = [d for d in mu_deps if d.is_full]
         if dep.is_full:
             fulls = fulls + [dep]
-        body_preds = {a.predicate for a in dep.body}
-        for s in mu_deps:
-            if isinstance(s, TGD):
-                if not body_preds & {a.predicate for a in s.head}:
-                    continue
-            if self._mu_oracle.fires(s, dep, fulls=fulls):
-                return True
-        return False
+        return self._mu_oracle.fireable(dep, candidates=mu_deps, fulls=fulls)
 
     # -- lines 8-10: EGD chase step over Dµ(Σµ) ------------------------------------------
 

@@ -36,7 +36,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 from ..budget import coerce_budget
 from ..concurrency import SingleFlightCache
 from ..model.dependencies import AnyDependency, DependencySet
-from .witness import DEFAULT_BUDGET, FiringDecision, WitnessEngine
+from .witness import (
+    DEFAULT_BUDGET,
+    FiringDecision,
+    WitnessEngine,
+    may_fire,
+    warm_renamed,
+)
 
 
 def _deterministic(decision: FiringDecision, engine: WitnessEngine) -> bool:
@@ -73,7 +79,10 @@ class DecisionCache(SingleFlightCache):
 
     Stats (``hits``/``misses``/``waits``) are updated under the lock and
     surfaced through :meth:`stats` for the ``--stats`` report and the CI
-    bench summary.
+    bench summary.  ``prefiltered`` counts the pairs oracles wired to the
+    cache ruled out with :func:`~repro.firing.witness.may_fire` alone;
+    those never reach the cache, so prefiltered + hits + misses splits
+    every pair asked about into "prefiltered / cache hit / probed".
     """
 
     def __init__(self) -> None:
@@ -82,6 +91,7 @@ class DecisionCache(SingleFlightCache):
         self.misses = 0
         self.waits = 0
         self.preloaded = 0
+        self.prefiltered = 0
 
     def _on_hit(self) -> None:
         self.hits += 1
@@ -115,6 +125,11 @@ class DecisionCache(SingleFlightCache):
                 self._values[key] = decision
                 self.preloaded += 1
 
+    def note_prefiltered(self, n: int = 1) -> None:
+        """Count ``n`` pairs an oracle decided by the prefilter alone."""
+        with self._lock:
+            self.prefiltered += n
+
     def snapshot(self) -> dict[tuple, FiringDecision]:
         """A point-in-time copy of the decided edges (for persistence)."""
         with self._lock:
@@ -129,6 +144,7 @@ class DecisionCache(SingleFlightCache):
                 "misses": self.misses,
                 "waits": self.waits,
                 "preloaded": self.preloaded,
+                "prefiltered": self.prefiltered,
                 "hit_rate": self.hits / total if total else 0.0,
             }
 
@@ -181,6 +197,14 @@ class FiringOracle:
     shared cache as a lock-free fast path, and ``ever_inexact`` is
     per-oracle so one consumer's truncated probes never flag another's
     verdict.
+
+    Every query passes :func:`~repro.firing.witness.may_fire` first: a
+    pair it rules out is answered "no edge" (exactly) without an engine,
+    a shared-cache entry or a frozenset of the full dependencies.  Pairs
+    that pass reach a :class:`WitnessEngine` built over dependencies this
+    oracle renamed apart (and warmed the plans of) once per suffix; the
+    memo lives and dies with the oracle, so nothing outlives the analysis
+    that created it.
     """
 
     def __init__(
@@ -201,6 +225,10 @@ class FiringOracle:
         self._decisions = decisions
         self._precedes_cache: dict[tuple, FiringDecision] = {}
         self._fires_cache: dict[tuple, FiringDecision] = {}
+        self._prefiltered: set[tuple] = set()
+        # (dependency, label, suffix) -> renamed copy.  The label is part
+        # of the key because Dependency.__eq__ ignores it.
+        self._renamed: dict[tuple, AnyDependency] = {}
         self.ever_inexact = False
 
     @property
@@ -216,6 +244,48 @@ class FiringOracle:
         if self._decisions is not None:
             return self._decisions
         return _SHARED_CACHE.get()
+
+    def _rule_out(self, r1: AnyDependency, r2: AnyDependency) -> bool:
+        """Record that the prefilter answered ``(r1, r2)``: no edge, exact."""
+        key = (r1, r2)
+        if key not in self._prefiltered:
+            self._prefiltered.add(key)
+            shared = self._shared()
+            if shared is not None:
+                shared.note_prefiltered()
+        return False
+
+    def note_prefiltered(self, n: int) -> None:
+        """Count ``n`` pairs a caller ruled out with ``may_fire`` without
+        asking (the graph builders' predicate index)."""
+        shared = self._shared()
+        if shared is not None and n:
+            shared.note_prefiltered(n)
+
+    def _rename(self, dep: AnyDependency, suffix: str) -> AnyDependency:
+        key = (dep, dep.label, suffix)
+        renamed = self._renamed.get(key)
+        if renamed is None:
+            renamed = dep.rename_variables(suffix)
+            warm_renamed([renamed])
+            self._renamed[key] = renamed
+        return renamed
+
+    def _engine(
+        self,
+        r1: AnyDependency,
+        r2: AnyDependency,
+        fulls: Sequence[AnyDependency],
+    ) -> WitnessEngine:
+        renamed = (
+            self._rename(r1, "1"),
+            self._rename(r2, "2"),
+            [self._rename(d, f"f{i}") for i, d in enumerate(fulls)],
+        )
+        return WitnessEngine(
+            r1, r2, fulls, self.step_variant, coerce_budget(self.budget),
+            self.snapshots, renamed=renamed,
+        )
 
     def _probe(
         self, shared_key: tuple, build: Callable[[], WitnessEngine], method: str
@@ -234,17 +304,14 @@ class FiringOracle:
 
     def precedes(self, r1: AnyDependency, r2: AnyDependency) -> bool:
         """``r1 ≺ r2``."""
+        if not may_fire(r1, r2):
+            return self._rule_out(r1, r2)
         key = (r1, r2)
         decision = self._precedes_cache.get(key)
         if decision is None:
             shared_key = ("precedes", r1, r2, self.step_variant, self.budget)
             decision = self._probe(
-                shared_key,
-                lambda: WitnessEngine(
-                    r1, r2, (), self.step_variant,
-                    coerce_budget(self.budget), self.snapshots,
-                ),
-                "precedes",
+                shared_key, lambda: self._engine(r1, r2, ()), "precedes"
             )
             self._precedes_cache[key] = decision
         return self._note(decision)
@@ -256,20 +323,18 @@ class FiringOracle:
         fulls: Iterable[AnyDependency] | None = None,
     ) -> bool:
         """``r1 < r2`` w.r.t. the full dependencies (defaults to Σ∀)."""
+        if not may_fire(r1, r2):
+            return self._rule_out(r1, r2)
         fulls = tuple(fulls) if fulls is not None else tuple(self.fulls)
-        key = (r1, r2, frozenset(fulls))
+        full_set = frozenset(fulls)
+        key = (r1, r2, full_set)
         decision = self._fires_cache.get(key)
         if decision is None:
             shared_key = (
-                "fires", r1, r2, frozenset(fulls), self.step_variant, self.budget,
+                "fires", r1, r2, full_set, self.step_variant, self.budget,
             )
             decision = self._probe(
-                shared_key,
-                lambda: WitnessEngine(
-                    r1, r2, fulls, self.step_variant,
-                    coerce_budget(self.budget), self.snapshots,
-                ),
-                "fires",
+                shared_key, lambda: self._engine(r1, r2, fulls), "fires"
             )
             self._fires_cache[key] = decision
         return self._note(decision)
@@ -282,7 +347,5 @@ class FiringOracle:
     ) -> bool:
         """Definition 2: r is fireable w.r.t. Σ iff some r2 ∈ Σ has r2 < r."""
         pool = list(candidates) if candidates is not None else self.deps
-        for r2 in pool:
-            if self.fires(r2, r, fulls=fulls):
-                return True
-        return False
+        fulls = tuple(fulls) if fulls is not None else tuple(self.fulls)
+        return any(self.fires(r2, r, fulls=fulls) for r2 in pool)

@@ -156,6 +156,34 @@ def iter_partitions(items: Sequence, limit_vars: int = MAX_PARTITION_VARS) -> It
         yield part
 
 
+# -- the pair gate and plan warming ------------------------------------------------
+
+
+def may_fire(r1: AnyDependency, r2: AnyDependency) -> bool:
+    """Cheap necessary condition for both ``r1 ≺ r2`` and ``r1 < r2``.
+
+    A TGD r1 can fire r2 only if at least one atom of ``h2(Body(r2))``
+    comes from the new head atoms, so the head and body predicates must
+    intersect.  EGDs can fire essentially anything (the merge may
+    freshly create any body atom in J \\ K), so no filter applies.
+    """
+    if isinstance(r1, TGD):
+        head_preds = {a.predicate for a in r1.head}
+        return any(a.predicate in head_preds for a in r2.body)
+    return True
+
+
+def warm_renamed(deps: Iterable[AnyDependency]) -> None:
+    """Compile the join plans for the bodies an engine probes over and
+    over (candidate instances are built per partition, but the renamed
+    bodies are fixed).  The empty compile target means ordering falls
+    back to probe count; witness instances are small enough that order
+    barely matters.  This runs under both plan-executing backends,
+    ``columnar`` (the default) and ``planned``, and is a no-op only
+    under the reference backends."""
+    warm_plans([d.body for d in deps], ())
+
+
 # -- the engine ------------------------------------------------------------------
 
 
@@ -170,6 +198,8 @@ class WitnessEngine:
         step_variant: str = "standard",
         budget: Budget | int = DEFAULT_BUDGET,
         snapshots: str = "savepoint",
+        renamed: tuple[AnyDependency, AnyDependency, Sequence[AnyDependency]]
+        | None = None,
     ) -> None:
         if snapshots not in SNAPSHOT_BACKENDS:
             raise ValueError(
@@ -177,23 +207,24 @@ class WitnessEngine:
                 f"known: {SNAPSHOT_BACKENDS}"
             )
         # Rename apart so self-loops and shared variable names are safe.
-        self.r1 = r1.rename_variables("1")
-        self.r2 = r2.rename_variables("2")
+        # A caller deciding many pairs over one Σ (the FiringOracle)
+        # renames each dependency once and passes ``renamed`` =
+        # (r1 renamed "1", r2 renamed "2", fulls[i] renamed f"f{i}"),
+        # having warmed their plans itself.
+        if renamed is None:
+            renamed = (
+                r1.rename_variables("1"),
+                r2.rename_variables("2"),
+                [d.rename_variables(f"f{i}") for i, d in enumerate(fulls)],
+            )
+            warm_renamed([renamed[0], renamed[1], *renamed[2]])
+        self.r1, self.r2 = renamed[0], renamed[1]
+        self.fulls = list(renamed[2])
         self.orig_r1 = r1
         self.orig_r2 = r2
-        self.fulls = [d.rename_variables(f"f{i}") for i, d in enumerate(fulls)]
         self.step_variant = step_variant
         self.budget = coerce_budget(budget, default_steps=DEFAULT_BUDGET)
         self.snapshots = snapshots
-        # Compile the join plans for the bodies this engine probes over
-        # and over (candidate instances are built per partition, but the
-        # renamed-apart bodies are fixed for the engine's lifetime).  The
-        # empty compile target means ordering falls back to probe count;
-        # witness instances are small enough that order barely matters.
-        # A no-op unless the "planned" backend is active in this context.
-        warm_plans(
-            [self.r1.body, self.r2.body, *(d.body for d in self.fulls)], ()
-        )
 
     @contextmanager
     def _scratch(self, inst: Instance):
@@ -225,7 +256,7 @@ class WitnessEngine:
     # -- driver ----------------------------------------------------------
 
     def _decide(self, check_defusal: bool) -> FiringDecision:
-        if not self._prefilter():
+        if not may_fire(self.r1, self.r2):
             return FiringDecision(False, True)
         inexact = False
         for witness, died_by_defusal in self._search(check_defusal):
@@ -236,20 +267,6 @@ class WitnessEngine:
         if self._hit_partition_limit:
             inexact = True
         return FiringDecision(False, not inexact)
-
-    def _prefilter(self) -> bool:
-        """Cheap necessary condition.
-
-        A TGD r1 can fire r2 only if at least one atom of ``h2(Body(r2))``
-        comes from the new head atoms, so the head and body predicates must
-        intersect.  EGDs can fire essentially anything (the merge may
-        freshly create any body atom in J \\ K), so no filter applies.
-        """
-        if isinstance(self.r1, TGD):
-            head_preds = {a.predicate for a in self.r1.head}
-            body_preds = {a.predicate for a in self.r2.body}
-            return bool(head_preds & body_preds)
-        return True
 
     # -- witness enumeration ------------------------------------------------
 

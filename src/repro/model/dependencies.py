@@ -20,7 +20,9 @@ from .terms import Constant, Term, Variable
 class Dependency:
     """Common base class of :class:`TGD` and :class:`EGD`."""
 
-    __slots__ = ("body", "label", "_hash")
+    # ``__weakref__`` lets tests prove an analysis keeps no dependency
+    # alive after it returns.
+    __slots__ = ("body", "label", "_hash", "__weakref__")
 
     body: tuple[Atom, ...]
     label: str
