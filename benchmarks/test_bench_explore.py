@@ -24,7 +24,11 @@ fold the matching axis into this floor.
 
 from __future__ import annotations
 
+import json
 import os
+import pathlib
+import subprocess
+import sys
 import time
 
 from conftest import write_result
@@ -43,6 +47,11 @@ SPEEDUP_FLOOR = 3.0
 #: write per branch).
 FORK_FLOOR = 3.0
 FORK_BRANCHES = 200
+
+#: Deep-chain scaling table: the two-rule divergent program explored to
+#: these state caps, one fresh process per row so peak RSS is its own.
+DEEP_STATES = (100, 200, 400, 800)
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 #: Replication factor for the witness databases (fact count scales with it).
 SCALE = int(os.environ.get("REPRO_EXPLORE_SCALE", "200"))
@@ -92,7 +101,7 @@ def _emit_sections() -> None:
     write_result(
         "explore",
         "\n\n".join(
-            _SECTIONS[k] for k in ("explore", "fork") if k in _SECTIONS
+            _SECTIONS[k] for k in ("explore", "fork", "deep") if k in _SECTIONS
         ),
     )
 
@@ -251,3 +260,64 @@ def test_bench_fork():
         f"COW forks only {aggregate:.2f}x faster than eager full-column "
         f"copies on the grown witness corpus"
     )
+
+
+#: One scaling row, run in a fresh interpreter: explore the deep chain to
+#: ``max_states`` and report seconds, canonicaliser calls and peak RSS.
+_DEEP_ROW = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from repro.chase import explorer
+from repro.model import parse_dependencies, parse_facts
+
+calls = [0]
+null_part = explorer._null_part
+def counting(null_facts):
+    calls[0] += 1
+    return null_part(null_facts)
+explorer._null_part = counting
+
+sigma = parse_dependencies("r1: N(x) -> exists y. E(x, y)\\nr2: E(x, y) -> N(y)")
+t0 = time.perf_counter()
+result = explorer.explore_chase(
+    parse_facts('N("a")'), sigma, max_depth=10**6, max_states=int(sys.argv[2])
+)
+print(json.dumps({
+    "states": result.explored_states,
+    "seconds": time.perf_counter() - t0,
+    "calls": calls[0],
+    "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
+"""
+
+
+def test_bench_deep_chain_scaling():
+    """How the standard-chase state memo scales along one chase path of
+    ``N(x) → ∃y E(x,y); E(x,y) → N(y)``: every state opens its own memo
+    bucket, so the canonicaliser must never run."""
+    rows = []
+    for states in DEEP_STATES:
+        out = subprocess.run(
+            [sys.executable, "-c", _DEEP_ROW, SRC, str(states)],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        row = json.loads(out.splitlines()[-1])
+        assert row["states"] == states
+        assert row["calls"] == 0
+        rows.append(
+            f"{states:>7} {row['seconds']:>10.3f} {row['calls']:>17} "
+            f"{row['rss_mb']:>13.1f}"
+        )
+    header = f"{'states':>7} {'seconds':>10} {'canonicaliser':>17} {'peak RSS MB':>13}"
+    _SECTIONS["deep"] = "\n".join(
+        [
+            "Deep-chain memo scaling — N(x) -> exists y. E(x,y); "
+            "E(x,y) -> N(y) from N(\"a\"), standard chase, one fresh "
+            "process per row (canonicaliser = _null_part calls)",
+            "",
+            header,
+            "-" * len(header),
+            *rows,
+        ]
+    )
+    _emit_sections()

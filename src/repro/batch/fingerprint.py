@@ -174,11 +174,11 @@ def colour_refine(
     context])``; refinement stops when a round no longer splits the
     colour partition (at most |items| rounds, usually two or three).
 
-    Shared machinery: :func:`predicate_colours` refines *predicate*
-    colours over the occurs-in structure of a dependency set, and the
-    chase explorer's ``canonical_key`` reuses the same loop to refine
-    *labelled-null* colours over the occurs-in structure of an instance
-    state (see ``repro.chase.explorer``).
+    :func:`predicate_colours` runs it to refine *predicate* colours over
+    the occurs-in structure of a dependency set; the colours are hashed
+    because fingerprints are persisted.  (The chase explorer's
+    in-process canonical key refines null colours with its own int-rank
+    loop instead — see ``repro.chase.explorer._null_colours``.)
     """
     colours = dict(initial)
     classes = len(set(colours.values()))

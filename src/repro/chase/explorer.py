@@ -11,24 +11,31 @@ programs used in the Table 1 bench we can *empirically* classify a concrete
 * some leaf reached → a terminating sequence exists;
 * otherwise nothing terminated within the bounds.
 
-States reached by the standard chase are memoized up to null renaming.
-The canonical key colour-refines the labelled nulls (1-WL over the
-instance's occurs-in structure, the same refinement loop the batch
-engine's content fingerprint runs over predicates — see
-``repro.batch.fingerprint.colour_refine``), then canonises exactly by
+States reached by the standard chase are memoized up to null renaming,
+lazily.  Each state gets a cheap *bucket signature* — its ground facts,
+its number of distinct nulls and its null-fact count per predicate —
+that isomorphic states always share.  A state landing in an empty
+bucket is new and is kept as raw null rows; only when a second state
+lands in the same bucket are both canonised and compared.  The
+canonical form colour-refines the labelled nulls (1-WL over the
+null facts, with int ranks as colours), then canonises exactly by
 minimising over the colour-preserving relabelings when their number is at
 most ``CLASS_PERMUTATION_CAP``; beyond that a deterministic
 colour-then-first-occurrence relabeling is used, which may fail to merge
 some highly symmetric isomorphic states — that costs time but never
 soundness (any *bijective* relabeling scheme only ever identifies
-genuinely isomorphic states).
+genuinely isomorphic states).  Equal canonical forms imply equal
+signatures, so the lazy memo hits exactly where an eager set of
+canonical keys would.
 
 The DFS visits branches transactionally: a branch takes an
-``Instance.savepoint``, applies its step in place, recurses, and rolls
-back — O(|Δ|) per branch instead of the O(|I|) ``copy()`` per branch the
-``snapshots="copy"`` reference backend pays (kept switchable so the
-differential suite and the explore bench can hold the two against each
-other).  The oblivious and semi-oblivious chase carry trigger-key state,
+``Instance.savepoint``, applies its step in place, explores below, and
+rolls back — O(|Δ|) per branch instead of the O(|I|) ``copy()`` per
+branch the ``snapshots="copy"`` reference backend pays (kept switchable
+so the differential suite and the explore bench can hold the two
+against each other).  The DFS keeps its path on an explicit frame
+stack, so its depth is not limited by the interpreter's recursion
+limit.  The oblivious and semi-oblivious chase carry trigger-key state,
 so their exploration is a plain bounded DFS over the same machinery.
 """
 
@@ -38,6 +45,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from math import factorial
+from typing import Sequence
 
 from ..budget import Budget
 from ..homomorphism.finder import find_homomorphisms
@@ -47,8 +55,8 @@ from ..matching.engine import match_atom
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.dependencies import EGD, TGD, DependencySet
-from ..model.instances import Instance
-from ..model.terms import Null, NullFactory
+from ..model.instances import Instance, Savepoint
+from ..model.terms import Null, NullFactory, Term
 from .runner import _key_variables
 from .step import Trigger, apply_step
 
@@ -91,48 +99,87 @@ class ExplorationResult:
         return self.verdict is ExplorationVerdict.ALL_TERMINATING
 
 
-def _null_colours(instance: Instance) -> dict[Null, str]:
-    """1-WL colours of the instance's labelled nulls.
+class _Frame:
+    """One state on the explorer's DFS path: its applicable triggers in
+    visit order, the next one to branch on, and the savepoint of the
+    branch currently explored below it."""
 
-    Seed colours come from each null's occurrence profile (which
+    __slots__ = ("instance", "fired", "depth", "triggers", "start", "next", "sp")
+
+    def __init__(
+        self,
+        instance: Instance,
+        fired: frozenset,
+        depth: int,
+        triggers: list[Trigger],
+        start: int,
+    ) -> None:
+        self.instance = instance
+        self.fired = fired
+        self.depth = depth
+        self.triggers = triggers
+        self.start = start  # first fresh-null label of every branch
+        self.next = 0
+        self.sp: Savepoint | None = None
+
+
+def _null_colours(null_facts: list[Atom]) -> dict[Null, int]:
+    """1-WL colours of the labelled nulls of a state's null facts.
+
+    Seed colours rank each null's occurrence profile (which
     predicates/positions it fills); each refinement round re-colours a
-    null with the multiset of its facts, encoded with the current
-    colouring and the null's own positions marked.  The colours are
-    isomorphism-invariant by construction, so any isomorphism between two
-    states maps colour classes onto colour classes.
+    null with the rank of (its colour, the sorted encodings of its facts
+    under the current colouring, its own positions marked) among that
+    round's distinct signatures, until the number of classes stops
+    changing.  Ranks are isomorphism-invariant, so any isomorphism
+    between two states maps colour classes onto colour classes; a null
+    alone in its class stays alone, so it skips the context build.
+    Every fact mentioning a null is a null fact, so the null facts alone
+    determine the colouring.
     """
-    # Lazy import: repro.batch pulls in the analysis layer, which imports
-    # this module — a module-level import would cycle at load time.
-    from ..batch.fingerprint import colour_refine, stable_hash
+    occurrences: dict[Null, list[Atom]] = {}
+    for f in null_facts:
+        for t in set(f.args):
+            if isinstance(t, Null):
+                occurrences.setdefault(t, []).append(f)
+    colours = _ranks({
+        n: tuple(sorted(
+            (f.predicate, len(f.args), tuple(i for i, t in enumerate(f.args) if t is n))
+            for f in facts
+        ))
+        for n, facts in occurrences.items()
+    })
+    classes = len(set(colours.values()))
+    for _ in range(max(1, len(colours))):
+        sizes: dict[int, int] = {}
+        for c in colours.values():
+            sizes[c] = sizes.get(c, 0) + 1
+        signatures: dict[Null, tuple] = {}
+        for n, c in colours.items():
+            if sizes[c] == 1:
+                signatures[n] = (c,)
+                continue
+            signatures[n] = (c, tuple(sorted(
+                (f.predicate, *(
+                    (0,) if t is n
+                    else (1, colours[t]) if isinstance(t, Null)
+                    else (2, str(t))
+                    for t in f.args
+                ))
+                for f in occurrences[n]
+            )))
+        colours = _ranks(signatures)
+        refined_classes = len(set(colours.values()))
+        if refined_classes == classes:
+            break
+        classes = refined_classes
+    return colours
 
-    nulls = instance.nulls()
-    initial: dict[Null, str] = {}
-    for n in nulls:
-        profile = sorted(
-            [f.predicate, len(f.args), [i for i, t in enumerate(f.args) if t is n]]
-            for f in instance.with_term(n)
-        )
-        initial[n] = stable_hash(["init", profile])
 
-    def contexts(colours: dict[Null, str]) -> dict[Null, list]:
-        out: dict[Null, list] = {}
-        for n in colours:
-            ctx = []
-            for f in instance.with_term(n):
-                enc: list = [f.predicate]
-                for t in f.args:
-                    if t is n:
-                        enc.append(["s"])
-                    elif isinstance(t, Null):
-                        enc.append(["n", colours[t]])
-                    else:
-                        enc.append(["c", str(t)])
-                ctx.append(enc)
-            ctx.sort()
-            out[n] = ctx
-        return out
-
-    return colour_refine(initial, contexts)
+def _ranks(signatures: dict[Null, tuple]) -> dict[Null, int]:
+    """Each null's signature replaced by its rank among the distinct ones."""
+    rank = {sig: r for r, sig in enumerate(sorted(set(signatures.values())))}
+    return {n: rank[sig] for n, sig in signatures.items()}
 
 
 def canonical_key(instance: Instance) -> tuple:
@@ -149,6 +196,10 @@ def canonical_key(instance: Instance) -> tuple:
     bijection, so equal keys always mean isomorphic states; the key
     depends only on the fact *set*, never on iteration order, so the
     savepoint and copy snapshot backends memoize identically.
+
+    The explorer's memo (:func:`_memo_key`) decides exactly as a set of
+    these keys would, but computes the null part only on bucket
+    collisions.
     """
     null_facts = []
     ground = []
@@ -157,37 +208,89 @@ def canonical_key(instance: Instance) -> tuple:
             null_facts.append(f)
         else:
             ground.append(f)
-    return (frozenset(ground), _null_part(instance, null_facts))
+    return (frozenset(ground), _null_part(null_facts))
 
 
-def _memo_key(instance: Instance) -> tuple:
-    """:func:`canonical_key`, minus ground-atom materialisation when the
-    instance can supply cheaper parts.
+#: A state's raw null part as the memo keeps it until a collision:
+#: ``(null_rows, terms)`` — per-store rows of lid tuples plus the family
+#: term table decoding them (``ColumnarInstance.memo_parts``), or rows of
+#: ``Atom``s with ``terms`` None for other instance types.
+_Pending = tuple[tuple[tuple[tuple[str, int], tuple], ...], Sequence[Term] | None]
 
-    A :class:`ColumnarInstance` hands over its ground facts as cached
-    frozensets of local-id row keys (``memo_parts``) — no ``Atom`` is
-    built for the (dominant) ground part of a visited state, and sibling
-    states share the per-store split through the store version cache.
-    Row-key ground parts only compare within one fork family, which is
-    exactly the memo's scope: every state of one exploration forks from
-    the single converted root.  Other instance types fall back to the
-    public :func:`canonical_key`.
+
+def _memo_parts(instance: Instance) -> tuple[tuple, _Pending]:
+    """A state's bucket signature and its pending (undecoded) null part.
+
+    The signature — (ground key, number of distinct nulls, null-row
+    count per store) — is invariant under null renaming, so isomorphic
+    states always share a bucket.
     """
     if isinstance(instance, ColumnarInstance):
-        ground_key, null_facts = instance.memo_parts()
-        return (ground_key, _null_part(instance, null_facts))
-    return canonical_key(instance)
+        ground, null_count, null_rows, terms = instance.memo_parts()
+    else:
+        ground_facts = []
+        rows: dict[tuple[str, int], list[Atom]] = {}
+        nulls: set[Null] = set()
+        for f in instance:
+            fact_nulls = f.nulls()
+            if fact_nulls:
+                rows.setdefault((f.predicate, len(f.args)), []).append(f)
+                nulls |= fact_nulls
+            else:
+                ground_facts.append(f)
+        ground, null_count, terms = frozenset(ground_facts), len(nulls), None
+        null_rows = tuple((skey, tuple(r)) for skey, r in rows.items())
+    counts = frozenset((skey, len(r)) for skey, r in null_rows)
+    return (ground, null_count, counts), (null_rows, terms)
 
 
-def _null_part(instance: Instance, null_facts: list[Atom]) -> tuple:
+def _decode(pending: _Pending) -> list[Atom]:
+    """The null facts of a pending entry."""
+    null_rows, terms = pending
+    if terms is None:
+        return [f for _skey, rows in null_rows for f in rows]
+    return [
+        Atom(skey[0], tuple(terms[lid] for lid in row))
+        for skey, rows in null_rows
+        for row in rows
+    ]
+
+
+def _memo_key(instance: Instance, memo: dict[tuple, _Pending | set]) -> bool:
+    """Record a visited state in the memo; True iff an equal-key state
+    was recorded before.
+
+    ``memo`` maps bucket signatures (:func:`_memo_parts`) to either the
+    one pending state that landed there, kept as raw null rows, or the
+    set of canonical null parts of every state that did.  A state in an
+    empty bucket is new and is not canonised; only a second state in the
+    same bucket canonises both.  Equal canonical keys imply isomorphic
+    states, which imply equal signatures, so every decision is the one
+    an eager set of canonical keys would make; within a bucket the
+    ground parts are equal, so only the null parts are compared.
+    """
+    signature, pending = _memo_parts(instance)
+    entry = memo.get(signature)
+    if entry is None:
+        memo[signature] = pending
+        return False
+    if not isinstance(entry, set):
+        entry = memo[signature] = {_null_part(_decode(entry))}
+    key = _null_part(_decode(pending))
+    if key in entry:
+        return True
+    entry.add(key)
+    return False
+
+
+def _null_part(null_facts: list[Atom]) -> tuple:
     """Canonical form of a state's null-mentioning facts (the second
     component of :func:`canonical_key`); ``()`` when there are none."""
     if not null_facts:
         return ()
-    nulls = sorted(instance.nulls(), key=lambda n: n.label)
-    colours = _null_colours(instance)
-    by_colour: dict[str, list[Null]] = {}
-    for n in nulls:
+    colours = _null_colours(null_facts)
+    by_colour: dict[int, list[Null]] = {}
+    for n in sorted(colours, key=lambda n: n.label):
         by_colour.setdefault(colours[n], []).append(n)
     ordered_classes = [by_colour[c] for c in sorted(by_colour)]
 
@@ -219,17 +322,17 @@ def _null_part(instance: Instance, null_facts: list[Atom]) -> tuple:
     # Fallback: order facts by colour-aware shape (ties broken by the
     # concrete fact key, keeping the sort content-determined), then label
     # nulls by colour rank and first occurrence within their class.
-    offsets_by_colour: dict[str, int] = {}
+    offsets_by_colour: dict[int, int] = {}
     base = 0
     for c in sorted(by_colour):
         offsets_by_colour[c] = base
         base += len(by_colour[c])
-    concrete = {n: n.label for n in nulls}
+    concrete = {n: n.label for n in colours}
     shaped = sorted(
         null_facts,
         key=lambda f: (_fact_shape(f, colours), _fact_key(f, concrete)),
     )
-    next_in_class: dict[str, int] = {}
+    next_in_class: dict[int, int] = {}
     relabel = {}
     for f in shaped:
         for t in f.args:
@@ -241,7 +344,7 @@ def _null_part(instance: Instance, null_facts: list[Atom]) -> tuple:
     return tuple(sorted(_fact_key(f, relabel) for f in null_facts))
 
 
-def _fact_shape(fact: Atom, colours: dict[Null, str]) -> tuple:
+def _fact_shape(fact: Atom, colours: dict[Null, int]) -> tuple:
     """A null-label-blind sort key: nulls appear as their colours."""
     parts: list = [fact.predicate]
     for t in fact.args:
@@ -306,7 +409,7 @@ def explore_chase(
         )
     budget = budget if budget is not None else Budget()
     key_vars = {d: _key_variables(d, variant) for d in sigma} if variant != "standard" else {}
-    memo: set[tuple] = set()
+    memo: dict[tuple, _Pending | set] = {}
     stats = {"terminating": 0, "failing": 0, "capped": 0, "states": 0}
     budget_hit = [False]
     transactional = snapshots == "savepoint"
@@ -407,90 +510,90 @@ def explore_chase(
         out.sort(key=sort_string)
         return out
 
-    def visit(
+    def charge_state() -> bool:
+        """Charge one visited state; False (and ``budget_hit``) once the
+        state cap or the budget is spent."""
+        if stats["states"] >= max_states or not budget.charge():
+            budget_hit[0] = True
+            return False
+        stats["states"] += 1
+        return True
+
+    def enter(
         instance: Instance,
         fired: frozenset,
         depth: int,
         candidates: list[tuple[Trigger, bool]],
         delta: list[Atom],
-    ) -> None:
-        if stats["states"] >= max_states or not budget.charge():
-            budget_hit[0] = True
-            return
-        stats["states"] += 1
-        if variant == "standard":
-            key = _memo_key(instance)
-            if key in memo:
-                return
-            memo.add(key)
+    ) -> _Frame | None:
+        """Visit one charged state: its branch frame, or None when the
+        state is a memo hit, a leaf or cut off at ``max_depth``."""
+        if variant == "standard" and _memo_key(instance, memo):
+            return None
         triggers = applicable_triggers(instance, fired, candidates, delta)
         if not triggers:
             stats["terminating"] += 1
-            return
+            return None
         if depth >= max_depth:
             stats["capped"] += 1
-            return
+            return None
         # Fresh-null numbering is a function of the *parent* state: every
         # sibling branch starts from the same nulls (the savepoint backend
         # rolls a branch's nulls back before the next one begins), so the
         # domain scan is hoisted out of the branch loop.
         start = max((n.label for n in instance.nulls()), default=0) + 1
-        for trigger in triggers:
-            if budget_hit[0]:
-                return
-            if transactional:
-                sp = instance.savepoint()
-                child = instance
-            else:
-                sp = None
-                child = instance.copy()
-            nulls = NullFactory(start=start)
-            tick = child.tick
-            outcome = apply_step(child, trigger, nulls)
-            if outcome.failed:
-                stats["failing"] += 1
-                if sp is not None:
-                    instance.rollback(sp)
-                continue
-            child_fired = fired
-            if variant != "standard":
-                new_key = trigger_key(trigger)
-                if outcome.gamma is not None:
-                    old, new = outcome.gamma.old, outcome.gamma.new
-                    child_fired = frozenset(
-                        (dep, tuple(new if t is old else t for t in images))
-                        for dep, images in fired
-                    )
-                child_fired = child_fired | {new_key}
-            if semi_naive:
-                # Carry the parent's (still-live, γ-rewritten) applicable
-                # triggers and join only the delta facts against the
-                # bodies; inapplicable triggers are dead along the whole
-                # path (DESIGN.md §1) and rewritten facts re-enter the
-                # delta log, so this reconstructs exactly the full
-                # enumeration's candidate set.
-                carried: list[tuple[Trigger, bool]]
-                if outcome.gamma is not None:
-                    old, new = outcome.gamma.old, outcome.gamma.new
-                    carried = [
-                        (t.rewrite(old, new), False)
-                        if any(img is old for _, img in t.assignment)
-                        else (t, True)
-                        for t in triggers
-                    ]
-                else:
-                    carried = [(t, True) for t in triggers]
-                live = [f for f in child.added_since(tick) if f in child]
-                carried.extend(
-                    (Trigger.make(dep, h), False)
-                    for dep, h in delta_homomorphisms(body_index, child, live)
+        return _Frame(instance, fired, depth, triggers, start)
+
+    def child_state(frame: _Frame, trigger: Trigger) -> tuple | None:
+        """Apply ``trigger`` to the frame's state (under ``frame.sp`` on
+        the savepoint backend): the child's ``enter`` arguments, or None
+        when the step failed."""
+        instance, fired = frame.instance, frame.fired
+        if transactional:
+            frame.sp = instance.savepoint()
+            child = instance
+        else:
+            child = instance.copy()
+        tick = child.tick
+        outcome = apply_step(child, trigger, NullFactory(start=frame.start))
+        if outcome.failed:
+            stats["failing"] += 1
+            return None
+        child_fired = fired
+        if variant != "standard":
+            new_key = trigger_key(trigger)
+            if outcome.gamma is not None:
+                old, new = outcome.gamma.old, outcome.gamma.new
+                child_fired = frozenset(
+                    (dep, tuple(new if t is old else t for t in images))
+                    for dep, images in fired
                 )
-                child_candidates, child_delta = carried, live
+            child_fired = child_fired | {new_key}
+        if semi_naive:
+            # Carry the parent's (still-live, γ-rewritten) applicable
+            # triggers and join only the delta facts against the
+            # bodies; inapplicable triggers are dead along the whole
+            # path (DESIGN.md §1) and rewritten facts re-enter the
+            # delta log, so this reconstructs exactly the full
+            # enumeration's candidate set.
+            carried: list[tuple[Trigger, bool]]
+            if outcome.gamma is not None:
+                old, new = outcome.gamma.old, outcome.gamma.new
+                carried = [
+                    (t.rewrite(old, new), False)
+                    if any(img is old for _, img in t.assignment)
+                    else (t, True)
+                    for t in frame.triggers
+                ]
             else:
-                child_candidates, child_delta = initial_candidates(child), []
-            visit(child, child_fired, depth + 1, child_candidates, child_delta)
-            if sp is not None:
-                instance.rollback(sp)
+                carried = [(t, True) for t in frame.triggers]
+            live = [f for f in child.added_since(tick) if f in child]
+            carried.extend(
+                (Trigger.make(dep, h), False)
+                for dep, h in delta_homomorphisms(body_index, child, live)
+            )
+            return child, child_fired, frame.depth + 1, carried, live
+        return child, child_fired, frame.depth + 1, initial_candidates(child), []
 
     # The savepoint backend mutates its working instance in place, so it
     # forks the caller's database exactly once; the copy backend forks
@@ -503,7 +606,34 @@ def explore_chase(
         root = database.copy()
     else:
         root = database
-    visit(root, frozenset(), 0, initial_candidates(root), [])
+
+    # Iterative DFS: the stack holds one frame per state on the current
+    # path, each with its next branch and the savepoint of the branch
+    # being explored below it, so depth is bounded by memory, not by the
+    # interpreter's recursion limit.  A frame rolls its branch back when
+    # the DFS returns to it — the savepoint → step → rollback pairing of
+    # a recursive visit, in the same visit order.
+    stack: list[_Frame] = []
+    if charge_state():
+        frame = enter(root, frozenset(), 0, initial_candidates(root), [])
+        if frame is not None:
+            stack.append(frame)
+    while stack:
+        frame = stack[-1]
+        if frame.sp is not None:
+            frame.instance.rollback(frame.sp)
+            frame.sp = None
+        if budget_hit[0] or frame.next == len(frame.triggers):
+            stack.pop()
+            continue
+        trigger = frame.triggers[frame.next]
+        frame.next += 1
+        child_args = child_state(frame, trigger)
+        if child_args is None or not charge_state():
+            continue
+        child_frame = enter(*child_args)
+        if child_frame is not None:
+            stack.append(child_frame)
 
     capped = stats["capped"]
     terminated = stats["terminating"] + stats["failing"]

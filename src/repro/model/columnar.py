@@ -59,7 +59,8 @@ never inside plan execution.  Fingerprints and canonical keys therefore
 stay tid-free exactly as DESIGN.md §9 demands.  The explorer's memo
 path uses :meth:`memo_parts` instead: per-store cached splits of the
 live rowmap keys into ground and null-mentioning rows, so memoising a
-visited state does not materialise a ``frozenset[Atom]`` at all.
+visited state materialises no ``Atom`` at all — the explorer decodes a
+state's null rows only if another state lands in its memo bucket.
 
 The full :class:`~.instances.Instance` contract is honoured:
 add/discard/merge_terms, the savepoint/rollback/release undo log in
@@ -74,6 +75,7 @@ pure-Python kernels.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .atoms import Atom
@@ -204,9 +206,10 @@ class _Store:
                     cell.append(new_row)
         return out
 
-    def split_keys(self, null_lids: set[int]) -> tuple[frozenset, tuple]:
+    def split_keys(self, null_lids: set[int]) -> tuple[frozenset, tuple, frozenset]:
         """The live rowmap keys split into (ground frozenset, null-row
-        tuple), cached per :attr:`version`.
+        tuple, the null lids those null rows mention), cached per
+        :attr:`version`.
 
         This is the explorer memo path's cached input: across sibling
         branch states only the stepped store's version moves, so the
@@ -217,9 +220,10 @@ class _Store:
         """
         cached = self._split
         if cached is not None and cached[0] == self.version:
-            return cached[1], cached[2]
+            return cached[1], cached[2], cached[3]
         ground = []
         with_nulls = []
+        mentioned: frozenset = frozenset()
         if null_lids:
             isdisjoint = null_lids.isdisjoint
             for key in self.rowmap:
@@ -227,9 +231,12 @@ class _Store:
                     ground.append(key)
                 else:
                     with_nulls.append(key)
+            mentioned = frozenset(
+                null_lids.intersection(chain.from_iterable(with_nulls))
+            )
         else:
             ground = list(self.rowmap)
-        result = (frozenset(ground), tuple(with_nulls))
+        result = (frozenset(ground), tuple(with_nulls), mentioned)
         self._split = (self.version, *result)
         return result
 
@@ -610,37 +617,48 @@ class ColumnarInstance:
             self._owned = set()
         return out
 
-    def memo_parts(self) -> tuple[frozenset, list[Atom]]:
-        """The explorer memo path's cached ``canonical_key`` inputs.
+    def memo_parts(
+        self,
+    ) -> tuple[frozenset, int, tuple[tuple[StoreKey, tuple], ...], Sequence[Term]]:
+        """The explorer memo's raw parts of this state, without building
+        a single ``Atom``.
 
-        Returns ``(ground_key, null_facts)``: ``ground_key`` is a
-        frozenset of ``(storekey, frozenset-of-lid-tuples)`` pairs over
-        the live null-free rows (no ``Atom`` is materialised — the
-        lid-tuples already exist as rowmap keys, and the per-store split
-        is cached across sibling states by ``_Store.split_keys``), and
-        ``null_facts`` are the few null-mentioning facts, materialised
-        for the colour-refinement canonicaliser.  Local ids are only
-        meaningful within one fork family — two instances' ground keys
-        compare correctly iff they share ``_terms``, which every state
-        of one exploration does.  Never persist these keys (§9).
+        Returns ``(ground_key, null_count, null_rows, terms)``:
+
+        * ``ground_key`` — a frozenset of ``(storekey,
+          frozenset-of-lid-tuples)`` pairs over the live null-free rows
+          (the lid-tuples already exist as rowmap keys);
+        * ``null_count`` — the number of distinct nulls the live rows
+          mention;
+        * ``null_rows`` — one ``(storekey, tuple-of-lid-tuples)`` pair per
+          store holding null-mentioning rows;
+        * ``terms`` — the family's lid → term table, which decodes a
+          null row to its ``Atom`` later on: the table is append-only, so
+          a lid decodes to the same term even after the row was rolled
+          back.
+
+        Every per-store piece comes from ``_Store.split_keys``' version
+        cache, so sibling states share the tuples of every store their
+        step did not touch.  Local ids are only meaningful within one
+        fork family — two instances' parts compare correctly iff they
+        share ``_terms``, which every state of one exploration does.
+        Never persist these keys (§9).
         """
         null_lids = self._terms.null_lids
-        terms = self._terms.terms
         ground = []
-        null_facts: list[Atom] = []
+        null_rows = []
+        mentioned = []
         for skey, store in self._stores.items():
             if not store.nlive:
                 continue
-            g, null_keys = store.split_keys(null_lids)
+            g, rows, lids = store.split_keys(null_lids)
             if g:
                 ground.append((skey, g))
-            if null_keys:
-                pred = skey[0]
-                null_facts.extend(
-                    Atom(pred, tuple(terms[lid] for lid in key))
-                    for key in null_keys
-                )
-        return frozenset(ground), null_facts
+            if rows:
+                null_rows.append((skey, rows))
+                mentioned.append(lids)
+        null_count = len(frozenset().union(*mentioned))
+        return frozenset(ground), null_count, tuple(null_rows), self._terms.terms
 
     def with_predicate(self, predicate: str) -> frozenset[Atom]:
         """All facts over ``predicate`` (a snapshot, safe to iterate while

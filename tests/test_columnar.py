@@ -342,6 +342,49 @@ class TestMetamorphicTidChurn:
             assert snapshot(col) == before, f"seed={seed}"
 
 
+class TestMemoParts:
+    """The explorer memo's raw parts: no Atom is built, and the lid rows
+    a state left behind still decode after that state is rolled back."""
+
+    def test_parts_describe_the_fact_set(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            pool = [a, b, Null(960), Null(961), Null(962)]
+            col = ColumnarInstance(random_fact(rng, pool) for _ in range(12))
+            ground_key, null_count, null_rows, terms = col.memo_parts()
+
+            def decode(parts):
+                return [
+                    Atom(skey[0], tuple(terms[lid] for lid in row))
+                    for skey, rows in parts
+                    for row in rows
+                ]
+
+            ground = set(decode(ground_key))
+            null_facts = decode(null_rows)
+            assert ground == {f for f in col if not f.nulls()}
+            assert sorted(map(str, null_facts)) == sorted(
+                str(f) for f in col if f.nulls()
+            )
+            assert null_count == len(col.nulls())
+
+    def test_rows_decode_after_rollback(self):
+        col = ColumnarInstance(sample_facts())
+        sp = col.savepoint()
+        added = [Atom("E", (Null(902), Null(990))), Atom("G", (Null(990),))]
+        col.add_all(added)
+        _g, null_count, null_rows, terms = col.memo_parts()
+        col.rollback(sp)
+        col.add(Atom("G", (Null(991),)))  # reuses the rolled-back rows
+        decoded = {
+            Atom(skey[0], tuple(terms[lid] for lid in row))
+            for skey, rows in null_rows
+            for row in rows
+        }
+        assert null_count == 3
+        assert decoded == {f for f in sample_facts() + added if f.nulls()}
+
+
 class TestCowForks:
     """§11: ``copy()`` is a copy-on-write fork — segments are shared
     until a side's first write, and neither side can ever observe the
