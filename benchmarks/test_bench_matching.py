@@ -1,26 +1,28 @@
-"""Columnar-vs-planned-vs-indexed-vs-naive matcher micro-benchmark.
+"""Columnar-vs-planned-vs-naive matcher micro-benchmark.
 
 One ontology per Table 2(a) class is grown into a few-thousand-fact
-instance by a (semi-oblivious, full-first) chase prefix; all four
-matching backends then enumerate *every* body homomorphism of the
-ontology into that instance — the exact workload behind trigger
-discovery, saturation and satisfaction checks.  The gaps measured are:
+instance by a (semi-oblivious, full-first) chase prefix under the default
+backend and converted to a plain ``Instance``; three arms then enumerate
+*every* body homomorphism of the ontology into that instance — the exact
+workload behind trigger discovery, saturation and satisfaction checks:
 
-* **indexed / naive** — the PR 1 win: dynamic most-constrained-first
-  ordering plus ``(predicate, position, term)`` bucket intersection
-  versus static ordering over full predicate extents;
-* **planned / indexed** — the compiled-plan win (DESIGN.md §9): the
-  per-trigger python interpretation of the generic recursive ``match()``
-  (per-atom candidate-pool scoring, mapping-dict copies) replaced by a
-  join plan compiled once per body and replayed over interned-term
-  buckets and a flat register array;
-* **columnar / planned** — the columnar-store win (DESIGN.md §10): the
-  same compiled plans replayed as generated nested int loops over flat
-  tid columns of a :class:`~repro.model.columnar.ColumnarInstance`, no
-  Atom tuples or register boxing on the hot path.
+* **columnar** — the compiled plans as generated nested int loops over
+  the flat tid columns of a :class:`~repro.model.columnar.ColumnarInstance`
+  (DESIGN.md §10), no Atom tuples or register boxing on the hot path;
+* **planned** — the same compiled plans through the plan executor for
+  non-columnar targets, over the ``Instance``'s interned-term buckets and
+  a flat register array (DESIGN.md §9) — the path the witness engine,
+  MFA/MSA and Adn∃'s EGD step take;
+* **naive** — the reference backend: static ordering over full predicate
+  extents.
+
+The gaps measured are columnar / planned (the columnar-store win) and
+columnar / naive (the whole matching stack against the reference).  The
+last numbers of the retired dynamic ``indexed`` engine are frozen in
+DESIGN.md §9's migration note.
 
 The bench re-checks the differential invariant (identical homomorphism
-counts) across all four arms on every workload and pins per-class
+counts) across all three arms on every workload and pins per-class
 floors; a separate untimed pass records each arm's tracemalloc peak so
 representation overhead is tracked next to wall-clock.  Results go to
 ``benchmarks/results/matching.txt``.
@@ -38,25 +40,18 @@ from conftest import write_result
 from repro.chase.runner import run_chase
 from repro.generators.corpus import TABLE2A_CLASSES, generate_corpus
 from repro.generators.databases import seed_database
-from repro.matching import engine as indexed_engine
 from repro.matching import naive as naive_engine
 from repro.matching import plans as planned_engine
-from repro.model import ColumnarInstance
+from repro.model import ColumnarInstance, Instance
 
 LARGEST_CLASS = TABLE2A_CLASSES[-1]["name"]  # E1001-5000/G11-100
-#: Classes where PR 1's indexed engine was nearly flat over naive
-#: (~1.1x): tiny candidate pools, overhead-bound — the compiled plans'
-#: target territory.
-FLAT_CLASSES = ("E1-10/G1-10", "E1001-5000/G1-10")
 #: The big-extent classes where per-row python objects dominate — the
-#: columnar store's target territory (ISSUE 9 acceptance floor).
+#: columnar store's target territory.
 COLUMNAR_CLASSES = ("E1001-5000/G1-10", "E1001-5000/G11-100")
 
-INDEXED_FLOOR = 3.0    # indexed / naive on LARGEST_CLASS
-PLANNED_FLOOR = 1.5    # planned / indexed on every FLAT_CLASSES member
-PLANNED_MIN = 1.0      # planned / indexed on every class
-#: Raised from the PR 9 floor of 1.5: the rowmap-key scan emission and
-#: typed-buffer kernels (ISSUE 10) must buy ≥ 1.3x on top of it.
+NAIVE_FLOOR = 3.0      # columnar / naive on LARGEST_CLASS
+#: Raised from the 1.5 of the first columnar store: the rowmap-key scan
+#: emission and typed-buffer kernels must buy ≥ 1.3x on top of it.
 COLUMNAR_FLOOR = 2.0   # columnar / planned on every COLUMNAR_CLASSES member
 COLUMNAR_MIN = 1.0     # columnar / planned on every class
 
@@ -127,10 +122,14 @@ def _workloads():
         db = seed_database(ont.sigma)
         result = run_chase(
             db, ont.sigma, variant="semi_oblivious", strategy="full_first",
-            max_steps=GROW_STEPS, engine="indexed",
+            max_steps=GROW_STEPS,
         )
-        instance = result.instance if result.instance is not None else db
-        yield cls["name"], ont.sigma, instance
+        grown = result.instance if result.instance is not None else db
+        # The chase warmed its plans against the seed database's
+        # statistics; drop them so every arm runs plans compiled for the
+        # grown instance it is timed on.
+        planned_engine.clear_cache()
+        yield cls["name"], ont.sigma, Instance(grown)
 
 
 def _enumerate_all(matcher, sigma, instance) -> int:
@@ -151,8 +150,7 @@ def test_bench_matching():
     rows = []
     mem_rows = []
     col_speedups = {}
-    plan_speedups = {}
-    idx_speedups = {}
+    naive_speedups = {}
     for name, sigma, instance in _workloads():
         # The columnar conversion happens once, outside timing: chases
         # under the columnar backend build their store incrementally and
@@ -161,7 +159,6 @@ def test_bench_matching():
         arms = [
             ("columnar", planned_engine, col),
             ("planned", planned_engine, instance),
-            ("indexed", indexed_engine, instance),
             ("naive", naive_engine, instance),
         ]
         peaks = {}
@@ -179,19 +176,17 @@ def test_bench_matching():
             col_floor = (
                 COLUMNAR_FLOOR if name in COLUMNAR_CLASSES else COLUMNAR_MIN
             )
-            pln_floor = PLANNED_FLOOR if name in FLAT_CLASSES else PLANNED_MIN
             col_ok = (
                 times["planned"] / max(times["columnar"], 1e-9) >= col_floor
             )
-            pln_ok = times["indexed"] / max(times["planned"], 1e-9) >= pln_floor
-            idx_ok = (
+            nai_ok = (
                 name != LARGEST_CLASS
-                or times["naive"] / max(times["indexed"], 1e-9) >= INDEXED_FLOOR
+                or times["naive"] / max(times["columnar"], 1e-9) >= NAIVE_FLOOR
             )
-            if col_ok and pln_ok and idx_ok:
+            if col_ok and nai_ok:
                 break
-            arms_to_retime = ["columnar", "planned", "indexed"]
-            if not idx_ok:
+            arms_to_retime = ["columnar", "planned"]
+            if not nai_ok:
                 arms_to_retime.append("naive")
             retimes, _ = _time_arms(REPEATS, {a: fns[a] for a in arms_to_retime})
             for a, t in retimes.items():
@@ -201,28 +196,26 @@ def test_bench_matching():
                 lambda m=matcher, t=target: _enumerate_all(m, sigma, t)
             )
         col_speedups[name] = times["planned"] / max(times["columnar"], 1e-9)
-        plan_speedups[name] = times["indexed"] / max(times["planned"], 1e-9)
-        idx_speedups[name] = times["naive"] / max(times["indexed"], 1e-9)
+        naive_speedups[name] = times["naive"] / max(times["columnar"], 1e-9)
         rows.append(
             f"{name:<20} {len(list(sigma)):>4} {len(instance):>6} "
             f"{counts['planned']:>6} "
             f"{times['columnar'] * 1e3:>9.2f} {times['planned'] * 1e3:>10.2f} "
-            f"{times['indexed'] * 1e3:>10.2f} {times['naive'] * 1e3:>9.2f} "
-            f"{col_speedups[name]:>8.1f}x {plan_speedups[name]:>8.1f}x "
-            f"{idx_speedups[name]:>8.1f}x"
+            f"{times['naive'] * 1e3:>9.2f} "
+            f"{col_speedups[name]:>8.1f}x {naive_speedups[name]:>8.1f}x"
         )
         mem_rows.append(
             f"{name:<20} {peaks['columnar']:>12.0f} {peaks['planned']:>11.0f} "
-            f"{peaks['indexed']:>11.0f} {peaks['naive']:>10.0f}"
+            f"{peaks['naive']:>10.0f}"
         )
     header = (
         f"{'class':<20} {'|Σ|':>4} {'|I|':>6} {'homs':>6} "
-        f"{'colmnr ms':>9} {'planned ms':>10} {'indexed ms':>10} "
-        f"{'naive ms':>9} {'col/pln':>9} {'pln/idx':>9} {'idx/nai':>9}"
+        f"{'colmnr ms':>9} {'planned ms':>10} "
+        f"{'naive ms':>9} {'col/pln':>9} {'col/nai':>9}"
     )
     mem_header = (
         f"{'class':<20} {'columnar KiB':>12} {'planned KiB':>11} "
-        f"{'indexed KiB':>11} {'naive KiB':>10}"
+        f"{'naive KiB':>10}"
     )
     text = "\n".join(
         [
@@ -245,14 +238,8 @@ def test_bench_matching():
             ),
             f"        columnar ≥ {COLUMNAR_MIN}x planned on every class "
             f"(worst {min(col_speedups.values()):.1f}x)",
-            f"        planned ≥ {PLANNED_FLOOR}x indexed on "
-            + ", ".join(
-                f"{c} (measured {plan_speedups[c]:.1f}x)" for c in FLAT_CLASSES
-            ),
-            f"        planned ≥ {PLANNED_MIN}x indexed on every class "
-            f"(worst {min(plan_speedups.values()):.1f}x)",
-            f"        indexed ≥ {INDEXED_FLOOR}x naive on {LARGEST_CLASS} "
-            f"(measured {idx_speedups[LARGEST_CLASS]:.1f}x)",
+            f"        columnar ≥ {NAIVE_FLOOR}x naive on {LARGEST_CLASS} "
+            f"(measured {naive_speedups[LARGEST_CLASS]:.1f}x)",
         ]
     )
     write_result("matching", text)
@@ -266,17 +253,7 @@ def test_bench_matching():
             f"columnar execution regressed to {speedup:.2f}x of the planned "
             f"engine on {name}"
         )
-    for cls in FLAT_CLASSES:
-        assert plan_speedups[cls] >= PLANNED_FLOOR, (
-            f"planned engine only {plan_speedups[cls]:.2f}x faster than the "
-            f"generic indexed engine on {cls}"
-        )
-    for name, speedup in plan_speedups.items():
-        assert speedup >= PLANNED_MIN, (
-            f"planned engine regressed to {speedup:.2f}x of the generic "
-            f"indexed engine on {name}"
-        )
-    assert idx_speedups[LARGEST_CLASS] >= INDEXED_FLOOR, (
-        f"indexed engine only {idx_speedups[LARGEST_CLASS]:.2f}x faster than "
-        f"the naive reference on {LARGEST_CLASS}"
+    assert naive_speedups[LARGEST_CLASS] >= NAIVE_FLOOR, (
+        f"columnar execution only {naive_speedups[LARGEST_CLASS]:.2f}x faster "
+        f"than the naive reference on {LARGEST_CLASS}"
     )

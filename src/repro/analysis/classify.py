@@ -41,7 +41,6 @@ from dataclasses import dataclass, field, replace
 from ..budget import Budget, Cancellation
 from ..criteria.base import CriterionResult, Guarantee, get_criterion, registry
 from ..firing.relations import (
-    current_firing_cache,
     no_firing_cache,
     shared_firing_cache,
 )
@@ -58,13 +57,12 @@ DEFAULT_ORDER = [
 #: * ``shared`` — one :class:`~repro.analysis.context.AnalysisContext`
 #:   per program, every criterion reads artifacts (and firing-edge
 #:   decisions) off it;
-#: * ``standalone`` — the pre-context reference path: each criterion
-#:   rebuilds its own artifacts, sharing only firing-edge decisions
-#:   through the scope cache (pinned byte-identical to ``shared`` by the
-#:   differential suite, ``tests/test_context_differential.py``);
 #: * ``isolated`` — no sharing at all, every criterion recomputes every
-#:   probe (the recompute baseline of the shared-context bench).
-BACKENDS = ("shared", "standalone", "isolated")
+#:   artifact and probe: the recompute oracle (pinned verdict-identical
+#:   to ``shared`` by ``tests/test_context_differential.py``) and the
+#:   baseline of the shared-context bench.  Library-only: the CLI always
+#:   runs ``shared``.
+BACKENDS = ("shared", "isolated")
 
 #: Accept-implications that hold *by construction* in this codebase (see
 #: the property suite ``tests/test_hierarchy_containments.py``, which is
@@ -161,9 +159,9 @@ class ClassificationReport:
 
     ``details`` carries run-level metadata next to the per-criterion
     results: the artifact-sharing ``backend``, the shared context's
-    artifact/decision cache statistics (``context``), the standalone
-    scope cache's statistics (``decisions``), and how many verdicts the
-    hierarchy scheduler filled in without running (``implied``).
+    artifact/decision cache statistics (``context``), and how many
+    verdicts the hierarchy scheduler filled in without running
+    (``implied``).
     """
 
     sigma: DependencySet
@@ -236,7 +234,6 @@ class ClassificationReport:
         if implied:
             lines.append(f"hierarchy: {implied} verdict(s) filled in by containment")
         ctx = self.details.get("context")
-        decisions = None
         if ctx is not None:
             a = ctx["artifacts"]
             lines.append(
@@ -245,9 +242,6 @@ class ClassificationReport:
                 f"{a['uncached_builds']} uncached builds)"
             )
             decisions = ctx["decisions"]
-        if decisions is None:
-            decisions = self.details.get("decisions")
-        if decisions is not None:
             lines.append(
                 f"firing decisions: {decisions['entries']} decided, "
                 f"{decisions['prefiltered']} prefiltered / "
@@ -406,12 +400,6 @@ def classify(
         with shared_firing_cache(context.decisions):
             run(context)
         report.details["context"] = context.stats()
-    elif config.backend == "standalone":
-        # The pre-context reference path: per-criterion artifact rebuilds
-        # over one shared firing-decision scope cache.
-        with shared_firing_cache(current_firing_cache()) as cache:
-            run(None)
-        report.details["decisions"] = cache.stats()
     else:  # isolated
         with no_firing_cache():
             run(None)

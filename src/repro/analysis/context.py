@@ -14,9 +14,9 @@ shares it everywhere: a lazy, memoized, thread-safe store that every
 consults instead of rebuilding its own.  The classification portfolio
 creates one context per program and passes it to every criterion
 (``backend="shared"``); a criterion checked on its own creates a private
-context, which degenerates to per-criterion memoization — the historical
-behaviour, kept as the ``"standalone"`` reference backend and pinned
-byte-identical to the shared path by the differential suite.
+context, which degenerates to per-criterion memoization.  The
+``"isolated"`` portfolio backend, which shares nothing at all, is the
+recompute oracle the differential suite pins the shared path against.
 
 Thread-safety contract
 ----------------------

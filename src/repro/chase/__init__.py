@@ -4,7 +4,6 @@ sequence exploration, and Skolemisation."""
 from .core_chase import core_chase, core_chase_step
 from .explorer import (
     DISCOVERY_MODES,
-    SNAPSHOT_BACKENDS,
     ExplorationResult,
     ExplorationVerdict,
     canonical_key,
@@ -38,7 +37,6 @@ __all__ = [
     "core_chase",
     "core_chase_step",
     "DISCOVERY_MODES",
-    "SNAPSHOT_BACKENDS",
     "ExplorationResult",
     "ExplorationVerdict",
     "canonical_key",

@@ -30,13 +30,11 @@ canonical keys would.
 
 The DFS visits branches transactionally: a branch takes an
 ``Instance.savepoint``, applies its step in place, explores below, and
-rolls back — O(|Δ|) per branch instead of the O(|I|) ``copy()`` per
-branch the ``snapshots="copy"`` reference backend pays (kept switchable
-so the differential suite and the explore bench can hold the two
-against each other).  The DFS keeps its path on an explicit frame
-stack, so its depth is not limited by the interpreter's recursion
-limit.  The oblivious and semi-oblivious chase carry trigger-key state,
-so their exploration is a plain bounded DFS over the same machinery.
+rolls back — O(|Δ|) per branch instead of an O(|I|) ``copy()``.  The
+DFS keeps its path on an explicit frame stack, so its depth is not
+limited by the interpreter's recursion limit.  The oblivious and
+semi-oblivious chase carry trigger-key state, so their exploration is a
+plain bounded DFS over the same machinery.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ from .step import Trigger, apply_step
 #: classes down to a single relabeling long before the cap matters.
 CLASS_PERMUTATION_CAP = 40_320
 
-SNAPSHOT_BACKENDS = ("savepoint", "copy")
 DISCOVERY_MODES = ("delta", "full")
 
 
@@ -194,8 +191,8 @@ def canonical_key(instance: Instance) -> tuple:
     ``CLASS_PERMUTATION_CAP``, and a deterministic colour-ordered
     first-occurrence relabeling beyond.  Either way the relabeling is a
     bijection, so equal keys always mean isomorphic states; the key
-    depends only on the fact *set*, never on iteration order, so the
-    savepoint and copy snapshot backends memoize identically.
+    depends only on the fact *set*, never on iteration order, so
+    columnar and plain-``Instance`` states memoize identically.
 
     The explorer's memo (:func:`_memo_key`) decides exactly as a set of
     these keys would, but computes the null part only on bucket
@@ -372,7 +369,6 @@ def explore_chase(
     max_depth: int = 20,
     max_states: int = 20_000,
     budget: Budget | None = None,
-    snapshots: str = "savepoint",
     discovery: str = "delta",
 ) -> ExplorationResult:
     """Explore every ``variant``-chase sequence of (database, sigma).
@@ -381,11 +377,9 @@ def explore_chase(
     and cancellation on top of the ``max_states`` cap; exhausting either
     counts as hitting the state budget for the verdict.
 
-    ``snapshots`` selects how branches are visited: ``"savepoint"``
-    (default) applies each step in place under an undo-log savepoint and
-    rolls back after the recursion — O(step) per branch — while
-    ``"copy"`` is the reference backend forking a full instance copy per
-    branch.
+    Branches are visited transactionally: each step is applied in place
+    under an undo-log savepoint and rolled back once the DFS returns to
+    its parent — O(step) per branch.
 
     ``discovery`` selects how each state's applicable triggers are found:
     ``"delta"`` (default) carries the parent's candidate triggers down the
@@ -394,15 +388,12 @@ def explore_chase(
     path because chase states evolve monotonically and dead triggers stay
     dead), re-checking only variant applicability per state; ``"full"``
     re-enumerates every body homomorphism from scratch at every state —
-    the seed behaviour, kept as the reference.
+    the seed behaviour, kept as the naive oracle.
 
-    All four backend combinations produce identical results; the
-    differential suite asserts it.  The input database is never modified.
+    Both discovery modes produce identical results under either matching
+    backend; the differential suite asserts it.  The input database is
+    never modified.
     """
-    if snapshots not in SNAPSHOT_BACKENDS:
-        raise ValueError(
-            f"unknown snapshot backend {snapshots!r}; known: {SNAPSHOT_BACKENDS}"
-        )
     if discovery not in DISCOVERY_MODES:
         raise ValueError(
             f"unknown discovery mode {discovery!r}; known: {DISCOVERY_MODES}"
@@ -412,11 +403,11 @@ def explore_chase(
     memo: dict[tuple, _Pending | set] = {}
     stats = {"terminating": 0, "failing": 0, "capped": 0, "states": 0}
     budget_hit = [False]
-    transactional = snapshots == "savepoint"
     semi_naive = discovery == "delta"
     body_index = body_atom_index((d, d.body) for d in sigma) if semi_naive else None
     # Compile the per-dependency join plans once for the whole exploration
-    # (a no-op unless the "planned" backend is active in this context).
+    # (under the default columnar backend; a no-op only under the naive
+    # reference).
     warm_plans((d.body for d in sigma), database)
     head_preds = {
         d: frozenset(a.predicate for a in d.head)
@@ -538,22 +529,18 @@ def explore_chase(
             stats["capped"] += 1
             return None
         # Fresh-null numbering is a function of the *parent* state: every
-        # sibling branch starts from the same nulls (the savepoint backend
-        # rolls a branch's nulls back before the next one begins), so the
-        # domain scan is hoisted out of the branch loop.
+        # sibling branch starts from the same nulls (a branch's nulls are
+        # rolled back before the next one begins), so the domain scan is
+        # hoisted out of the branch loop.
         start = max((n.label for n in instance.nulls()), default=0) + 1
         return _Frame(instance, fired, depth, triggers, start)
 
     def child_state(frame: _Frame, trigger: Trigger) -> tuple | None:
-        """Apply ``trigger`` to the frame's state (under ``frame.sp`` on
-        the savepoint backend): the child's ``enter`` arguments, or None
-        when the step failed."""
-        instance, fired = frame.instance, frame.fired
-        if transactional:
-            frame.sp = instance.savepoint()
-            child = instance
-        else:
-            child = instance.copy()
+        """Apply ``trigger`` to the frame's state in place, under
+        ``frame.sp``: the child's ``enter`` arguments, or None when the
+        step failed."""
+        child, fired = frame.instance, frame.fired
+        frame.sp = child.savepoint()
         tick = child.tick
         outcome = apply_step(child, trigger, NullFactory(start=frame.start))
         if outcome.failed:
@@ -595,17 +582,14 @@ def explore_chase(
             return child, child_fired, frame.depth + 1, carried, live
         return child, child_fired, frame.depth + 1, initial_candidates(child), []
 
-    # The savepoint backend mutates its working instance in place, so it
-    # forks the caller's database exactly once; the copy backend forks
-    # per branch and never touches the root.  Under the columnar backend
-    # the conversion is itself a fork, and branch savepoints/copies then
-    # stay columnar all the way down.
+    # Branches mutate the working instance in place, so the caller's
+    # database is forked exactly once.  Under the columnar backend the
+    # conversion is itself a fork, and branch savepoints then stay
+    # columnar all the way down.
     if get_backend() == "columnar" and not isinstance(database, ColumnarInstance):
         root: Instance | ColumnarInstance = ColumnarInstance(database)
-    elif transactional:
-        root = database.copy()
     else:
-        root = database
+        root = database.copy()
 
     # Iterative DFS: the stack holds one frame per state on the current
     # path, each with its next branch and the savepoint of the branch

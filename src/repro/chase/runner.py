@@ -2,8 +2,8 @@
 
 The runner owns a working instance and a pool of *pending* candidate
 triggers.  Discovery is **semi-naive**: the instance's delta log feeds each
-newly added (or merge-rewritten) fact into the indexed matching engine,
-which joins it only against bodies mentioning its predicate.  There is no
+newly added (or merge-rewritten) fact into the matching backend, which
+joins it only against bodies mentioning its predicate.  There is no
 "full sweep on drain" any more; DESIGN.md ("Indexed matching and semi-naive
 discovery") states and proves the invariant that replaces it:
 
@@ -25,7 +25,7 @@ discovery") states and proves the invariant that replaces it:
 
 Each discovery batch is pushed in a canonical order (dependency order in Σ,
 then assignment images), so a run's step sequence depends only on the *set*
-of homomorphisms each discovery finds — the indexed engine and the naive
+of homomorphisms each discovery finds — the columnar default and the naive
 reference backend (``engine="naive"``) drive byte-identical chase runs,
 which the differential test suite exploits.
 
@@ -238,8 +238,8 @@ class ChaseRunner:
             return self._run()
 
     def _run(self) -> ChaseResult:
-        # Compile the per-dependency join plans up front (a no-op unless
-        # the "planned" backend is active in this context).
+        # Compile the per-dependency join plans up front (under the
+        # default columnar backend; a no-op only under the naive reference).
         warm_plans((d.body for d in self.sigma), self.instance)
         self._discover_initial()
         self._tick = self.instance.tick
@@ -319,10 +319,9 @@ def run_chase(
 
     ``variant`` is one of ``standard``, ``oblivious``, ``semi_oblivious``;
     ``strategy`` resolves the nondeterministic choice among applicable
-    steps; ``engine`` selects the matching backend (``planned``,
-    ``columnar``, ``indexed`` or the ``naive`` reference), or inherits the
-    ambient backend when None — ``using_backend(...)`` around this call is
-    honoured, and the ``columnar`` backend additionally switches the
+    steps; ``engine`` selects the matching backend (``columnar`` or the
+    ``naive`` reference), or inherits the ambient backend when None —
+    ``using_backend(...)`` around this call is honoured, and the ``columnar`` backend additionally switches the
     working instance to the columnar fact store.  ``budget``
     adds fact/wall-clock bounds and cancellation on top of ``max_steps``;
     exhaustion yields ``EXCEEDED`` with ``result.exhausted`` set.  The

@@ -183,8 +183,8 @@ def saturate(
         instance = database.copy()
     rules = list(rules)
     body_index = body_atom_index((rule, rule.source.body) for rule in rules)
-    # Compile the per-rule join plans once for the whole saturation (a
-    # no-op unless the "planned" backend is active in this context).
+    # Compile the per-rule join plans once for the whole saturation (under
+    # the default columnar backend; a no-op only under the naive reference).
     warm_plans((rule.source.body for rule in rules), instance)
     rounds = 0
     tick = instance.tick

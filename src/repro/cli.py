@@ -87,7 +87,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         budget_steps=args.budget_steps,
         budget_ms=args.budget_ms,
         short_circuit=args.short_circuit,
-        backend=args.backend,
         hierarchy=args.hierarchy,
     )
     print(report)
@@ -427,12 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cancel criteria that can no longer change the "
                         "overall verdict (cheap static criteria usually "
                         "decide it first)")
-    p.add_argument("--backend", default="shared",
-                   choices=["shared", "standalone", "isolated"],
-                   help="artifact sharing across criteria: one shared "
-                        "analysis context (default), the per-criterion "
-                        "standalone reference path, or fully isolated "
-                        "recomputation")
     p.add_argument("--hierarchy", action="store_true",
                    help="fill in verdicts already implied or refuted by "
                         "the paper's criterion containments (e.g. WA ⇒ "

@@ -16,7 +16,7 @@ files.  Three escape hatches keep it honest rather than annoying:
   baseline, while touching the offending line does.
 * **rule scoping** — each rule declares the path patterns it applies to
   (the budget rule only patrols the chase/adornment/witness modules, the
-  encapsulation rule exempts the matching engine's documented borrowing
+  encapsulation rule exempts the matching backends' documented borrowing
   contract, and so on).
 
 Exit-code contract of :func:`run_lint` consumers (the ``repro lint``

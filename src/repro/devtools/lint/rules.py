@@ -234,8 +234,8 @@ class SwallowedControlExceptionRule(Rule):
 # ---------------------------------------------------------------------------
 
 #: ``Instance``'s private fact set, indexes, delta log, undo machinery,
-#: and the borrowing accessors only the matching engine may call — plus
-#: the columnar store's column/term-table privates (DESIGN.md §10).
+#: and the borrowing accessors only the matching backends may call —
+#: plus the columnar store's column/term-table privates (DESIGN.md §10).
 _INSTANCE_PRIVATES = {
     "_facts", "_by_predicate", "_by_term", "_by_pos", "_log",
     "_undo", "_sp_stack", "_undo_len", "_log_len",
@@ -247,7 +247,8 @@ _INSTANCE_PRIVATES = {
 
 @register
 class InstanceEncapsulationRule(Rule):
-    """Only instances.py and the matching engine touch Instance innards.
+    """Only the instance modules and the matching backends touch Instance
+    innards.
 
     The §1 index/delta-log lockstep and the §5 undo-log discipline hold
     because every mutation goes through ``add``/``discard``/
@@ -266,7 +267,6 @@ class InstanceEncapsulationRule(Rule):
     exclude = (
         "*repro/model/instances.py",
         "*repro/model/columnar.py",
-        "*repro/matching/engine.py",
         "*repro/matching/naive.py",
         "*repro/matching/plans.py",
     )

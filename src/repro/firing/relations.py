@@ -212,16 +212,11 @@ class FiringOracle:
         sigma: DependencySet | Sequence[AnyDependency],
         step_variant: str = "standard",
         budget: int = DEFAULT_BUDGET,
-        snapshots: str = "savepoint",
         decisions: DecisionCache | None = None,
     ) -> None:
         self.deps = list(sigma)
         self.step_variant = step_variant
         self.budget = budget
-        # Witness-engine state-management backend.  Decisions are
-        # byte-identical across backends (differential-tested), so the
-        # shared-cache keys deliberately do not include it.
-        self.snapshots = snapshots
         self._decisions = decisions
         self._precedes_cache: dict[tuple, FiringDecision] = {}
         self._fires_cache: dict[tuple, FiringDecision] = {}
@@ -284,7 +279,7 @@ class FiringOracle:
         )
         return WitnessEngine(
             r1, r2, fulls, self.step_variant, coerce_budget(self.budget),
-            self.snapshots, renamed=renamed,
+            renamed=renamed,
         )
 
     def _probe(

@@ -43,21 +43,17 @@ and fresh budgets are linked to the ambient one of the enclosing
 analysis scope, so a criterion-level deadline or cancellation cuts the
 witness search off mid-pair.
 
-State management is transactional by default (``snapshots="savepoint"``):
-the candidate instance ``K`` is built once per variable-freeze and every
-enumerated candidate — the preimage pattern, the ``J`` overlay, each
-defuser's probe instance — is a savepoint-scoped mutation rolled back in
-O(changes), instead of the per-candidate ``Instance(K0)`` rebuilds and
-``K.copy()`` forks the ``snapshots="copy"`` reference backend still
-performs.  Both backends run the *same* enumeration and charge the
-budget at the same points, so they produce byte-identical decisions
-(witnesses included); the differential suite asserts it.
+State management is transactional: the candidate instance ``K`` is
+built once per variable-freeze and every enumerated candidate — the
+preimage pattern, the ``J`` overlay, each defuser's probe instance — is a
+savepoint-scoped mutation rolled back in O(changes), instead of a
+per-candidate rebuild or fork.  Only a witness that is returned gets
+detached copies of ``K`` and ``J``.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -76,8 +72,6 @@ MAX_PARTITION_VARS = 7       # full partition enumeration up to Bell(7)=877
 MAX_LABEL_CLASSES = 6        # label (null/const) enumeration up to 2^6
 MAX_PREIMAGE_POSITIONS = 3   # per-atom preimage pattern enumeration
 DEFAULT_BUDGET = 200_000     # unification/instance-check budget per pair
-
-SNAPSHOT_BACKENDS = ("savepoint", "copy")
 
 
 @dataclass
@@ -178,9 +172,8 @@ def warm_renamed(deps: Iterable[AnyDependency]) -> None:
     over (candidate instances are built per partition, but the renamed
     bodies are fixed).  The empty compile target means ordering falls
     back to probe count; witness instances are small enough that order
-    barely matters.  This runs under both plan-executing backends,
-    ``columnar`` (the default) and ``planned``, and is a no-op only
-    under the reference backends."""
+    barely matters.  This runs under the default ``columnar`` backend and
+    is a no-op only under the ``naive`` reference."""
     warm_plans([d.body for d in deps], ())
 
 
@@ -197,15 +190,9 @@ class WitnessEngine:
         fulls: Sequence[AnyDependency] = (),
         step_variant: str = "standard",
         budget: Budget | int = DEFAULT_BUDGET,
-        snapshots: str = "savepoint",
         renamed: tuple[AnyDependency, AnyDependency, Sequence[AnyDependency]]
         | None = None,
     ) -> None:
-        if snapshots not in SNAPSHOT_BACKENDS:
-            raise ValueError(
-                f"unknown snapshot backend {snapshots!r}; "
-                f"known: {SNAPSHOT_BACKENDS}"
-            )
         # Rename apart so self-loops and shared variable names are safe.
         # A caller deciding many pairs over one Σ (the FiringOracle)
         # renames each dependency once and passes ``renamed`` =
@@ -224,23 +211,6 @@ class WitnessEngine:
         self.orig_r2 = r2
         self.step_variant = step_variant
         self.budget = coerce_budget(budget, default_steps=DEFAULT_BUDGET)
-        self.snapshots = snapshots
-
-    @contextmanager
-    def _scratch(self, inst: Instance):
-        """A scope in which ``inst`` may be freely mutated and is restored
-        on exit: an undo-log savepoint (savepoint backend) or a throwaway
-        fork (copy backend).  Callers must not hold live homomorphism
-        generators over ``inst`` across the scope — the savepoint backend
-        mutates it in place."""
-        if self.snapshots == "savepoint":
-            sp = inst.savepoint()
-            try:
-                yield inst
-            finally:
-                inst.rollback(sp)
-        else:
-            yield inst.copy()
 
     # -- public API ------------------------------------------------------
 
@@ -336,19 +306,17 @@ class WitnessEngine:
                 gamma = (rhs_t, lhs_t)
             new_atoms = []
 
-        # The savepoint backend materialises the frozen body once per
-        # freeze and scopes every candidate mutation below it; the copy
-        # backend rebuilds the K0 instance per candidate (the reference
-        # the differential suite compares against).  chase_instance picks
-        # the active backend's fact representation.
-        Kbase = chase_instance(K0) if self.snapshots == "savepoint" else None
+        # Materialise the frozen body once per freeze and scope every
+        # candidate mutation below it under a savepoint.  chase_instance
+        # picks the active backend's fact representation.
+        Kbase = chase_instance(K0)
         yield from self._enumerate_h2(
             Kbase, K0, new_atoms, gamma, h1, supply, check_defusal
         )
 
     def _enumerate_h2(
         self,
-        Kbase: Instance | None,
+        Kbase: Instance,
         K0: list[Atom],
         new_atoms: list[Atom],
         gamma: tuple[Term, Term] | None,
@@ -381,7 +349,7 @@ class WitnessEngine:
 
     def _complete_witness(
         self,
-        Kbase: Instance | None,
+        Kbase: Instance,
         K0: list[Atom],
         new_atoms: list[Atom],
         gamma: tuple[Term, Term] | None,
@@ -415,17 +383,16 @@ class WitnessEngine:
                 for v, t in zip(unbound, combo):
                     h2c[v] = t
                 yield from self._complete_with_bound(
-                    Kbase, K0, new_atoms, gamma, h1, h2c, free, check_defusal
+                    Kbase, new_atoms, gamma, h1, h2c, free, check_defusal
                 )
             return
         yield from self._complete_with_bound(
-            Kbase, K0, new_atoms, gamma, h1, dict(h2), free, check_defusal
+            Kbase, new_atoms, gamma, h1, dict(h2), free, check_defusal
         )
 
     def _complete_with_bound(
         self,
-        Kbase: Instance | None,
-        K0: list[Atom],
+        K: Instance,
         new_atoms: list[Atom],
         gamma: tuple[Term, Term] | None,
         h1: dict,
@@ -458,35 +425,19 @@ class WitnessEngine:
                 per_atom.append(options)
             preimage_choices = [list(c) for c in itertools.product(*per_atom)]
 
-        transactional = Kbase is not None
         for preimages in preimage_choices:
             if not self.budget.charge():
                 return
-            if transactional:
-                sp = Kbase.savepoint()
-                K = Kbase
-            else:
-                sp = None
-                K = chase_instance(K0)
+            sp = K.savepoint()
             try:
                 K.add_all(preimages)
-                # Build J: an overlay on K under a nested savepoint, or a
-                # fork (copy backend).  Either way the same checks run and
-                # the budget is charged at the same points.
-                if transactional:
-                    spJ = K.savepoint()
-                    if gamma is None:
-                        K.add_all(new_atoms)
-                    else:
-                        K.merge_terms(gamma[0], gamma[1])
-                    J = K
+                # Build J as an overlay on K under a nested savepoint.
+                spJ = K.savepoint()
+                if gamma is None:
+                    K.add_all(new_atoms)
                 else:
-                    if gamma is None:
-                        J = K.copy()
-                        J.add_all(new_atoms)
-                    else:
-                        J = K.apply({gamma[0]: gamma[1]})
-                    spJ = None
+                    K.merge_terms(gamma[0], gamma[1])
+                J = K
                 # Free images must actually be present in J (preimages
                 # merge into them); guaranteed by construction, asserted
                 # cheaply.
@@ -498,8 +449,7 @@ class WitnessEngine:
                     else:
                         inst_body = [a.apply(h2) for a in self.r2.body]
                         ok = self._witness_checks_J(J, inst_body, h2)
-                if spJ is not None:
-                    K.rollback(spJ)
+                K.rollback(spJ)
                 if not ok or inst_body is None:
                     continue
                 if not self._witness_checks_K(K, inst_body, h1):
@@ -514,8 +464,7 @@ class WitnessEngine:
                     return
                 yield None, True
             finally:
-                if sp is not None:
-                    Kbase.rollback(sp)
+                K.rollback(sp)
 
     # -- conditions (i)-(iii) -------------------------------------------------
 
@@ -560,8 +509,8 @@ class WitnessEngine:
         h2: dict,
     ) -> Witness:
         """A witness holding instances detached from the enumeration state
-        (the savepoint backend keeps mutating ``K`` after this returns)."""
-        K_snap = K.copy() if self.snapshots == "savepoint" else K
+        (the search keeps mutating ``K`` after this returns)."""
+        K_snap = K.copy()
         if gamma is None:
             J_snap = K_snap.copy()
             J_snap.add_all(new_atoms)
@@ -653,9 +602,12 @@ class WitnessEngine:
                     inst_head = [a.apply(h3) for a in r3.head]
                     if all(a in K for a in inst_head):
                         continue  # not applicable (standard step)
-                    with self._scratch(K) as Jp:
-                        Jp.add_all(inst_head)
-                        defused = satisfies_instantiated(Jp, self.r2, h2)
+                    sp = K.savepoint()
+                    try:
+                        K.add_all(inst_head)
+                        defused = satisfies_instantiated(K, self.r2, h2)
+                    finally:
+                        K.rollback(sp)
                     if defused:
                         return ("tgd", r3, h3)
             else:
@@ -695,10 +647,13 @@ class WitnessEngine:
             return True  # both constants: ⊥, defuses
         for old, new in directions:
             # ``old`` is a null (``_egd_directions`` guarantees it), so the
-            # substitution is an in-place merge under the scratch scope.
-            with self._scratch(K) as Jp:
-                Jp.merge_terms(old, new)
-                sat = satisfies_instantiated(Jp, self.r2, h2)
+            # substitution is an in-place merge under a savepoint.
+            sp = K.savepoint()
+            try:
+                K.merge_terms(old, new)
+                sat = satisfies_instantiated(K, self.r2, h2)
+            finally:
+                K.rollback(sp)
             if not sat:
                 return False
         return True
@@ -712,10 +667,9 @@ def decide_precedes(
     r2: AnyDependency,
     step_variant: str = "standard",
     budget: Budget | int = DEFAULT_BUDGET,
-    snapshots: str = "savepoint",
 ) -> FiringDecision:
     """Decide ``r1 ≺ r2`` (chase-graph edge)."""
-    return WitnessEngine(r1, r2, (), step_variant, budget, snapshots).precedes()
+    return WitnessEngine(r1, r2, (), step_variant, budget).precedes()
 
 
 def decide_fires(
@@ -724,9 +678,6 @@ def decide_fires(
     fulls: Iterable[AnyDependency],
     step_variant: str = "standard",
     budget: Budget | int = DEFAULT_BUDGET,
-    snapshots: str = "savepoint",
 ) -> FiringDecision:
     """Decide ``r1 < r2`` (firing-graph edge) w.r.t. the full dependencies."""
-    return WitnessEngine(
-        r1, r2, tuple(fulls), step_variant, budget, snapshots
-    ).fires()
+    return WitnessEngine(r1, r2, tuple(fulls), step_variant, budget).fires()

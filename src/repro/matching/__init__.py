@@ -1,4 +1,4 @@
-"""Delta-driven indexed trigger matching.
+"""Delta-driven trigger matching.
 
 The shared matching engine behind every chase consumer — see DESIGN.md,
 "Indexed matching and semi-naive discovery".  Public surface:
@@ -9,11 +9,10 @@ The shared matching engine behind every chase consumer — see DESIGN.md,
   discovery over an instance's delta log;
 * :func:`seed_mapping` — anchor a body atom onto a fact;
 * :func:`get_backend` / :func:`set_backend` / :func:`using_backend` —
-  switch between the ``columnar`` generated int loops (default), the
-  ``planned`` compiled plans, the ``indexed`` engine, and the ``naive``
-  reference;
-* :func:`warm_plans` — precompile the ``planned``/``columnar`` backends'
-  join plans for a dependency set's bodies at chase start.
+  switch between the ``columnar`` compiled plans (default) and the
+  ``naive`` reference;
+* :func:`warm_plans` — precompile the ``columnar`` backend's join plans
+  for a dependency set's bodies at chase start.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.instances import Instance
 from ..model.terms import Term
-from . import engine as _engine
 from . import naive as _naive
 from . import plans as _plans
 from .config import BACKENDS, get_backend, set_backend, using_backend
@@ -47,21 +45,17 @@ def homomorphisms(
     limit: int | None = None,
 ) -> Iterator[Homomorphism]:
     """Enumerate homomorphisms using the active matching backend."""
-    backend = get_backend()
-    if backend == "planned" or backend == "columnar":
-        # One dispatcher for both: plans.match picks the int executor for
-        # columnar targets and the object path for everything else, so
-        # plain-Instance consumers keep working under "columnar".
-        return _plans.match(source, target, seed, frozen_nulls, limit)
-    if backend == "naive":
+    if get_backend() == "naive":
         return _naive.match(source, target, seed, frozen_nulls, limit)
-    return _engine.match(source, target, seed, frozen_nulls, limit)
+    # plans.match picks the int executor for columnar targets and the
+    # plan executor for non-columnar targets (plain Instances, atom lists).
+    return _plans.match(source, target, seed, frozen_nulls, limit)
 
 
 def chase_instance(facts: Iterable[Atom] = ()) -> Instance | ColumnarInstance:
     """A fresh mutable instance matching the active backend's preferred
     fact representation: columnar under ``"columnar"``, the object
-    ``Instance`` otherwise.  Chase entry points build their working
+    ``Instance`` under ``"naive"``.  Chase entry points build their working
     instances through this so backend selection reaches the model layer."""
     if get_backend() == "columnar":
         return ColumnarInstance(facts)
@@ -73,10 +67,10 @@ def warm_plans(
     target: Instance | ColumnarInstance | Iterable[Atom],
     frozen_nulls: bool = False,
 ) -> int:
-    """Precompile join plans for ``bodies`` if a plan-executing backend
-    (``planned``/``columnar``) is active; a no-op (returning 0) under the
-    reference backends."""
-    if get_backend() not in ("planned", "columnar"):
+    """Precompile join plans for ``bodies`` under the ``columnar`` backend;
+    a no-op (returning 0) under the ``naive`` reference, which runs no
+    plans."""
+    if get_backend() == "naive":
         return 0
     return _warm(bodies, target, frozen_nulls)
 

@@ -1,26 +1,23 @@
 """Matching backend selection.
 
-Four interchangeable homomorphism-search backends exist:
+Two interchangeable homomorphism-search backends exist:
 
-* ``"columnar"`` (default) — compiled fixed-order join plans executed as
-  generated int loops over a :class:`~repro.model.columnar.ColumnarInstance`'s
-  typed tid columns and row-id sets, with optional vectorised kernels
-  (DESIGN.md §10–§11); chase entry points build columnar instances under
-  this backend (:func:`..chase_instance`);
-* ``"planned"`` — the same compiled plans replayed over the plain
-  :class:`~repro.model.instance.Instance`, probing term-id-keyed buckets
-  (:mod:`.plans`); the default through PR 9, kept as the first
-  differential reference (pin it back with ``set_backend("planned")``);
-* ``"indexed"`` — dynamic most-constrained-first search over the
-  instance's ``(predicate, position, term)`` index, re-interpreted per
-  call (:mod:`.engine`);
-* ``"naive"``   — the retained reference: static atom order, full predicate
-  extent scans, no interning anywhere on its path (:mod:`.naive`).
+* ``"columnar"`` (default) — compiled fixed-order join plans
+  (:mod:`.plans`) executed as generated int loops over a
+  :class:`~repro.model.columnar.ColumnarInstance`'s typed tid columns and
+  row-id sets, with optional vectorised kernels (DESIGN.md §10–§11);
+  chase entry points build columnar instances under this backend
+  (:func:`..chase_instance`), and the same plans run over plain
+  ``Instance`` and atom-list targets through the plan executor for
+  non-columnar targets;
+* ``"naive"`` — the retained reference: static atom order, full predicate
+  extent scans, no interning anywhere on its path (:mod:`.naive`); chase
+  entry points keep plain ``Instance``s under it.
 
-All backends enumerate exactly the same *set* of homomorphisms (possibly
+Both backends enumerate exactly the same *set* of homomorphisms (possibly
 in a different order); the differential test suite holds them against
-each other pairwise.  The backend is a :mod:`contextvars` variable so
-nested chase runs (e.g. the explorer forking runners) compose correctly.
+each other.  The backend is a :mod:`contextvars` variable so nested chase
+runs (e.g. the explorer forking runners) compose correctly.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import contextlib
 from contextvars import ContextVar
 from typing import Iterator
 
-BACKENDS = ("planned", "columnar", "indexed", "naive")
+BACKENDS = ("columnar", "naive")
 
 _backend: ContextVar[str] = ContextVar("repro_matching_backend", default="columnar")
 

@@ -1,23 +1,19 @@
-"""Indexed homomorphism matching and semi-naive (delta-driven) discovery.
+"""Matching primitives shared by every backend, and semi-naive
+(delta-driven) discovery.
 
 This is the hot path shared by every chase consumer: the runner's trigger
 discovery, the Skolem saturation loop behind MFA/MSA, the explorer's
 per-state enumeration, dependency satisfaction, query answering and core
 computation all reduce to "enumerate homomorphisms of a small atom set into
-a growing instance".
+a growing instance".  The enumeration itself lives in the backends
+(:mod:`.plans`, :mod:`.naive`); this module holds what they share:
 
-The engine improves on the naive reference (:mod:`.naive`) in two ways:
-
-* **Dynamic most-constrained-first ordering.**  Instead of fixing the atom
-  order up front, the next body atom is chosen *under the current partial
-  assignment*: the atom whose cheapest candidate pool (smallest
-  ``(predicate, position, term)`` bucket over its bound positions, or the
-  whole predicate extent if nothing is bound yet) is smallest.  Binding one
-  join variable immediately shrinks the pools of every adjacent atom.
-
-* **Position-bucket intersection.**  Candidates for an atom with bound
-  positions are obtained by intersecting the per-position buckets of the
-  instance's index rather than scanning the predicate extent and filtering.
+* :class:`AdHocIndex` — a position index over a plain atom collection,
+  so the plan executor treats atom lists like an ``Instance``;
+* :func:`match_atom` / :func:`seed_mapping` — extend a partial mapping
+  so one body atom lands on one fact;
+* :func:`body_atom_index` / :func:`delta_homomorphisms` — semi-naive
+  discovery over an ``Instance``'s delta log.
 
 Semi-naive discovery (:func:`delta_homomorphisms`) enumerates exactly the
 homomorphisms whose image uses at least one fact from a delta batch, by
@@ -27,14 +23,13 @@ body atoms can anchor it more than once); consumers dedupe — the chase
 runner through its trigger-seen set, the saturation loop through the
 instance membership check.
 
-The engine borrows the instance's live buckets (``_pred_bucket`` /
-``_pos_slots``) for the duration of one enumeration; they are valid until
-the instance's next mutation, and an :meth:`Instance.rollback` counts as
-a mutation (it restores the same bucket dictionaries to their prior
-contents).  Transactional callers therefore must not hold a live
-enumeration over an instance across a savepoint scope that mutates it —
-materialise the homomorphism list first, as the witness engine's defusal
-probes do (DESIGN.md §5).
+The backends borrow the instance's live buckets for the duration of one
+enumeration; they are valid until the instance's next mutation, and an
+:meth:`Instance.rollback` counts as a mutation (it restores the same
+bucket dictionaries to their prior contents).  Transactional callers
+therefore must not hold a live enumeration over an instance across a
+savepoint scope that mutates it — materialise the homomorphism list
+first, as the witness engine's defusal probes do (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..model.atoms import Atom
 from ..model.instances import Instance
-from ..model.terms import Constant, Null, Term, Variable
+from ..model.terms import Null, Term, Variable
 
 Homomorphism = dict[Term, Term]
 
@@ -111,129 +106,6 @@ def seed_mapping(atom: Atom, fact: Atom) -> Homomorphism | None:
     match rigidly — i.e. a frozen-null match against an empty mapping.
     """
     return match_atom(atom, fact, {}, frozen_nulls=True)
-
-
-def match(
-    source: Sequence[Atom],
-    target: Instance | Iterable[Atom],
-    seed: Mapping[Term, Term] | None = None,
-    frozen_nulls: bool = False,
-    limit: int | None = None,
-) -> Iterator[Homomorphism]:
-    """Enumerate homomorphisms from ``source`` atoms into ``target``.
-
-    The indexed counterpart of :func:`repro.matching.naive.match`: same
-    contract, same homomorphism set, different enumeration order and much
-    better complexity on selective bodies.
-    """
-    idx = target if isinstance(target, Instance) else AdHocIndex(target)
-    mapping: Homomorphism = dict(seed) if seed else {}
-
-    # Constants in the source must not be seeded to something else.
-    for k, v in mapping.items():
-        if isinstance(k, Constant) and k is not v:
-            return
-
-    atoms = list(source)
-    if not atoms:
-        yield dict(mapping)
-        return
-
-    # One plan per atom: the borrowed position-bucket list and the argument
-    # slots with rigidity (constants and frozen nulls never consult the
-    # mapping) precomputed.
-    plans = []
-    for a in atoms:
-        slots = idx._pos_slots(a.predicate)
-        args = []
-        for i, s in enumerate(a.args):
-            rigid = not (
-                isinstance(s, Variable)
-                or (isinstance(s, Null) and not frozen_nulls)
-            )
-            args.append((i, s, rigid))
-        plans.append((a, slots, args))
-
-    pred_bucket = idx._pred_bucket
-    get_bound = mapping.get
-
-    def pool_size(plan) -> int:
-        atom, slots, args = plan
-        best = -1
-        for i, s, rigid in args:
-            t = s if rigid else get_bound(s)
-            if t is None:
-                continue
-            if slots is None or i >= len(slots):
-                return 0
-            c = len(slots[i].get(t.tid, _EMPTY))
-            if c == 0:
-                return 0
-            if best < 0 or c < best:
-                best = c
-        if best < 0:
-            return len(pred_bucket(atom.predicate))
-        return best
-
-    def candidate_pool(plan):
-        atom, slots, args = plan
-        buckets = []
-        for i, s, rigid in args:
-            t = s if rigid else get_bound(s)
-            if t is None:
-                continue
-            if slots is None or i >= len(slots):
-                return _EMPTY
-            b = slots[i].get(t.tid, _EMPTY)
-            if not b:
-                return _EMPTY
-            buckets.append(b)
-        if not buckets:
-            return pred_bucket(atom.predicate)
-        if len(buckets) == 1:
-            return buckets[0]
-        buckets.sort(key=len)
-        return buckets[0].intersection(*buckets[1:])
-
-    remaining = plans
-
-    def recurse() -> Iterator[Homomorphism]:
-        if not remaining:
-            yield dict(mapping)
-            return
-        # Most-constrained-first under the current partial assignment.
-        if len(remaining) == 1:
-            best_j = 0
-            if pool_size(remaining[0]) == 0:
-                return
-        else:
-            best_j, best_c = 0, -1
-            for j, plan in enumerate(remaining):
-                c = pool_size(plan)
-                if best_c < 0 or c < best_c:
-                    best_j, best_c = j, c
-                    if c == 0:
-                        return  # some atom has no candidates: dead branch
-        plan = remaining.pop(best_j)
-        atom = plan[0]
-        try:
-            for fact in candidate_pool(plan):
-                added = match_atom(atom, fact, mapping, frozen_nulls)
-                if added is None:
-                    continue
-                mapping.update(added)
-                yield from recurse()
-                for k in added:
-                    del mapping[k]
-        finally:
-            remaining.insert(best_j, plan)
-
-    count = 0
-    for h in recurse():
-        yield h
-        count += 1
-        if limit is not None and count >= limit:
-            return
 
 
 # -- semi-naive discovery ---------------------------------------------------

@@ -6,10 +6,10 @@ candidates for an atom are the *entire* predicate extent of the target,
 filtered one fact at a time.  It serves two purposes:
 
 * the reference side of the differential test suite
-  (``tests/test_matching_differential.py``), which asserts the indexed
-  engine (:mod:`.engine`) and the compiled-plan backend (:mod:`.plans`)
-  enumerate exactly the same homomorphism sets and drive the chase to
-  identical results;
+  (``tests/test_matching_differential.py``), which asserts the compiled
+  plans (:mod:`.plans`, over columnar and plain targets alike) enumerate
+  exactly the same homomorphism sets and drive the chase to identical
+  results;
 * the baseline side of the matching micro-benchmark
   (``benchmarks/test_bench_matching.py``).
 
@@ -49,9 +49,9 @@ def _match_atom(
     frozen_nulls: bool,
 ) -> Homomorphism | None:
     """The seed's atom-onto-fact matcher, kept as a private verbatim copy
-    so the reference shares *no* code with the indexed engine: a defect in
-    the engine's ``match_atom`` cannot become common-mode and slip past
-    the differential tests."""
+    so the reference shares *no* code with :mod:`.engine`: a defect in
+    its ``match_atom`` cannot become common-mode and slip past the
+    differential tests."""
     if atom.predicate != fact.predicate or atom.arity != fact.arity:
         return None
     added: Homomorphism = {}

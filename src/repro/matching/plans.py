@@ -1,28 +1,23 @@
-"""Compiled per-body join plans: the ``"planned"`` matching backend.
+"""Compiled per-body join plans: the ``"columnar"`` matching backend.
 
-The indexed engine (:mod:`.engine`) re-interprets every body on every
-call: it rebuilds per-atom plan tuples, allocates two closures, and runs
-a most-constrained-first *search over atoms* at every node of the
-backtracking tree.  On selective corpora that interpretive overhead is
-noise next to the pruning it buys; on the flat classes of the matching
-bench (tiny candidate pools, very many trigger probes — e.g.
-E1001-5000/G1-10) it **is** the cost.  This module compiles each
-``(body, seeded-variables, frozen_nulls)`` combination once into a
-fixed-order join plan and replays the plan on every subsequent call:
+Each ``(body, seeded-variables, frozen_nulls)`` combination is compiled
+once into a fixed-order join plan and replayed on every subsequent call,
+instead of re-deriving an atom order at every node of a backtracking
+search — on the flat corpus classes (tiny candidate pools, very many
+trigger probes, e.g. E1001-5000/G1-10) that interpretive overhead would
+be the cost:
 
 * **Atom order is chosen at compile time** from the index statistics of
   the first target the plan runs against (bucket sizes / predicate
   extents), greedily most-constrained-first, instead of being re-derived
   at every search node.
 * **Each atom becomes one specialised step** — a flat tuple of probe,
-  check and output position lists — executed by a tight loop over the
-  instance's term-id-keyed ``(predicate, position)`` buckets: rigid
-  positions (constants, frozen nulls) compile to bucket probes by the
-  term id burned in at compile time; positions bound by the seed or by an
-  earlier atom compile to bucket probes through a register array; repeated
-  terms within one atom compile to argument identity checks; first
-  occurrences compile to register writes.  No mapping dict is touched
-  until a full homomorphism is emitted.
+  check and output position lists.  Rigid positions (constants, frozen
+  nulls) compile to probes by a term id known at compile time; positions
+  bound by the seed or by an earlier atom compile to probes through a
+  register array; repeated terms within one atom compile to argument
+  identity checks; first occurrences compile to register writes.  No
+  mapping dict is touched until a full homomorphism is emitted.
 * **Plans are cached** in a bounded module-level table keyed by
   ``(body atoms, seeded flex-term ids restricted to the body,
   frozen_nulls)`` — exactly the inputs that determine the compiled
@@ -30,30 +25,36 @@ fixed-order join plan and replays the plan on every subsequent call:
   per (dependency, anchor atom) pair after the first delta round;
   :func:`warm` precompiles those pairs up front at chase start.
 
-The backend is *order-free equivalent* to the engine: it enumerates the
-same homomorphism **set**, possibly in a different order, which is the
-contract the backend switch and the differential suites hold every
-backend to (chase decisions are order-insensitive because the runner
-sorts discovery batches canonically; see DESIGN.md §9).
+Plans enumerate the same homomorphism **set** as the naive reference
+(:mod:`.naive`), possibly in a different order, which is the contract the
+backend switch and the differential suites hold them to (chase decisions
+are order-insensitive because the runner sorts discovery batches
+canonically; see DESIGN.md §9).
 
-Like the engine, the executor borrows the instance's live buckets; a
-plan holds **no** reference to any instance — only atom structure, term
+A plan holds **no** reference to any instance — only atom structure, term
 objects and term ids — so the cache never pins instance state.  Term ids
 are process-local (:mod:`repro.model.terms`) and never escape into the
 emitted homomorphisms, which map term objects to term objects.
 
 **Columnar execution (DESIGN.md §10/§11).**  When the target is a
-:class:`~repro.model.columnar.ColumnarInstance` the same compiled plans
-run over the store's typed int columns instead of atom buckets: each
-plan lazily code-generates one specialised nested-loop generator
+:class:`~repro.model.columnar.ColumnarInstance` each plan lazily
+code-generates one specialised nested-loop generator
 (:func:`_codegen_columnar`) whose registers, probes and checks are all
 family-local term ids — probe-free steps scan rowmap keys directly
 (zero column reads), probed pools filter tombstones against the live
 bitmap and upgrade to the vectorised :mod:`repro.model.kernels` above a
 size threshold, and no ``Atom`` or ``Term`` object is touched until a
-homomorphism is emitted at the boundary.  The object path below is
-retained verbatim for ``Instance`` and ad-hoc targets (and is what the
-reference backends keep running against).
+homomorphism is emitted at the boundary.
+
+**The plan executor for non-columnar targets.**  The same plans run over
+a plain :class:`~repro.model.instances.Instance` or an atom list
+(:func:`_execute`, probing the instance's term-id-keyed ``(predicate,
+position)`` buckets, or an :class:`~.engine.AdHocIndex` built over the
+list).  This is a production path, not a reference: the witness engine
+matches ``Body(r2)`` into atom lists, MFA/MSA saturate plain
+``Instance``s, and Adn∃'s EGD step chases one — thousands of calls per
+classification portfolio.  Like the columnar executor it borrows the
+instance's live buckets for one enumeration.
 """
 
 from __future__ import annotations
@@ -556,9 +557,9 @@ def match(
     compiled (and cached) join plan.
 
     Same contract and same homomorphism *set* as
-    :func:`repro.matching.engine.match` / :func:`repro.matching.naive.match`
-    (order may differ).  Columnar targets run the plan's generated int
-    executor; everything else runs the object path below.
+    :func:`repro.matching.naive.match` (order may differ).  Columnar
+    targets run the plan's generated int executor; everything else runs
+    the plan executor for non-columnar targets below.
     """
     if isinstance(target, ColumnarInstance):
         return _match_columnar(tuple(source), target, seed, frozen_nulls, limit)
@@ -576,7 +577,8 @@ def _match_object(
     base: Homomorphism = dict(seed) if seed else {}
 
     # Constants in the source must not be seeded to something else (the
-    # engine rejects these wholesale, irrespective of body membership).
+    # naive reference rejects these wholesale, irrespective of body
+    # membership).
     for k, v in base.items():
         if isinstance(k, Constant) and k is not v:
             return

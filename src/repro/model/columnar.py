@@ -574,7 +574,7 @@ class ColumnarInstance:
     def frozen(self) -> frozenset[Atom]:
         return frozenset(self)
 
-    def copy(self, *, cow: bool = True) -> "ColumnarInstance":
+    def copy(self) -> "ColumnarInstance":
         """An O(predicates + changes) copy-on-write fork.
 
         Parent and child share the term table and every store; both drop
@@ -590,10 +590,6 @@ class ColumnarInstance:
         The child's delta log starts empty (ticks are relative to each
         instance) and savepoints do not transfer: the fork is its own
         transaction scope.
-
-        ``cow=False`` deep-copies every store up front — the eager
-        PR 9 fork behaviour, kept as the fork microbench's reference arm
-        and for callers that want fully detached buffers immediately.
         """
         out = ColumnarInstance()
         out._terms = self._terms
@@ -604,17 +600,13 @@ class ColumnarInstance:
             if dead and dead >= COMPACT_DEAD_FRACTION * store.nrows:
                 child_stores[skey] = store.compacted()
                 owned.add(skey)
-            elif cow:
-                child_stores[skey] = store
             else:
-                child_stores[skey] = store.copy()
-                owned.add(skey)
+                child_stores[skey] = store
         out._stores = child_stores
         out._owned = owned
-        if cow:
-            out._cow = True
-            self._cow = True
-            self._owned = set()
+        out._cow = True
+        self._cow = True
+        self._owned = set()
         return out
 
     def memo_parts(

@@ -9,8 +9,8 @@ depends on for performance:
 * a predicate index (``predicate → set of facts``) used by the homomorphism
   finder,
 * a position index (``(predicate, position) → term id → set of facts``)
-  used by the indexed matching engine and the compiled plans
-  (:mod:`repro.matching`) to intersect candidate buckets instead of
+  used by the compiled plans' executor for non-columnar targets
+  (:mod:`repro.matching.plans`) to intersect candidate buckets instead of
   scanning whole predicate extents.  Its cells are keyed by the interned
   term id (``term.tid``, a process-local small int — see
   :mod:`repro.model.terms`) rather than the term object, so the hot
@@ -29,7 +29,7 @@ because the rewrite is a discard followed by an add.
 The public accessors :meth:`with_predicate` and :meth:`with_term` return
 *copies* of the internal buckets: callers may iterate them while the chase
 mutates the instance without hitting "set changed size during iteration".
-Internal hot paths (the matching engine) use the borrowing accessors
+Internal hot paths (the matching backends) use the borrowing accessors
 ``_pred_bucket`` / ``_pos_bucket``, whose results are only valid until the
 next mutation — a :meth:`rollback` counts as a mutation — and must never
 be mutated by the caller.

@@ -59,11 +59,12 @@ class TestClassify:
         assert "artifacts:" in out and "firing decisions:" in out
 
     def test_backend_flag(self, sigma3_file, capsys):
-        assert main(["classify", sigma3_file, "--backend", "standalone",
-                     "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "backend: standalone" in out
-        assert "artifacts:" not in out  # no shared context to report on
+        # The CLI always runs the shared context; the isolated recompute
+        # oracle is library-only, so the flag is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", sigma3_file, "--backend", "isolated"])
+        assert exc.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_hierarchy_flag(self, sigma3_file, capsys):
         # WA accepts Σ3, so the contained criteria are filled in.

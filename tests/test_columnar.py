@@ -443,16 +443,21 @@ class TestCowForks:
         assert child == Instance([Atom("E", (a, b)), Atom("E", (b, c))])
 
     def test_eager_copy_matches_cow_fork(self):
+        # The eager copy is a plain frozenset of the facts: a COW fork
+        # must behave exactly like it, writes on either side included.
         facts = sample_facts()
         col = ColumnarInstance(facts)
-        eager = col.copy(cow=False)
-        assert eager == col == col.copy()
-        for skey, st in col._stores.items():
-            assert eager._stores[skey] is not st  # detached up front
-        eager.add(Atom("E", (c, c)))
+        eager = frozenset(col)
+        fork = col.copy()
+        assert eager == frozenset(facts)
+        assert fork == col == eager
+        assert fork.frozen() == col.frozen() == eager
+        fork.add(Atom("E", (c, c)))
         col.discard(facts[0])
+        assert fork.frozen() == eager | {Atom("E", (c, c))}
+        assert col.frozen() == eager - {facts[0]}
         assert Atom("E", (c, c)) not in col
-        assert facts[0] in eager
+        assert facts[0] in fork
 
     def test_copy_compacts_dead_rows(self):
         col = ColumnarInstance()

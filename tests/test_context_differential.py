@@ -1,11 +1,10 @@
 """Differential suite for the shared analysis substrate (DESIGN.md §6).
 
 The acceptance bar of the refactor: for every program, the portfolio's
-three artifact-sharing backends — ``shared`` (one memoized
-:class:`~repro.analysis.context.AnalysisContext` across criteria),
-``standalone`` (per-criterion rebuilds over a shared firing-decision
-cache: the pre-context reference path) and ``isolated`` (no sharing at
-all) — must produce **byte-identical** reports modulo timings.  Plus
+two artifact-sharing backends — ``shared`` (one memoized
+:class:`~repro.analysis.context.AnalysisContext` across criteria) and
+``isolated`` (no sharing at all: the recompute oracle) — must produce
+**byte-identical** reports modulo timings.  Plus
 unit coverage for the context itself: memoization, single-flight
 thread-safety, and the determinism gate that keeps budget-truncated
 artifacts out of the store.
@@ -48,7 +47,7 @@ class TestBackendsAgree:
     def test_random_programs(self, seed):
         sigma = random_dependency_set(seed, n_deps=3, egd_fraction=0.3)
         reports = {b: classify(sigma, backend=b) for b in BACKENDS}
-        reference = _comparable(reports["standalone"])
+        reference = _comparable(reports["isolated"])
         for backend in BACKENDS:
             assert _comparable(reports[backend]) == reference, (
                 f"backend {backend!r} diverged from the reference on "
@@ -58,7 +57,7 @@ class TestBackendsAgree:
     def test_paper_sets(self):
         for name, sigma in all_paper_sets().items():
             reports = {b: classify(sigma, backend=b) for b in BACKENDS}
-            reference = _comparable(reports["standalone"])
+            reference = _comparable(reports["isolated"])
             for backend in BACKENDS:
                 assert _comparable(reports[backend]) == reference, (
                     f"backend {backend!r} diverged on {name}"
@@ -68,15 +67,15 @@ class TestBackendsAgree:
         corpus = generate_corpus(scale=0.02, tests_scale=0.04, max_size=12)
         for ont in corpus[:12]:
             shared = classify(ont.sigma, backend="shared")
-            standalone = classify(ont.sigma, backend="standalone")
-            assert _comparable(shared) == _comparable(standalone), ont.name
+            isolated = classify(ont.sigma, backend="isolated")
+            assert _comparable(shared) == _comparable(isolated), ont.name
 
     @pytest.mark.parametrize("seed", [0, 5, 36, 43])
     def test_parallel_shared_context_agrees(self, seed):
         # One context shared by four worker threads must not change a
-        # single verdict relative to the sequential standalone path.
+        # single verdict relative to the sequential isolated oracle.
         sigma = random_dependency_set(seed, n_deps=3, egd_fraction=0.3)
-        sequential = classify(sigma, backend="standalone")
+        sequential = classify(sigma, backend="isolated")
         parallel = classify(sigma, jobs=4, backend="shared")
         assert _comparable(parallel) == _comparable(sequential)
 

@@ -267,11 +267,26 @@ class TestInstanceEncapsulation:
             """})
         assert report.clean
 
-    def test_matching_engine_is_exempt(self, tmp_path):
+    def test_matching_engine_is_not_exempt(self, tmp_path):
+        # The engine module holds only the shared primitives and delta
+        # discovery; the backends that borrow buckets are plans/naive.
         report = lint_tree(tmp_path, {"src/repro/matching/engine.py": """\
             def probe(instance, pred):
                 return instance._pred_bucket(pred)
             """})
+        assert rules_of(report) == ["instance-encapsulation"]
+
+    def test_matching_backends_are_exempt(self, tmp_path):
+        report = lint_tree(tmp_path, {
+            "src/repro/matching/plans.py": """\
+                def probe(instance, pred):
+                    return instance._pred_bucket(pred)
+                """,
+            "src/repro/matching/naive.py": """\
+                def probe(instance, pred):
+                    return instance._pred_bucket(pred)
+                """,
+        })
         assert report.clean
 
     def test_tests_are_not_patrolled(self, tmp_path):

@@ -166,16 +166,26 @@ class TestCanonicalKeyColourRefinement:
         assert canonical_key(c8) != canonical_key(c44)
 
 
-class TestSnapshotBackendDifferential:
-    """Savepoint-backed DFS vs copy-backed DFS: byte-identical results."""
+class TestDiscoveryDifferential:
+    """Semi-naive discovery (``discovery="delta"``) vs the naive oracle
+    that re-enumerates every state from scratch (``"full"``):
+    byte-identical results under both matching backends, and the same
+    result across the backends too."""
 
     def _assert_identical(self, db, sigma, variant, **kw):
+        from repro.matching import BACKENDS, using_backend
+
         before = db.facts()
-        r_sp = explore_chase(db, sigma, variant=variant, snapshots="savepoint", **kw)
-        r_cp = explore_chase(db, sigma, variant=variant, snapshots="copy", **kw)
-        assert r_sp == r_cp
-        assert db.facts() == before  # neither backend mutates the input
-        return r_sp
+        results = []
+        for backend in BACKENDS:
+            with using_backend(backend):
+                for discovery in ("delta", "full"):
+                    results.append(explore_chase(
+                        db, sigma, variant=variant, discovery=discovery, **kw
+                    ))
+                    assert db.facts() == before  # the input is never mutated
+        assert all(r == results[0] for r in results), results
+        return results[0]
 
     def test_differential_on_witness_cases(self):
         from repro.data.witnesses import witness_cases
@@ -199,12 +209,14 @@ class TestSnapshotBackendDifferential:
                     db, sigma, variant, max_depth=4, max_states=250,
                 )
 
-    def test_unknown_backend_rejected(self):
+    def test_unknown_mode_rejected(self):
         import pytest
 
         sigma = parse_dependencies("r: A(x) -> B(x)")
         with pytest.raises(ValueError):
-            explore_chase(parse_facts('A("a")'), sigma, snapshots="fork")
+            explore_chase(parse_facts('A("a")'), sigma, discovery="fork")
+        with pytest.raises(TypeError):
+            explore_chase(parse_facts('A("a")'), sigma, snapshots="copy")
 
 
 DEEP = "r1: N(x) -> exists y. E(x, y)\nr2: E(x, y) -> N(y)"
@@ -261,7 +273,7 @@ class TestLazyMemo:
     def _equivalent(self, monkeypatch, db, sigma, **kw):
         from repro.matching import using_backend
 
-        for backend in ("columnar", "indexed"):  # lid rows / Atom rows
+        for backend in ("columnar", "naive"):  # lid rows / Atom rows
             with monkeypatch.context() as m, using_backend(backend):
                 replay = _Replay(m)
                 explore_chase(db, sigma, **kw)

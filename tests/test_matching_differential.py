@@ -1,17 +1,17 @@
-"""Differential tests: every matching backend vs the naive reference.
+"""Differential tests: the columnar backend vs the naive reference.
 
-The indexed engine (``repro.matching.engine``), the plan-compiled engine
-(``repro.matching.plans``) and the columnar backend (the same plans
-executing as generated int loops over a ``ColumnarInstance``) must all be
-*observationally identical* to the naive reference
-(``repro.matching.naive``):
+The compiled join plans (``repro.matching.plans``) — executing as
+generated int loops over a ``ColumnarInstance`` (the columnar backend)
+and through the plan executor for non-columnar targets (plain
+``Instance``s and atom lists) — must be *observationally identical* to
+the naive reference (``repro.matching.naive``):
 
-* all four enumerate exactly the same homomorphism sets (order may
-  differ);
-* a chase run driven by any backend produces the identical
-  ``ChaseResult`` — status, step count, and final instance — for all four
-  variants and all strategies, because the runner pushes each discovery
-  batch in a canonical order;
+* both plan executors enumerate exactly the same homomorphism sets as
+  the reference (order may differ);
+* a chase run driven by the columnar backend produces the identical
+  ``ChaseResult`` — status, step count, and final instance — as one
+  driven by the naive backend, for all variants and all strategies,
+  because the runner pushes each discovery batch in a canonical order;
 * the semi-naive saturation loop derives exactly what the seed's naive
   full-re-enumeration fixpoint derived, round for round;
 * the runner's semi-naive discovery invariant holds: at drain time a full
@@ -34,10 +34,9 @@ from repro.chase.skolem import SkolemTerm, critical_instance, saturate, skolemis
 from repro.generators.corpus import generate_corpus
 from repro.generators.databases import seed_database
 from repro.generators.random_deps import random_dependency_set
-from repro.matching import engine as indexed_engine
 from repro.matching import naive as naive_engine
-from repro.matching import plans as planned_engine
-from repro.matching import using_backend
+from repro.matching import plans as plan_engine
+from repro.matching import seed_mapping, using_backend
 from repro.model.atoms import Atom
 from repro.model.columnar import ColumnarInstance
 from repro.model.instances import Instance
@@ -89,13 +88,10 @@ def test_homomorphism_sets_identical_on_random_programs():
         col = ColumnarInstance(inst)
         for dep in sigma:
             want = hom_set(naive_engine, dep.body, inst)
-            assert hom_set(indexed_engine, dep.body, inst) == want, (
-                f"seed={seed} dep={dep}"
+            assert hom_set(plan_engine, dep.body, inst) == want, (
+                f"seed={seed} dep={dep} (Instance)"
             )
-            assert hom_set(planned_engine, dep.body, inst) == want, (
-                f"seed={seed} dep={dep} (planned)"
-            )
-            assert hom_set(planned_engine, dep.body, col) == want, (
+            assert hom_set(plan_engine, dep.body, col) == want, (
                 f"seed={seed} dep={dep} (columnar)"
             )
 
@@ -109,7 +105,7 @@ def test_homomorphism_sets_identical_with_seeds_and_frozen_nulls():
             # semi-naive discovery does, and compare extension sets.
             atom = dep.body[0]
             for fact in inst.with_predicate(atom.predicate):
-                partial = indexed_engine.seed_mapping(atom, fact)
+                partial = seed_mapping(atom, fact)
                 if partial is None:
                     continue
                 for frozen in (False, True):
@@ -118,18 +114,14 @@ def test_homomorphism_sets_identical_with_seeds_and_frozen_nulls():
                         frozen_nulls=frozen,
                     )
                     assert hom_set(
-                        indexed_engine, dep.body, inst, seed=partial,
-                        frozen_nulls=frozen,
-                    ) == want, f"seed={seed} dep={dep} fact={fact} frozen={frozen}"
-                    assert hom_set(
-                        planned_engine, dep.body, inst, seed=partial,
+                        plan_engine, dep.body, inst, seed=partial,
                         frozen_nulls=frozen,
                     ) == want, (
                         f"seed={seed} dep={dep} fact={fact} "
-                        f"frozen={frozen} (planned)"
+                        f"frozen={frozen} (Instance)"
                     )
                     assert hom_set(
-                        planned_engine, dep.body, ColumnarInstance(inst),
+                        plan_engine, dep.body, ColumnarInstance(inst),
                         seed=partial, frozen_nulls=frozen,
                     ) == want, (
                         f"seed={seed} dep={dep} fact={fact} "
@@ -145,13 +137,10 @@ def test_homomorphism_sets_identical_on_corpus_bodies():
         col = ColumnarInstance(db)
         for dep in list(ont.sigma)[:15]:
             want = hom_set(naive_engine, dep.body, db)
-            assert hom_set(indexed_engine, dep.body, db) == want, (
-                f"{ont.name} dep={dep}"
+            assert hom_set(plan_engine, dep.body, db) == want, (
+                f"{ont.name} dep={dep} (Instance)"
             )
-            assert hom_set(planned_engine, dep.body, db) == want, (
-                f"{ont.name} dep={dep} (planned)"
-            )
-            assert hom_set(planned_engine, dep.body, col) == want, (
+            assert hom_set(plan_engine, dep.body, col) == want, (
                 f"{ont.name} dep={dep} (columnar)"
             )
 
@@ -164,11 +153,9 @@ def test_non_instance_targets_and_empty_sources():
     sigma = random_dependency_set(3, n_deps=4)
     for dep in sigma:
         want = hom_set(naive_engine, dep.body, facts)
-        assert hom_set(indexed_engine, dep.body, facts) == want
-        assert hom_set(planned_engine, dep.body, facts) == want
-    assert list(indexed_engine.match([], facts, seed={a: a})) == [{a: a}]
+        assert hom_set(plan_engine, dep.body, facts) == want
     assert list(naive_engine.match([], facts, seed={a: a})) == [{a: a}]
-    assert list(planned_engine.match([], facts, seed={a: a})) == [{a: a}]
+    assert list(plan_engine.match([], facts, seed={a: a})) == [{a: a}]
 
 
 # -- chase differential -------------------------------------------------------
@@ -185,15 +172,13 @@ def test_chase_differential_on_random_programs():
                     db, sigma, variant=variant, strategy=strategy,
                     max_steps=50, engine="naive",
                 )
-                for engine in ("indexed", "planned", "columnar"):
-                    r_eng = run_chase(
-                        db, sigma, variant=variant, strategy=strategy,
-                        max_steps=50, engine=engine,
-                    )
-                    assert_same_result(
-                        r_eng, r_nai,
-                        f"seed={seed} {variant}/{strategy} ({engine})",
-                    )
+                r_col = run_chase(
+                    db, sigma, variant=variant, strategy=strategy,
+                    max_steps=50, engine="columnar",
+                )
+                assert_same_result(
+                    r_col, r_nai, f"seed={seed} {variant}/{strategy}"
+                )
 
 
 def test_chase_differential_all_strategies():
@@ -208,15 +193,13 @@ def test_chase_differential_all_strategies():
                     db, sigma, variant=variant, strategy=strategy,
                     max_steps=40, engine="naive",
                 )
-                for engine in ("indexed", "planned", "columnar"):
-                    r_eng = run_chase(
-                        db, sigma, variant=variant, strategy=strategy,
-                        max_steps=40, engine=engine,
-                    )
-                    assert_same_result(
-                        r_eng, r_nai,
-                        f"seed={seed} {variant}/{strategy} ({engine})",
-                    )
+                r_col = run_chase(
+                    db, sigma, variant=variant, strategy=strategy,
+                    max_steps=40, engine="columnar",
+                )
+                assert_same_result(
+                    r_col, r_nai, f"seed={seed} {variant}/{strategy}"
+                )
 
 
 def test_chase_differential_on_corpus():
@@ -229,14 +212,11 @@ def test_chase_differential_on_corpus():
                 db, ont.sigma, variant=variant, strategy="full_first",
                 max_steps=150, engine="naive",
             )
-            for engine in ("indexed", "planned", "columnar"):
-                r_eng = run_chase(
-                    db, ont.sigma, variant=variant, strategy="full_first",
-                    max_steps=150, engine=engine,
-                )
-                assert_same_result(
-                    r_eng, r_nai, f"{ont.name} {variant} ({engine})"
-                )
+            r_col = run_chase(
+                db, ont.sigma, variant=variant, strategy="full_first",
+                max_steps=150, engine="columnar",
+            )
+            assert_same_result(r_col, r_nai, f"{ont.name} {variant}")
 
 
 def test_semi_naive_discovery_is_exhaustive():
@@ -346,7 +326,7 @@ def reference_naive_msa(sigma, max_rounds=2_000):
 
 
 def test_msa_differential_on_random_programs():
-    """The semi-naive MSA loop (delta rounds + indexed matcher) must agree
+    """The semi-naive MSA loop (delta rounds + compiled plans) must agree
     with the seed's full-re-enumeration naive loop, program for program —
     the contribution edges recorded from delta homomorphisms alone must
     produce the same cyclicity verdict."""
