@@ -16,16 +16,16 @@ from __future__ import annotations
 
 from ..homomorphism.cores import CoreBudgetExceeded, core
 from ..homomorphism.satisfaction import violations
+from ..model.columnar import ColumnarInstance
 from ..model.dependencies import EGD, TGD, DependencySet
-from ..model.instances import Instance
 from ..model.terms import NullFactory, Term
 from .result import ChaseResult, ChaseStatus
 from .step import Trigger, egd_substitution
 
 
 def core_chase_step(
-    instance: Instance, sigma: DependencySet, nulls: NullFactory
-) -> Instance | None:
+    instance: ColumnarInstance, sigma: DependencySet, nulls: NullFactory
+) -> ColumnarInstance | None:
     """One core chase step; returns the resulting instance, or None on ⊥.
 
     The union ``J = ∪ K'`` is built by savepoint-scoped adds on the input
@@ -68,7 +68,7 @@ def core_chase_step(
 
 
 def core_chase(
-    database: Instance,
+    database: ColumnarInstance,
     sigma: DependencySet,
     max_rounds: int = 1_000,
 ) -> ChaseResult:

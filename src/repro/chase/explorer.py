@@ -28,11 +28,11 @@ genuinely isomorphic states).  Equal canonical forms imply equal
 signatures, so the lazy memo hits exactly where an eager set of
 canonical keys would.
 
-The DFS visits branches transactionally: a branch takes an
-``Instance.savepoint``, applies its step in place, explores below, and
-rolls back — O(|Δ|) per branch instead of an O(|I|) ``copy()``.  The
-DFS keeps its path on an explicit frame stack, so its depth is not
-limited by the interpreter's recursion limit.  The oblivious and
+The DFS visits branches transactionally: a branch takes a
+``ColumnarInstance.savepoint``, applies its step in place, explores
+below, and rolls back — O(|Δ|) per branch instead of an O(|I|)
+``copy()``.  The DFS keeps its path on an explicit frame stack, so its
+depth is not limited by the interpreter's recursion limit.  The oblivious and
 semi-oblivious chase carry trigger-key state, so their exploration is a
 plain bounded DFS over the same machinery.
 """
@@ -43,17 +43,16 @@ import enum
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..budget import Budget
 from ..homomorphism.finder import find_homomorphisms
 from ..homomorphism.satisfaction import satisfies_tgd
-from ..matching import body_atom_index, delta_homomorphisms, get_backend, warm_plans
+from ..matching import body_atom_index, delta_homomorphisms, warm_plans
 from ..matching.engine import match_atom
 from ..model.atoms import Atom
-from ..model.columnar import ColumnarInstance
+from ..model.columnar import ColumnarInstance, Savepoint
 from ..model.dependencies import EGD, TGD, DependencySet
-from ..model.instances import Instance, Savepoint
 from ..model.terms import Null, NullFactory, Term
 from .runner import _key_variables
 from .step import Trigger, apply_step
@@ -105,7 +104,7 @@ class _Frame:
 
     def __init__(
         self,
-        instance: Instance,
+        instance: ColumnarInstance,
         fired: frozenset,
         depth: int,
         triggers: list[Trigger],
@@ -179,7 +178,7 @@ def _ranks(signatures: dict[Null, tuple]) -> dict[Null, int]:
     return {n: rank[sig] for n, sig in signatures.items()}
 
 
-def canonical_key(instance: Instance) -> tuple:
+def canonical_key(instance: Iterable[Atom]) -> tuple:
     """A hashable key identifying the instance up to null renaming.
 
     The key pairs the *ground* facts verbatim (isomorphisms fix
@@ -191,8 +190,8 @@ def canonical_key(instance: Instance) -> tuple:
     ``CLASS_PERMUTATION_CAP``, and a deterministic colour-ordered
     first-occurrence relabeling beyond.  Either way the relabeling is a
     bijection, so equal keys always mean isomorphic states; the key
-    depends only on the fact *set*, never on iteration order, so
-    columnar and plain-``Instance`` states memoize identically.
+    depends only on the fact *set*, never on iteration order, so an
+    instance and a plain set of the same facts get the same key.
 
     The explorer's memo (:func:`_memo_key`) decides exactly as a set of
     these keys would, but computes the null part only on bucket
@@ -210,33 +209,18 @@ def canonical_key(instance: Instance) -> tuple:
 
 #: A state's raw null part as the memo keeps it until a collision:
 #: ``(null_rows, terms)`` — per-store rows of lid tuples plus the family
-#: term table decoding them (``ColumnarInstance.memo_parts``), or rows of
-#: ``Atom``s with ``terms`` None for other instance types.
-_Pending = tuple[tuple[tuple[tuple[str, int], tuple], ...], Sequence[Term] | None]
+#: term table decoding them (``ColumnarInstance.memo_parts``).
+_Pending = tuple[tuple[tuple[tuple[str, int], tuple], ...], Sequence[Term]]
 
 
-def _memo_parts(instance: Instance) -> tuple[tuple, _Pending]:
+def _memo_parts(instance: ColumnarInstance) -> tuple[tuple, _Pending]:
     """A state's bucket signature and its pending (undecoded) null part.
 
     The signature — (ground key, number of distinct nulls, null-row
     count per store) — is invariant under null renaming, so isomorphic
     states always share a bucket.
     """
-    if isinstance(instance, ColumnarInstance):
-        ground, null_count, null_rows, terms = instance.memo_parts()
-    else:
-        ground_facts = []
-        rows: dict[tuple[str, int], list[Atom]] = {}
-        nulls: set[Null] = set()
-        for f in instance:
-            fact_nulls = f.nulls()
-            if fact_nulls:
-                rows.setdefault((f.predicate, len(f.args)), []).append(f)
-                nulls |= fact_nulls
-            else:
-                ground_facts.append(f)
-        ground, null_count, terms = frozenset(ground_facts), len(nulls), None
-        null_rows = tuple((skey, tuple(r)) for skey, r in rows.items())
+    ground, null_count, null_rows, terms = instance.memo_parts()
     counts = frozenset((skey, len(r)) for skey, r in null_rows)
     return (ground, null_count, counts), (null_rows, terms)
 
@@ -244,8 +228,6 @@ def _memo_parts(instance: Instance) -> tuple[tuple, _Pending]:
 def _decode(pending: _Pending) -> list[Atom]:
     """The null facts of a pending entry."""
     null_rows, terms = pending
-    if terms is None:
-        return [f for _skey, rows in null_rows for f in rows]
     return [
         Atom(skey[0], tuple(terms[lid] for lid in row))
         for skey, rows in null_rows
@@ -253,7 +235,7 @@ def _decode(pending: _Pending) -> list[Atom]:
     ]
 
 
-def _memo_key(instance: Instance, memo: dict[tuple, _Pending | set]) -> bool:
+def _memo_key(instance: ColumnarInstance, memo: dict[tuple, _Pending | set]) -> bool:
     """Record a visited state in the memo; True iff an equal-key state
     was recorded before.
 
@@ -363,7 +345,7 @@ def _fact_key(fact: Atom, relabel: dict) -> tuple:
 
 
 def explore_chase(
-    database: Instance,
+    database: ColumnarInstance,
     sigma: DependencySet,
     variant: str = "standard",
     max_depth: int = 20,
@@ -433,7 +415,9 @@ def explore_chase(
             k = trigger_keys[trigger] = trigger.key(key_vars[trigger.dependency])
         return k
 
-    def applicable(instance: Instance, trigger: Trigger, fired: frozenset) -> bool:
+    def applicable(
+        instance: ColumnarInstance, trigger: Trigger, fired: frozenset
+    ) -> bool:
         """The variant-specific applicability of one candidate trigger."""
         dep = trigger.dependency
         h = trigger.mapping()
@@ -445,7 +429,7 @@ def explore_chase(
             return True
         return trigger_key(trigger) not in fired
 
-    def initial_candidates(instance: Instance) -> list[tuple[Trigger, bool]]:
+    def initial_candidates(instance: ColumnarInstance) -> list[tuple[Trigger, bool]]:
         """Full discovery over the root state: every body homomorphism.
         The flag marks a candidate as *clean* (see applicable_triggers);
         root candidates never are."""
@@ -456,7 +440,7 @@ def explore_chase(
         ]
 
     def applicable_triggers(
-        instance: Instance,
+        instance: ColumnarInstance,
         fired: frozenset,
         candidates: list[tuple[Trigger, bool]],
         delta: list[Atom],
@@ -511,7 +495,7 @@ def explore_chase(
         return True
 
     def enter(
-        instance: Instance,
+        instance: ColumnarInstance,
         fired: frozenset,
         depth: int,
         candidates: list[tuple[Trigger, bool]],
@@ -583,13 +567,8 @@ def explore_chase(
         return child, child_fired, frame.depth + 1, initial_candidates(child), []
 
     # Branches mutate the working instance in place, so the caller's
-    # database is forked exactly once.  Under the columnar backend the
-    # conversion is itself a fork, and branch savepoints then stay
-    # columnar all the way down.
-    if get_backend() == "columnar" and not isinstance(database, ColumnarInstance):
-        root: Instance | ColumnarInstance = ColumnarInstance(database)
-    else:
-        root = database.copy()
+    # database is forked exactly once (a copy-on-write fork).
+    root = database.copy()
 
     # Iterative DFS: the stack holds one frame per state on the current
     # path, each with its next branch and the savepoint of the branch

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..model.atoms import Atom
-from ..model.instances import Instance
+from ..model.columnar import ColumnarInstance
 from .result import ChaseResult
 from .step import StepOutcome
 
@@ -44,7 +44,7 @@ class Derivation:
 class ProvenanceIndex:
     """Forward replay of a chase run, tracking fact origins through merges."""
 
-    def __init__(self, database: Instance, result: ChaseResult) -> None:
+    def __init__(self, database: ColumnarInstance, result: ChaseResult) -> None:
         self.result = result
         # Map each (current) fact to (source, step, premise facts at the
         # time of creation), updated as substitutions rewrite facts.
@@ -92,7 +92,7 @@ class ProvenanceIndex:
 
 
 def explain(
-    database: Instance, result: ChaseResult, fact: Atom
+    database: ColumnarInstance, result: ChaseResult, fact: Atom
 ) -> Derivation:
     """One-shot: build the index and explain a single fact."""
     return ProvenanceIndex(database, result).explain(fact)

@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass, field
 
 from ..budget import BudgetExhausted
-from ..model.instances import Instance
+from ..model.columnar import ColumnarInstance
 from .step import StepOutcome
 
 
@@ -33,7 +33,7 @@ class ChaseResult:
     """The outcome of running one chase sequence."""
 
     status: ChaseStatus
-    instance: Instance | None
+    instance: ColumnarInstance | None
     steps: list[StepOutcome] = field(default_factory=list)
     variant: str = "standard"
     #: Which budget dimension stopped an EXCEEDED run (None for the plain

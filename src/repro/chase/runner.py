@@ -56,7 +56,6 @@ from ..matching import (
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.dependencies import EGD, TGD, AnyDependency, DependencySet
-from ..model.instances import Instance
 from ..model.terms import GroundTerm, Null, NullFactory, Variable
 from .result import ChaseResult, ChaseStatus
 from .step import StepOutcome, Substitution, Trigger, apply_step
@@ -86,7 +85,7 @@ class ChaseRunner:
 
     def __init__(
         self,
-        database: Instance,
+        database: ColumnarInstance,
         sigma: DependencySet,
         variant: str = "standard",
         strategy: Strategy | str = "fifo",
@@ -107,16 +106,8 @@ class ChaseRunner:
         self.budget = budget if budget is not None else Budget()
         self.engine = engine
         self.check_exhaustive = check_exhaustive
-        # Under the columnar backend the working instance is columnar:
-        # conversion happens here (once, at chase start) so every step,
-        # discovery and satisfaction check downstream runs on int columns.
-        eff = engine if engine is not None else get_backend()
-        if eff == "columnar" and not isinstance(database, ColumnarInstance):
-            self.instance: Instance | ColumnarInstance = ColumnarInstance(database)
-        elif copy_database:
-            self.instance = database.copy()
-        else:
-            self.instance = database
+        # ``copy()`` is an O(predicates) copy-on-write fork.
+        self.instance = database.copy() if copy_database else database
         start = max((n.label for n in self.instance.nulls()), default=0) + 1
         self.nulls = NullFactory(start=start)
         self.steps: list[StepOutcome] = []
@@ -164,34 +155,31 @@ class ChaseRunner:
         """Semi-naive discovery: join the delta-log facts added since the
         last call against the bodies mentioning their predicates."""
         inst = self.instance
-        if isinstance(inst, ColumnarInstance):
-            # Row-handle path: no Atom is materialised for discovery; dead
-            # rows (discarded or merge-rewritten since being logged) are
-            # the liveness filter's analogue of the membership check below.
-            handles = inst.added_rows_since(self._tick)
+        if get_backend() == "naive":
+            # The naive oracle's path: materialised delta facts, re-checked
+            # for membership (a merge may have rewritten them away since).
+            delta = inst.added_since(self._tick)
             self._tick = inst.tick
-            live_rows = [hd for hd in handles if inst.row_live(hd)]
-            if not live_rows:
-                return
+            live = [f for f in delta if f in inst]
+            if live:
+                self._push_batch(
+                    Trigger.make(dep, h)
+                    for dep, h in delta_homomorphisms(self._body_index, inst, live)
+                )
+            return
+        # Row-handle path: no Atom is materialised for discovery; dead rows
+        # (discarded or merge-rewritten since being logged) are filtered
+        # by liveness.
+        handles = inst.added_rows_since(self._tick)
+        self._tick = inst.tick
+        live_rows = [hd for hd in handles if inst.row_live(hd)]
+        if live_rows:
             self._push_batch(
                 Trigger.make(dep, h)
                 for dep, h in delta_row_homomorphisms(
                     self._body_index, inst, live_rows
                 )
             )
-            return
-        delta = inst.added_since(self._tick)
-        self._tick = inst.tick
-        if not delta:
-            return
-        live = [f for f in delta if f in inst]
-        if not live:
-            return
-        batch = [
-            Trigger.make(dep, h)
-            for dep, h in delta_homomorphisms(self._body_index, inst, live)
-        ]
-        self._push_batch(batch)
 
     # -- applicability -------------------------------------------------------
 
@@ -307,7 +295,7 @@ class ChaseRunner:
 
 
 def run_chase(
-    database: Instance,
+    database: ColumnarInstance,
     sigma: DependencySet,
     variant: str = "standard",
     strategy: Strategy | str = "fifo",
@@ -321,8 +309,8 @@ def run_chase(
     ``strategy`` resolves the nondeterministic choice among applicable
     steps; ``engine`` selects the matching backend (``columnar`` or the
     ``naive`` reference), or inherits the ambient backend when None —
-    ``using_backend(...)`` around this call is honoured, and the ``columnar`` backend additionally switches the
-    working instance to the columnar fact store.  ``budget``
+    ``using_backend(...)`` around this call is honoured; both run over a
+    copy-on-write fork of ``database``.  ``budget``
     adds fact/wall-clock bounds and cancellation on top of ``max_steps``;
     exhaustion yields ``EXCEEDED`` with ``result.exhausted`` set.  The
     input database is not modified.

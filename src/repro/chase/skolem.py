@@ -29,7 +29,6 @@ from ..matching import (
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.dependencies import TGD, DependencySet
-from ..model.instances import Instance
 from ..model.terms import Term, Variable, next_term_id
 
 
@@ -141,7 +140,7 @@ def skolemise(
 class SaturationResult:
     """Outcome of the Skolem-chase saturation."""
 
-    instance: Instance | ColumnarInstance
+    instance: ColumnarInstance
     saturated: bool
     cyclic_term: SkolemTerm | None
     rounds: int
@@ -154,7 +153,7 @@ class SaturationResult:
 
 
 def saturate(
-    database: Instance,
+    database: ColumnarInstance,
     rules: Iterable[SkolemisedTGD],
     stop_on_cyclic: bool = True,
     max_facts: int = 200_000,
@@ -177,10 +176,8 @@ def saturate(
     fact — exhausts mid-round.
     """
     budget = budget if budget is not None else Budget()
-    if get_backend() == "columnar" and not isinstance(database, ColumnarInstance):
-        instance: Instance | ColumnarInstance = ColumnarInstance(database)
-    else:
-        instance = database.copy()
+    instance = database.copy()
+    naive = get_backend() == "naive"
     rules = list(rules)
     body_index = body_atom_index((rule, rule.source.body) for rule in rules)
     # Compile the per-rule join plans once for the whole saturation (under
@@ -197,15 +194,15 @@ def saturate(
                 for rule in rules
                 for h in find_homomorphisms(rule.source.body, instance, limit=None)
             )
-        elif isinstance(instance, ColumnarInstance):
+        elif naive:
+            homs = delta_homomorphisms(
+                body_index, instance, instance.added_since(tick)
+            )
+        else:
             # Saturation only ever adds facts, so every logged row is
             # live — the handles seed discovery with no Atom built.
             homs = delta_row_homomorphisms(
                 body_index, instance, instance.added_rows_since(tick)
-            )
-        else:
-            homs = delta_homomorphisms(
-                body_index, instance, instance.added_since(tick)
             )
         new_facts: list[Atom] = []
         pending: set[Atom] = set()
@@ -237,7 +234,7 @@ def saturate(
     return SaturationResult(instance, False, None, rounds)
 
 
-def critical_instance(sigma: DependencySet, star_value: str = "*") -> Instance:
+def critical_instance(sigma: DependencySet, star_value: str = "*") -> ColumnarInstance:
     """The critical instance: every predicate filled with the ``*`` constant
     (plus one fact per constant appearing in Σ, conservatively star-padded).
 
@@ -246,7 +243,7 @@ def critical_instance(sigma: DependencySet, star_value: str = "*") -> Instance:
     """
     from ..model.terms import Constant
 
-    inst = Instance()
+    inst = ColumnarInstance()
     consts = sorted(sigma.constants(), key=str) or []
     values = [Constant(star_value)] + list(consts)
     for pred, arity in sorted(sigma.predicates().items()):

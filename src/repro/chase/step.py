@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..model.atoms import Atom
+from ..model.columnar import ColumnarInstance
 from ..model.dependencies import EGD, TGD, AnyDependency
-from ..model.instances import Instance
 from ..model.terms import Constant, GroundTerm, Null, NullFactory, Term, Variable
 
 
@@ -120,7 +120,7 @@ def egd_substitution(dep: EGD, h: Mapping[Term, Term]) -> Substitution | None:
 
 
 def apply_step(
-    instance: Instance,
+    instance: ColumnarInstance,
     trigger: Trigger,
     nulls: NullFactory,
 ) -> StepOutcome:

@@ -44,6 +44,11 @@ form stays the way it always was.)
 
 Dependency files use the syntax of :mod:`repro.model.parser`; facts files
 contain atoms such as ``N("a") E("a","b")``.
+
+Every command exits with ``EXIT_INPUT_ERROR`` (3) when its input cannot be
+used — an unreadable or missing file, or a program or facts text the
+parser rejects — after printing one ``repro: error: ...`` line (with the
+parser's line and column) to stderr.
 """
 
 from __future__ import annotations
@@ -57,14 +62,23 @@ from .chase import explore_chase, run_chase
 from .core import adn_exists
 from .firing import chase_graph, firing_graph, render_graph
 from .firing.graphs import to_dot
-from .model import DependencySet, Instance, parse_dependencies, parse_facts
+from .model import (
+    ColumnarInstance,
+    DependencySet,
+    ParseError,
+    parse_dependencies,
+    parse_facts,
+)
+
+#: Exit code for unusable input: an unreadable file or malformed text.
+EXIT_INPUT_ERROR = 3
 
 
 def _load_sigma(path: str) -> DependencySet:
     return parse_dependencies(pathlib.Path(path).read_text())
 
 
-def _load_facts(spec: str) -> Instance:
+def _load_facts(spec: str) -> ColumnarInstance:
     p = pathlib.Path(spec)
     text = p.read_text() if p.exists() else spec
     return parse_facts(text)
@@ -618,7 +632,11 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(_normalise_argv(argv))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ParseError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

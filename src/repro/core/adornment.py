@@ -53,8 +53,8 @@ from ..budget import Budget, BudgetExhausted, coerce_budget
 from ..firing.relations import FiringOracle
 from ..homomorphism.finder import find_homomorphisms
 from ..model.atoms import Atom
+from ..model.columnar import ColumnarInstance
 from ..model.dependencies import EGD, TGD, AnyDependency, DependencySet
-from ..model.instances import Instance
 from ..model.terms import Constant, Null, Term, Variable
 
 # -- adornment symbols --------------------------------------------------------
@@ -188,9 +188,9 @@ def strip_adornments_dep(dep: AnyDependency) -> AnyDependency:
     return EGD([strip(a) for a in dep.body], dep.lhs, dep.rhs, label=dep.label)
 
 
-def strip_adornments_instance(instance: Instance) -> Instance:
+def strip_adornments_instance(instance: ColumnarInstance) -> ColumnarInstance:
     """``src`` on instances: drop adornments from every fact's predicate."""
-    out = Instance()
+    out = ColumnarInstance()
     for fact in instance:
         decoded = decode_predicate(fact.predicate)
         out.add(fact if decoded is None else Atom(decoded[0], fact.args))
@@ -645,10 +645,10 @@ class AdornmentAlgorithm:
 
     # -- lines 8-10: EGD chase step over Dµ(Σµ) ------------------------------------------
 
-    def d_mu(self) -> Instance:
+    def d_mu(self) -> ColumnarInstance:
         """``Dµ(Σµ)``: one fact per adorned predicate; b is a constant, the
         free symbols are labelled nulls."""
-        inst = Instance()
+        inst = ColumnarInstance()
         for base, adns in self._adorned_predicates().items():
             for adn in adns:
                 args = [

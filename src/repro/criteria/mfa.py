@@ -33,10 +33,15 @@ from ..chase.skolem import (
     skolemise,
 )
 from ..homomorphism.finder import find_homomorphisms
-from ..matching import body_atom_index, delta_homomorphisms
+from ..matching import (
+    body_atom_index,
+    delta_homomorphisms,
+    delta_row_homomorphisms,
+    get_backend,
+)
 from ..model.atoms import Atom
+from ..model.columnar import ColumnarInstance
 from ..model.dependencies import DependencySet
-from ..model.instances import Instance
 from ..model.terms import Constant, Term
 from .base import Guarantee, TerminationCriterion, register
 
@@ -47,7 +52,7 @@ def is_mfa(
     max_rounds: int = 500,
     budget: Budget | None = None,
     rules: Sequence | None = None,
-    base: Instance | None = None,
+    base: ColumnarInstance | None = None,
 ) -> tuple[bool, bool]:
     """(accepted, exact) — exact is False when budgets cut the run short.
 
@@ -78,7 +83,7 @@ def is_msa(
     max_rounds: int = 2_000,
     budget: Budget | None = None,
     rules: Sequence | None = None,
-    base: Instance | None = None,
+    base: ColumnarInstance | None = None,
 ) -> tuple[bool, bool]:
     """(accepted, exact) — MSA via the summarised Skolem chase.
 
@@ -104,6 +109,7 @@ def is_msa(
     # homomorphism entirely within older rounds already recorded its
     # contribution edges and head facts when it was first enumerated.
     body_index = body_atom_index((rule, rule.source.body) for rule in rules)
+    naive = get_backend() == "naive"
     tick = instance.tick
     first_round = True
     for _ in range(max_rounds):
@@ -114,9 +120,14 @@ def is_msa(
                 for h in find_homomorphisms(rule.source.body, instance, limit=None)
             )
             first_round = False
-        else:
+        elif naive:
             homs = delta_homomorphisms(
                 body_index, instance, instance.added_since(tick)
+            )
+        else:
+            # MSA only ever adds facts, so every logged row is live.
+            homs = delta_row_homomorphisms(
+                body_index, instance, instance.added_rows_since(tick)
             )
         new_facts: list[Atom] = []
         for rule, h in homs:

@@ -7,8 +7,8 @@ Example 1, etc.
 
 from __future__ import annotations
 
+from ..model.columnar import ColumnarInstance
 from ..model.dependencies import DependencySet
-from ..model.instances import Instance
 from ..model.parser import parse_dependencies, parse_facts
 
 
@@ -27,7 +27,7 @@ def sigma_1() -> DependencySet:
     )
 
 
-def db_1() -> Instance:
+def db_1() -> ColumnarInstance:
     """D = {N(a)} used throughout Examples 1–5."""
     return parse_facts('N("a")')
 
@@ -42,7 +42,7 @@ def sigma_3() -> DependencySet:
     )
 
 
-def db_3() -> Instance:
+def db_3() -> ColumnarInstance:
     """D = {P(a,b), Q(c,d)} of Example 3."""
     return parse_facts('P("a", "b") Q("c", "d")')
 
@@ -52,7 +52,7 @@ def sigma_6() -> DependencySet:
     return parse_dependencies("r: E(x, y) -> exists z. E(x, z)")
 
 
-def db_6() -> Instance:
+def db_6() -> ColumnarInstance:
     """D = {E(a,b)} of Examples 6/7."""
     return parse_facts('E("a", "b")')
 
@@ -72,7 +72,7 @@ def sigma_8() -> DependencySet:
     )
 
 
-def db_8() -> Instance:
+def db_8() -> ColumnarInstance:
     """A one-fact database activating Σ8."""
     return parse_facts('C("a")')
 
@@ -90,7 +90,7 @@ def sigma_10() -> DependencySet:
     )
 
 
-def db_10() -> Instance:
+def db_10() -> ColumnarInstance:
     """D = {N(a)} of Example 10."""
     return parse_facts('N("a")')
 
@@ -106,7 +106,7 @@ def sigma_11() -> DependencySet:
     )
 
 
-def db_11() -> Instance:
+def db_11() -> ColumnarInstance:
     """D = {N(a)} of Example 11."""
     return parse_facts('N("a")')
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..model.columnar import ColumnarInstance
 from ..model.dependencies import DependencySet
-from ..model.instances import Instance
 from ..model.parser import parse_dependencies, parse_facts
 from .paper import db_1, db_10, db_11, sigma_1, sigma_10, sigma_11
 
@@ -32,7 +32,7 @@ class WitnessCase:
     name: str
     description: str
     sigma: DependencySet
-    database: Instance
+    database: ColumnarInstance
     claims: tuple[Claim, ...]
 
 

@@ -233,26 +233,24 @@ class SwallowedControlExceptionRule(Rule):
 # instance-encapsulation (§1/§5)
 # ---------------------------------------------------------------------------
 
-#: ``Instance``'s private fact set, indexes, delta log, undo machinery,
-#: and the borrowing accessors only the matching backends may call —
-#: plus the columnar store's column/term-table privates (DESIGN.md §10).
+#: The fact store's private columns, term table, copy-on-write marks,
+#: delta log and undo machinery (DESIGN.md §5/§10), plus the borrowing
+#: accessors of the plan executor's atom-list index (``AdHocIndex``).
 _INSTANCE_PRIVATES = {
-    "_facts", "_by_predicate", "_by_term", "_by_pos", "_log",
-    "_undo", "_sp_stack", "_undo_len", "_log_len",
-    "_pred_bucket", "_pos_bucket", "_pos_slots",
-    "_index_insert", "_index_remove",
     "_stores", "_terms", "_owned", "_cow",
+    "_log", "_undo", "_sp_stack", "_undo_len", "_log_len",
+    "_pred_bucket", "_pos_slots",
 }
 
 
 @register
 class InstanceEncapsulationRule(Rule):
-    """Only the instance modules and the matching backends touch Instance
+    """Only the fact store and the compiled-plan executor touch instance
     innards.
 
     The §1 index/delta-log lockstep and the §5 undo-log discipline hold
     because every mutation goes through ``add``/``discard``/
-    ``merge_terms``; out-of-band access to the fact set or a bucket could
+    ``merge_terms``; out-of-band access to a column, cell or log could
     desynchronise them silently.  Access through ``self`` is exempt — a
     foreign class's own ``_log`` attribute is its own business.
     """
@@ -260,14 +258,12 @@ class InstanceEncapsulationRule(Rule):
     name = "instance-encapsulation"
     section = "§1/§5"
     summary = (
-        "Instance private fact/index/undo attributes are off limits "
-        "outside repro/model/instances.py and the matching engine"
+        "instance private column/log/undo attributes are off limits "
+        "outside repro/model/columnar.py and the plan executor"
     )
     include = ("*src/repro/*.py",)
     exclude = (
-        "*repro/model/instances.py",
         "*repro/model/columnar.py",
-        "*repro/matching/naive.py",
         "*repro/matching/plans.py",
     )
 
@@ -285,8 +281,8 @@ class InstanceEncapsulationRule(Rule):
                 yield mod.finding(
                     node,
                     self.name,
-                    f"access to Instance private '{node.attr}' outside "
-                    "repro/model/instances.py and the matching engine "
+                    f"access to instance private '{node.attr}' outside "
+                    "repro/model/columnar.py and the plan executor "
                     "(DESIGN.md §1/§5); use the public accessors",
                 )
 
@@ -362,7 +358,7 @@ class ForkSafetyRule(Rule):
 _SINK_NAMES = {"stable_hash", "record_identity", "jsonl_dumps"}
 _SINK_ATTRS = {"dumps", "sha256", "sha1", "md5", "blake2b", "blake2s"}
 
-#: ``Instance`` accessors (and builtins) that produce genuinely
+#: Instance accessors (and builtins) that produce genuinely
 #: unordered sets.  Dict views are excluded: dict iteration is
 #: insertion-ordered, which deterministic construction preserves.
 _SET_RETURNING_ATTRS = {"nulls", "predicates", "constants", "domain"}

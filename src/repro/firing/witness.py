@@ -60,10 +60,10 @@ from typing import Iterable, Iterator, Sequence
 from ..budget import Budget, coerce_budget
 from ..homomorphism.finder import find_homomorphism, find_homomorphisms
 from ..homomorphism.satisfaction import satisfies_instantiated
-from ..matching import chase_instance, warm_plans
+from ..matching import warm_plans
 from ..model.atoms import Atom
+from ..model.columnar import ColumnarInstance
 from ..model.dependencies import EGD, TGD, AnyDependency
-from ..model.instances import Instance
 from ..model.terms import Constant, Null, Term, Variable
 
 # -- tuning knobs -----------------------------------------------------------
@@ -78,8 +78,8 @@ DEFAULT_BUDGET = 200_000     # unification/instance-check budget per pair
 class Witness:
     """A concrete witness for conditions (i)-(iii) (and (iv) if checked)."""
 
-    K: Instance
-    J: Instance
+    K: ColumnarInstance
+    J: ColumnarInstance
     h1: dict
     h2: dict
     r1: AnyDependency
@@ -307,16 +307,15 @@ class WitnessEngine:
             new_atoms = []
 
         # Materialise the frozen body once per freeze and scope every
-        # candidate mutation below it under a savepoint.  chase_instance
-        # picks the active backend's fact representation.
-        Kbase = chase_instance(K0)
+        # candidate mutation below it under a savepoint.
+        Kbase = ColumnarInstance(K0)
         yield from self._enumerate_h2(
             Kbase, K0, new_atoms, gamma, h1, supply, check_defusal
         )
 
     def _enumerate_h2(
         self,
-        Kbase: Instance,
+        Kbase: ColumnarInstance,
         K0: list[Atom],
         new_atoms: list[Atom],
         gamma: tuple[Term, Term] | None,
@@ -349,7 +348,7 @@ class WitnessEngine:
 
     def _complete_witness(
         self,
-        Kbase: Instance,
+        Kbase: ColumnarInstance,
         K0: list[Atom],
         new_atoms: list[Atom],
         gamma: tuple[Term, Term] | None,
@@ -392,7 +391,7 @@ class WitnessEngine:
 
     def _complete_with_bound(
         self,
-        K: Instance,
+        K: ColumnarInstance,
         new_atoms: list[Atom],
         gamma: tuple[Term, Term] | None,
         h1: dict,
@@ -469,7 +468,7 @@ class WitnessEngine:
     # -- conditions (i)-(iii) -------------------------------------------------
 
     def _witness_checks_J(
-        self, J: Instance, inst_body: list[Atom], h2: dict
+        self, J: ColumnarInstance, inst_body: list[Atom], h2: dict
     ) -> bool:
         """The conditions that read the *J* state."""
         # (iii) needs h2(Body(r2)) ⊆ J.
@@ -490,7 +489,7 @@ class WitnessEngine:
         return True
 
     def _witness_checks_K(
-        self, K: Instance, inst_body: list[Atom], h1: dict
+        self, K: ColumnarInstance, inst_body: list[Atom], h1: dict
     ) -> bool:
         """The conditions that read the *K* state."""
         # (i) via newness: some instantiated body atom must be absent from K
@@ -502,7 +501,7 @@ class WitnessEngine:
 
     def _materialize(
         self,
-        K: Instance,
+        K: ColumnarInstance,
         new_atoms: list[Atom],
         gamma: tuple[Term, Term] | None,
         h1: dict,
@@ -519,7 +518,7 @@ class WitnessEngine:
         return Witness(K_snap, J_snap, dict(h1), dict(h2), self.orig_r1, self.orig_r2)
 
     def _check_witness(
-        self, K: Instance, J: Instance, h1: dict, h2: dict
+        self, K: ColumnarInstance, J: ColumnarInstance, h1: dict, h2: dict
     ) -> Witness | None:
         """Conditions (i)-(iii) over already-materialised K and J (the
         defusal saturation loop re-checks its evolving witness this way)."""
@@ -532,7 +531,7 @@ class WitnessEngine:
             return None
         return Witness(K, J, dict(h1), dict(h2), self.orig_r1, self.orig_r2)
 
-    def _step_applicable(self, K: Instance, h1: dict) -> bool:
+    def _step_applicable(self, K: ColumnarInstance, h1: dict) -> bool:
         if isinstance(self.r1, EGD):
             t1, t2 = h1[self.r1.lhs], h1[self.r1.rhs]
             if t1 is t2:
@@ -585,7 +584,7 @@ class WitnessEngine:
                 return None
         return Witness(K, J, witness.h1, h2, self.orig_r1, self.orig_r2)
 
-    def _find_defuser(self, K: Instance, h2: dict) -> tuple | None:
+    def _find_defuser(self, K: ColumnarInstance, h2: dict) -> tuple | None:
         """An applicable full-dependency step on K whose result satisfies
         h2(r2) — including vacuous satisfaction (Example 11)."""
         k_preds = K.predicates()
@@ -640,7 +639,7 @@ class WitnessEngine:
         return dirs
 
     def _all_directions_defuse(
-        self, K: Instance, h2: dict, t1: Term, t2: Term
+        self, K: ColumnarInstance, h2: dict, t1: Term, t2: Term
     ) -> bool:
         directions = self._egd_directions(t1, t2)
         if not directions:

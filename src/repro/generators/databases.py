@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 
 from ..model.atoms import Atom
+from ..model.columnar import ColumnarInstance
 from ..model.dependencies import DependencySet
-from ..model.instances import Instance
 from ..model.terms import Constant
 
 
@@ -20,7 +20,7 @@ def seed_database(
     sigma: DependencySet,
     constants_per_predicate: int = 1,
     seed: int = 7,
-) -> Instance:
+) -> ColumnarInstance:
     """One fact per predicate over a tiny constant pool.
 
     Unary predicates get ``P(c0)``; binary predicates ``R(c0, c1)``; higher
@@ -28,7 +28,7 @@ def seed_database(
     """
     rng = random.Random(seed)
     pool = [Constant(f"a{i}") for i in range(max(2, constants_per_predicate + 1))]
-    db = Instance()
+    db = ColumnarInstance()
     for pred, arity in sorted(sigma.predicates().items()):
         for k in range(constants_per_predicate):
             args = [pool[(k + i) % len(pool)] for i in range(arity)]
@@ -41,12 +41,14 @@ def seed_database(
     return db
 
 
-def sparse_database(sigma: DependencySet, fraction: float = 0.3, seed: int = 7) -> Instance:
+def sparse_database(
+    sigma: DependencySet, fraction: float = 0.3, seed: int = 7
+) -> ColumnarInstance:
     """Facts for a random subset of predicates — closer to real ABoxes,
     where most schema predicates have no instances."""
     rng = random.Random(seed)
     pool = [Constant("a0"), Constant("a1")]
-    db = Instance()
+    db = ColumnarInstance()
     preds = sorted(sigma.predicates().items())
     for pred, arity in preds:
         if rng.random() > fraction:

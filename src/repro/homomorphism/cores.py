@@ -14,10 +14,10 @@ admits a retraction eliminating at least one null (Fagin–Kolaitis–Popa,
 
 Each retraction is applied *in place* in O(facts touched): the retraction
 homomorphism only moves the facts mentioning a moved null, so rewriting
-those through ``discard``/``add`` beats the full ``Instance.apply``
+those through ``discard``/``add`` beats the full ``ColumnarInstance.apply``
 rebuild the seed performed per round.  ``core(fresh=False)`` extends the
 same economy to the caller: the input itself is consumed (the core chase
-runs it under an :meth:`Instance.savepoint` scope, so a blown budget
+runs it under an :meth:`ColumnarInstance.savepoint` scope, so a blown budget
 rolls back cleanly), while the default ``fresh=True`` keeps the
 historical contract — the input is never modified and the result is
 always a fresh instance.
@@ -32,7 +32,7 @@ from typing import Iterable
 
 from ..matching.engine import Homomorphism
 from ..model.atoms import Atom
-from ..model.instances import Instance
+from ..model.columnar import ColumnarInstance
 from ..model.terms import Null
 from .finder import find_homomorphisms
 
@@ -56,7 +56,7 @@ class _BudgetedSearch:
 
 
 def _find_retraction(
-    instance: Instance, victim: Null, search: _BudgetedSearch
+    instance: ColumnarInstance, victim: Null, search: _BudgetedSearch
 ) -> Homomorphism | None:
     """A homomorphism retracting ``instance`` into its victim-free part,
     or None.  Pure — the instance is not modified."""
@@ -72,7 +72,7 @@ def _find_retraction(
     return None
 
 
-def _apply_retraction(instance: Instance, h: Homomorphism) -> None:
+def _apply_retraction(instance: ColumnarInstance, h: Homomorphism) -> None:
     """Replace ``instance`` by its image under ``h`` **in place**.
 
     Only the facts mentioning a moved null change, so the cost is
@@ -91,8 +91,8 @@ def _apply_retraction(instance: Instance, h: Homomorphism) -> None:
 
 
 def core(
-    instance: Instance, budget: int = 2_000_000, fresh: bool = True
-) -> Instance:
+    instance: ColumnarInstance, budget: int = 2_000_000, fresh: bool = True
+) -> ColumnarInstance:
     """Compute ``core(J)``.
 
     ``budget`` roughly caps the work done across retraction rounds;
@@ -120,7 +120,7 @@ def core(
     return current
 
 
-def is_core(instance: Instance, budget: int = 2_000_000) -> bool:
+def is_core(instance: ColumnarInstance, budget: int = 2_000_000) -> bool:
     """True iff the instance admits no proper retraction."""
     search = _BudgetedSearch(budget)
     for victim in sorted(instance.nulls(), key=lambda n: n.label):
@@ -129,6 +129,6 @@ def is_core(instance: Instance, budget: int = 2_000_000) -> bool:
     return True
 
 
-def core_of_atoms(atoms: Iterable[Atom], budget: int = 2_000_000) -> Instance:
+def core_of_atoms(atoms: Iterable[Atom], budget: int = 2_000_000) -> ColumnarInstance:
     """Convenience wrapper for raw atom collections."""
-    return core(Instance(atoms), budget=budget)
+    return core(ColumnarInstance(atoms), budget=budget)

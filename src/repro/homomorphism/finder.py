@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..matching import Homomorphism, homomorphisms
 from ..model.atoms import Atom
-from ..model.instances import Instance
+from ..model.columnar import ColumnarInstance
 from ..model.terms import Constant, Null, Term, Variable
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
 
 def find_homomorphisms(
     source: Sequence[Atom],
-    target: Instance | Iterable[Atom],
+    target: ColumnarInstance | Iterable[Atom],
     seed: Mapping[Term, Term] | None = None,
     frozen_nulls: bool = False,
     limit: int | None = 1,
@@ -56,7 +56,7 @@ def find_homomorphisms(
 
 def find_homomorphism(
     source: Sequence[Atom],
-    target: Instance | Iterable[Atom],
+    target: ColumnarInstance | Iterable[Atom],
     seed: Mapping[Term, Term] | None = None,
     frozen_nulls: bool = False,
 ) -> Homomorphism | None:
@@ -68,7 +68,7 @@ def find_homomorphism(
 
 def has_homomorphism(
     source: Sequence[Atom],
-    target: Instance | Iterable[Atom],
+    target: ColumnarInstance | Iterable[Atom],
     seed: Mapping[Term, Term] | None = None,
     frozen_nulls: bool = False,
 ) -> bool:
@@ -110,7 +110,7 @@ def _atom_order(atom: Atom) -> tuple:
     return (atom.predicate, atom.arity, tuple(_term_order(t) for t in atom.args))
 
 
-def instance_maps_into(a: Instance, b: Instance) -> Homomorphism | None:
+def instance_maps_into(a: ColumnarInstance, b: ColumnarInstance) -> Homomorphism | None:
     """A homomorphism from instance ``a`` into instance ``b`` (nulls flexible,
     constants fixed), or None.  This is the homomorphism notion used for
     universal models.
@@ -122,6 +122,6 @@ def instance_maps_into(a: Instance, b: Instance) -> Homomorphism | None:
     return find_homomorphism(sorted(a, key=_atom_order), b)
 
 
-def homomorphically_equivalent(a: Instance, b: Instance) -> bool:
+def homomorphically_equivalent(a: ColumnarInstance, b: ColumnarInstance) -> bool:
     """True iff homomorphisms exist both ways."""
     return instance_maps_into(a, b) is not None and instance_maps_into(b, a) is not None

@@ -17,13 +17,15 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from ..model.atoms import Atom
+from ..model.columnar import ColumnarInstance
 from ..model.dependencies import EGD, TGD, AnyDependency, DependencySet
-from ..model.instances import Instance
 from ..model.terms import Term
 from .finder import Homomorphism, find_homomorphism, find_homomorphisms
 
 
-def satisfies_tgd(instance: Instance, tgd: TGD, body_hom: Mapping[Term, Term]) -> bool:
+def satisfies_tgd(
+    instance: ColumnarInstance, tgd: TGD, body_hom: Mapping[Term, Term]
+) -> bool:
     """Does ``body_hom`` (a body→instance homomorphism) extend to the head?"""
     return (
         find_homomorphism(tgd.head, instance, seed=dict(body_hom), frozen_nulls=True)
@@ -32,7 +34,7 @@ def satisfies_tgd(instance: Instance, tgd: TGD, body_hom: Mapping[Term, Term]) -
 
 
 def violations(
-    instance: Instance,
+    instance: ColumnarInstance,
     dep: AnyDependency,
     limit: int | None = None,
 ) -> Iterator[Homomorphism]:
@@ -61,20 +63,20 @@ def violations(
                     return
 
 
-def satisfies(instance: Instance, dep: AnyDependency) -> bool:
+def satisfies(instance: ColumnarInstance, dep: AnyDependency) -> bool:
     """``K ⊨ r``."""
     for _ in violations(instance, dep, limit=1):
         return False
     return True
 
 
-def satisfies_all(instance: Instance, sigma: DependencySet) -> bool:
+def satisfies_all(instance: ColumnarInstance, sigma: DependencySet) -> bool:
     """``K ⊨ Σ``."""
     return all(satisfies(instance, d) for d in sigma)
 
 
 def satisfies_instantiated(
-    instance: Instance,
+    instance: ColumnarInstance,
     dep: AnyDependency,
     h: Mapping[Term, Term],
 ) -> bool:
@@ -99,13 +101,15 @@ def satisfies_instantiated(
 
 
 def violating_dependencies(
-    instance: Instance, sigma: DependencySet
+    instance: ColumnarInstance, sigma: DependencySet
 ) -> list[AnyDependency]:
     """The dependencies of Σ not satisfied by the instance."""
     return [d for d in sigma if not satisfies(instance, d)]
 
 
-def is_model(instance: Instance, db: Instance, sigma: DependencySet) -> bool:
+def is_model(
+    instance: ColumnarInstance, db: ColumnarInstance, sigma: DependencySet
+) -> bool:
     """Is ``instance`` a model of (D, Σ): finite, contains D, satisfies Σ?"""
     if not all(f in instance for f in db):
         return False

@@ -23,8 +23,8 @@ import json
 from typing import Any
 
 from .model.atoms import Atom
+from .model.columnar import ColumnarInstance
 from .model.dependencies import EGD, TGD, AnyDependency, DependencySet
-from .model.instances import Instance
 from .model.terms import Constant, Null, Term, Variable
 
 
@@ -143,18 +143,18 @@ def dependencies_from_json(data: dict) -> DependencySet:
     return DependencySet(dependency_from_json(d) for d in payload)
 
 
-def instance_to_json(inst: Instance) -> dict:
+def instance_to_json(inst: ColumnarInstance) -> dict:
     """An instance → JSON (facts sorted for stable diffs)."""
     return {"facts": [atom_to_json(f) for f in sorted(inst, key=str)]}
 
 
-def instance_from_json(data: dict) -> Instance:
+def instance_from_json(data: dict) -> ColumnarInstance:
     """Inverse of :func:`instance_to_json`."""
     try:
         payload = data["facts"]
     except (KeyError, TypeError) as exc:
         raise SerialisationError("missing 'facts' key") from exc
-    return Instance(atom_from_json(a) for a in payload)
+    return ColumnarInstance(atom_from_json(a) for a in payload)
 
 
 # -- JSONL ---------------------------------------------------------------------
@@ -192,16 +192,16 @@ def iter_jsonl(text: str) -> Any:
         yield i, record if isinstance(record, dict) else None
 
 
-def dumps(obj: DependencySet | Instance, indent: int | None = 2) -> str:
+def dumps(obj: DependencySet | ColumnarInstance, indent: int | None = 2) -> str:
     """JSON text for a dependency set or an instance."""
     if isinstance(obj, DependencySet):
         return json.dumps(dependencies_to_json(obj), indent=indent)
-    if isinstance(obj, Instance):
+    if isinstance(obj, ColumnarInstance):
         return json.dumps(instance_to_json(obj), indent=indent)
     raise SerialisationError(f"cannot serialise {type(obj).__name__}")
 
 
-def loads(text: str) -> DependencySet | Instance:
+def loads(text: str) -> DependencySet | ColumnarInstance:
     """Inverse of :func:`dumps` (dispatches on the top-level key)."""
     data: Any = json.loads(text)
     if isinstance(data, dict) and "dependencies" in data:

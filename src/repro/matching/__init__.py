@@ -13,6 +13,10 @@ The shared matching engine behind every chase consumer — see DESIGN.md,
   ``naive`` reference;
 * :func:`warm_plans` — precompile the ``columnar`` backend's join plans
   for a dependency set's bodies at chase start.
+
+Both backends run over the one fact store,
+:class:`~repro.model.columnar.ColumnarInstance`, or over plain atom
+collections; the backend choice never changes the instance type.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
-from ..model.instances import Instance
 from ..model.terms import Term
 from . import naive as _naive
 from . import plans as _plans
@@ -39,7 +42,7 @@ from .plans import warm as _warm
 
 def homomorphisms(
     source: Sequence[Atom],
-    target: Instance | ColumnarInstance | Iterable[Atom],
+    target: ColumnarInstance | Iterable[Atom],
     seed: Mapping[Term, Term] | None = None,
     frozen_nulls: bool = False,
     limit: int | None = None,
@@ -47,24 +50,14 @@ def homomorphisms(
     """Enumerate homomorphisms using the active matching backend."""
     if get_backend() == "naive":
         return _naive.match(source, target, seed, frozen_nulls, limit)
-    # plans.match picks the int executor for columnar targets and the
-    # plan executor for non-columnar targets (plain Instances, atom lists).
+    # plans.match runs the int executor over instances and the plan
+    # executor over atom collections.
     return _plans.match(source, target, seed, frozen_nulls, limit)
-
-
-def chase_instance(facts: Iterable[Atom] = ()) -> Instance | ColumnarInstance:
-    """A fresh mutable instance matching the active backend's preferred
-    fact representation: columnar under ``"columnar"``, the object
-    ``Instance`` under ``"naive"``.  Chase entry points build their working
-    instances through this so backend selection reaches the model layer."""
-    if get_backend() == "columnar":
-        return ColumnarInstance(facts)
-    return Instance(facts)
 
 
 def warm_plans(
     bodies: Iterable[Sequence[Atom]],
-    target: Instance | ColumnarInstance | Iterable[Atom],
+    target: ColumnarInstance | Iterable[Atom],
     frozen_nulls: bool = False,
 ) -> int:
     """Precompile join plans for ``bodies`` under the ``columnar`` backend;
@@ -79,7 +72,6 @@ __all__ = [
     "BACKENDS",
     "Homomorphism",
     "body_atom_index",
-    "chase_instance",
     "delta_homomorphisms",
     "delta_row_homomorphisms",
     "get_backend",

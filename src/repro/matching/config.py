@@ -5,14 +5,17 @@ Two interchangeable homomorphism-search backends exist:
 * ``"columnar"`` (default) — compiled fixed-order join plans
   (:mod:`.plans`) executed as generated int loops over a
   :class:`~repro.model.columnar.ColumnarInstance`'s typed tid columns and
-  row-id sets, with optional vectorised kernels (DESIGN.md §10–§11);
-  chase entry points build columnar instances under this backend
-  (:func:`..chase_instance`), and the same plans run over plain
-  ``Instance`` and atom-list targets through the plan executor for
-  non-columnar targets;
+  row-id sets, with optional vectorised kernels (DESIGN.md §10–§11); the
+  same plans run over atom collections through the plan executor for
+  :class:`~.engine.AdHocIndex` targets;
 * ``"naive"`` — the retained reference: static atom order, full predicate
-  extent scans, no interning anywhere on its path (:mod:`.naive`); chase
-  entry points keep plain ``Instance``s under it.
+  extent scans read through the instance's public per-predicate
+  snapshots, no interning anywhere on its path (:mod:`.naive`).
+
+The backend selects a *matcher*, never a fact representation: chase entry
+points build the same ``ColumnarInstance`` under both, and the few
+consumers whose discovery differs (the chase runner, the Skolem
+saturation, MSA) branch on :func:`get_backend`, not on the instance type.
 
 Both backends enumerate exactly the same *set* of homomorphisms (possibly
 in a different order); the differential test suite holds them against

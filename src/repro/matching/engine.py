@@ -9,11 +9,14 @@ a growing instance".  The enumeration itself lives in the backends
 (:mod:`.plans`, :mod:`.naive`); this module holds what they share:
 
 * :class:`AdHocIndex` — a position index over a plain atom collection,
-  so the plan executor treats atom lists like an ``Instance``;
+  the plan executor's target for atom lists (the witness engine's
+  candidate ``J``, core retraction targets);
 * :func:`match_atom` / :func:`seed_mapping` — extend a partial mapping
   so one body atom lands on one fact;
 * :func:`body_atom_index` / :func:`delta_homomorphisms` — semi-naive
-  discovery over an ``Instance``'s delta log.
+  discovery over an instance's delta log, materialised as atoms (the
+  ``naive`` backend's path; the ``columnar`` one is
+  :func:`repro.matching.plans.delta_row_homomorphisms`).
 
 Semi-naive discovery (:func:`delta_homomorphisms`) enumerates exactly the
 homomorphisms whose image uses at least one fact from a delta batch, by
@@ -23,10 +26,10 @@ body atoms can anchor it more than once); consumers dedupe — the chase
 runner through its trigger-seen set, the saturation loop through the
 instance membership check.
 
-The backends borrow the instance's live buckets for the duration of one
-enumeration; they are valid until the instance's next mutation, and an
-:meth:`Instance.rollback` counts as a mutation (it restores the same
-bucket dictionaries to their prior contents).  Transactional callers
+The compiled plans read the instance's live columns and index cells for
+the duration of one enumeration; they are valid until the instance's
+next mutation, and a :meth:`ColumnarInstance.rollback` counts as a
+mutation (it pops and revives rows in place).  Transactional callers
 therefore must not hold a live enumeration over an instance across a
 savepoint scope that mutates it — materialise the homomorphism list
 first, as the witness engine's defusal probes do (DESIGN.md §5).
@@ -37,7 +40,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..model.atoms import Atom
-from ..model.instances import Instance
+from ..model.columnar import ColumnarInstance
 from ..model.terms import Null, Term, Variable
 
 Homomorphism = dict[Term, Term]
@@ -46,14 +49,14 @@ _EMPTY: frozenset[Atom] = frozenset()
 
 
 class AdHocIndex:
-    """A position index over a plain atom collection (non-``Instance``
-    targets), presenting the same borrowing accessors as ``Instance``."""
+    """A position index over a plain atom collection, read by the plan
+    executor through its two borrowing accessors."""
 
     __slots__ = ("_by_predicate", "_by_pos")
 
     def __init__(self, atoms: Iterable[Atom]) -> None:
         self._by_predicate: dict[str, set[Atom]] = {}
-        # Cells keyed by term id, mirroring Instance._by_pos.
+        # Per-position cells keyed by term id (``term.tid``).
         self._by_pos: dict[str, list[dict[int, set[Atom]]]] = {}
         for a in atoms:
             self._by_predicate.setdefault(a.predicate, set()).add(a)
@@ -128,7 +131,7 @@ def body_atom_index(
 
 def delta_homomorphisms(
     by_pred: Mapping[str, list[tuple[object, Sequence[Atom], Atom]]],
-    target: Instance,
+    target: ColumnarInstance,
     new_facts: Iterable[Atom],
 ) -> Iterator[tuple[object, Homomorphism]]:
     """Yield ``(key, h)`` for every body homomorphism anchored at a new fact.

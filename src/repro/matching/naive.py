@@ -7,7 +7,7 @@ filtered one fact at a time.  It serves two purposes:
 
 * the reference side of the differential test suite
   (``tests/test_matching_differential.py``), which asserts the compiled
-  plans (:mod:`.plans`, over columnar and plain targets alike) enumerate
+  plans (:mod:`.plans`, over instances and atom lists alike) enumerate
   exactly the same homomorphism sets and drive the chase to identical
   results;
 * the baseline side of the matching micro-benchmark
@@ -15,18 +15,19 @@ filtered one fact at a time.  It serves two purposes:
 
 Do not "improve" this module — its value is being dumb and obviously
 correct.  In particular it deliberately stays on the *uninterned* path:
-it never touches term ids (``Term.tid``) or the term-id-keyed position
-buckets, only whole predicate extents and object-identity comparisons,
-so it also serves as the reference the interning machinery is held
-against.
+it never touches term ids (``Term.tid``), columns or index cells — it
+reads an instance only through its public per-predicate snapshot
+(``with_predicate``, fetched once per body predicate) and compares
+terms by object identity, so it also serves as the reference the
+interning and columnar machinery are held against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..model.atoms import Atom
-from ..model.instances import Instance
+from ..model.columnar import ColumnarInstance
 from ..model.terms import Constant, Null, Term, Variable
 
 Homomorphism = dict[Term, Term]
@@ -69,36 +70,31 @@ def _match_atom(
     return added
 
 
-class _Target:
-    """Uniform view of the target: an Instance or a plain collection."""
-
-    __slots__ = ("by_predicate",)
-
-    def __init__(self, target: Instance | Iterable[Atom]) -> None:
-        if isinstance(target, Instance):
-            self.by_predicate = {
-                p: target._pred_bucket(p) for p in target.predicates()
-            }
-        else:
-            by_pred: dict[str, set[Atom]] = {}
-            for a in target:
-                by_pred.setdefault(a.predicate, set()).add(a)
-            self.by_predicate = by_pred
-
-    def candidates(self, predicate: str):
-        return self.by_predicate.get(predicate, frozenset())
+def _snapshot_reader(
+    target: ColumnarInstance | Iterable[Atom],
+) -> Callable[[str], AbstractSet[Atom]]:
+    """The per-predicate candidate source: the instance's public
+    ``with_predicate`` snapshot, or a predicate grouping of a plain atom
+    collection."""
+    with_predicate = getattr(target, "with_predicate", None)
+    if with_predicate is not None:
+        return with_predicate
+    by_pred: dict[str, set[Atom]] = {}
+    for a in target:
+        by_pred.setdefault(a.predicate, set()).add(a)
+    return lambda predicate: by_pred.get(predicate, frozenset())
 
 
 def match(
     source: Sequence[Atom],
-    target: Instance | Iterable[Atom],
+    target: ColumnarInstance | Iterable[Atom],
     seed: Mapping[Term, Term] | None = None,
     frozen_nulls: bool = False,
     limit: int | None = None,
 ) -> Iterator[Homomorphism]:
     """Enumerate homomorphisms from ``source`` atoms into ``target``
     by exhaustive backtracking over full predicate extents."""
-    tgt = _Target(target)
+    read = _snapshot_reader(target)
     mapping: Homomorphism = dict(seed) if seed else {}
 
     # Constants in the source must not be seeded to something else.
@@ -111,8 +107,12 @@ def match(
         yield dict(mapping)
         return
 
+    # One snapshot per body predicate, taken once: the extents the whole
+    # enumeration scans.
+    extents = {a.predicate: read(a.predicate) for a in atoms}
+
     def candidate_count(atom: Atom) -> int:
-        return len(tgt.candidates(atom.predicate))
+        return len(extents[atom.predicate])
 
     # Static order: fewest candidates first; dynamic refinement happens via
     # the bound-variable filter inside the recursion.
@@ -123,7 +123,7 @@ def match(
             yield dict(mapping)
             return
         atom = atoms[idx]
-        for fact in tgt.candidates(atom.predicate):
+        for fact in extents[atom.predicate]:
             added = _match_atom(atom, fact, mapping, frozen_nulls)
             if added is None:
                 continue

@@ -36,8 +36,9 @@ objects and term ids — so the cache never pins instance state.  Term ids
 are process-local (:mod:`repro.model.terms`) and never escape into the
 emitted homomorphisms, which map term objects to term objects.
 
-**Columnar execution (DESIGN.md §10/§11).**  When the target is a
-:class:`~repro.model.columnar.ColumnarInstance` each plan lazily
+**Columnar execution (DESIGN.md §10/§11).**  When the target is an
+instance — a :class:`~repro.model.columnar.ColumnarInstance`, the one
+fact store — each plan lazily
 code-generates one specialised nested-loop generator
 (:func:`_codegen_columnar`) whose registers, probes and checks are all
 family-local term ids — probe-free steps scan rowmap keys directly
@@ -46,15 +47,13 @@ bitmap and upgrade to the vectorised :mod:`repro.model.kernels` above a
 size threshold, and no ``Atom`` or ``Term`` object is touched until a
 homomorphism is emitted at the boundary.
 
-**The plan executor for non-columnar targets.**  The same plans run over
-a plain :class:`~repro.model.instances.Instance` or an atom list
-(:func:`_execute`, probing the instance's term-id-keyed ``(predicate,
-position)`` buckets, or an :class:`~.engine.AdHocIndex` built over the
+**The plan executor for atom collections.**  The same plans run over a
+plain atom list (:func:`_execute`, probing the term-id-keyed ``(predicate,
+position)`` cells of an :class:`~.engine.AdHocIndex` built over the
 list).  This is a production path, not a reference: the witness engine
-matches ``Body(r2)`` into atom lists, MFA/MSA saturate plain
-``Instance``s, and Adn∃'s EGD step chases one — thousands of calls per
-classification portfolio.  Like the columnar executor it borrows the
-instance's live buckets for one enumeration.
+matches ``Body(r2)`` into its candidate ``J`` atom list thousands of
+times per classification portfolio, and core computation matches into
+retraction targets.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from ..model import kernels as _kernels
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
-from ..model.instances import Instance
 from ..model.terms import Constant, Null, Term, Variable
 from .engine import AdHocIndex, Homomorphism
 
@@ -169,7 +167,7 @@ def _estimate(
     atom: Atom,
     bound_terms: set[Term],
     frozen_nulls: bool,
-    idx: Instance | AdHocIndex,
+    idx: AdHocIndex,
 ) -> tuple[float, int]:
     """(estimated candidate-pool size, -probe count) for greedy ordering.
 
@@ -237,7 +235,7 @@ def _order_atoms(
     atoms: Sequence[Atom],
     seeded: set[Term],
     frozen_nulls: bool,
-    idx: Instance | AdHocIndex | ColumnarInstance,
+    idx: AdHocIndex | ColumnarInstance,
     estimate: Callable = _estimate,
 ) -> list[int]:
     """Greedy most-constrained-first order, decided once at compile time
@@ -262,7 +260,7 @@ def _compile(
     atoms: tuple[Atom, ...],
     seeded: set[Term],
     frozen_nulls: bool,
-    idx: Instance | AdHocIndex | ColumnarInstance,
+    idx: AdHocIndex | ColumnarInstance,
     estimate: Callable = _estimate,
 ) -> _Plan:
     seed_terms = sorted(seeded, key=lambda t: t.tid)
@@ -480,7 +478,7 @@ def _codegen_columnar(plan: _Plan) -> Callable:
 def _execute(
     steps: tuple,
     depth: int,
-    idx: Instance | AdHocIndex,
+    idx: AdHocIndex,
     regs: list,
 ) -> Iterator[None]:
     """Run the plan from ``steps[depth]``; yields once per full match.
@@ -548,7 +546,7 @@ def _execute(
 
 def match(
     source: Sequence[Atom],
-    target: Instance | ColumnarInstance | Iterable[Atom],
+    target: ColumnarInstance | Iterable[Atom],
     seed: Mapping[Term, Term] | None = None,
     frozen_nulls: bool = False,
     limit: int | None = None,
@@ -557,23 +555,23 @@ def match(
     compiled (and cached) join plan.
 
     Same contract and same homomorphism *set* as
-    :func:`repro.matching.naive.match` (order may differ).  Columnar
-    targets run the plan's generated int executor; everything else runs
-    the plan executor for non-columnar targets below.
+    :func:`repro.matching.naive.match` (order may differ).  Instances
+    run the plan's generated int executor; atom collections run the plan
+    executor over an :class:`~.engine.AdHocIndex`.
     """
     if isinstance(target, ColumnarInstance):
         return _match_columnar(tuple(source), target, seed, frozen_nulls, limit)
-    return _match_object(source, target, seed, frozen_nulls, limit)
+    return _match_atoms(source, target, seed, frozen_nulls, limit)
 
 
-def _match_object(
+def _match_atoms(
     source: Sequence[Atom],
-    target: Instance | Iterable[Atom],
+    target: Iterable[Atom],
     seed: Mapping[Term, Term] | None = None,
     frozen_nulls: bool = False,
     limit: int | None = None,
 ) -> Iterator[Homomorphism]:
-    idx = target if isinstance(target, Instance) else AdHocIndex(target)
+    idx = AdHocIndex(target)
     base: Homomorphism = dict(seed) if seed else {}
 
     # Constants in the source must not be seeded to something else (the
@@ -730,7 +728,7 @@ def delta_row_homomorphisms(
 
 def warm(
     bodies: Iterable[Sequence[Atom]],
-    target: Instance | ColumnarInstance | Iterable[Atom],
+    target: ColumnarInstance | Iterable[Atom],
     frozen_nulls: bool = False,
 ) -> int:
     """Precompile the plans a chase over ``bodies`` will need.
@@ -742,14 +740,11 @@ def warm(
     fresh (cached ones are skipped).  Purely an optimisation: a cold
     cache compiles lazily on first use with identical results.
     """
-    estimate = _estimate
+    idx: AdHocIndex | ColumnarInstance
     if isinstance(target, ColumnarInstance):
-        idx: Instance | AdHocIndex | ColumnarInstance = target
-        estimate = _estimate_columnar
-    elif isinstance(target, Instance):
-        idx = target
+        idx, estimate = target, _estimate_columnar
     else:
-        idx = AdHocIndex(target)
+        idx, estimate = AdHocIndex(target), _estimate
     compiled = 0
     for body in bodies:
         atoms = tuple(body)

@@ -9,15 +9,9 @@ from .atoms import (
     atoms_terms,
     atoms_variables,
 )
-from .columnar import ColumnarInstance
+from .columnar import ColumnarInstance, Savepoint
 from .dependencies import EGD, TGD, AnyDependency, Dependency, DependencySet, dependency_set
-from .instances import (
-    InconsistencyError,
-    Instance,
-    Savepoint,
-    database,
-    instance_from_tuples,
-)
+from .instances import InconsistencyError, database, instance_from_tuples
 from .parser import (
     ParseError,
     parse_dependencies,
@@ -37,6 +31,9 @@ from .terms import (
     fresh_null,
     variables,
 )
+
+#: The public name of the one mutable fact store: the same class object.
+Instance = ColumnarInstance
 
 __all__ = [
     "Atom",

@@ -1,10 +1,10 @@
-"""The columnar fact store: facts as row indexes over typed tid columns.
+"""The mutable fact store: facts as row indexes over typed tid columns.
 
-:class:`ColumnarInstance` is the ``"columnar"`` matching backend's fact
-representation (DESIGN.md §10/§11) — since PR 10 the **default** chase
-substrate.  Where :class:`~.instances.Instance` stores a set of
-:class:`~.atoms.Atom` objects and indexes them three ways, this store
-keeps **no per-fact Python object at all**:
+:class:`ColumnarInstance` is the one mutable *instance* of the system
+(DESIGN.md §1/§5/§10/§11): the chase, the critical instance behind
+MFA/MSA, Adn∃'s Dµ(Σµ), core computation and every parser/loader build
+it (``repro.Instance`` is the same class object).  It keeps **no
+per-fact Python object at all**:
 
 * each ``(predicate, arity)`` pair owns a :class:`_Store` — one flat
   ``array('q')`` of *local* term ids per argument position (the
@@ -12,11 +12,13 @@ keeps **no per-fact Python object at all**:
   index mapping ``lid → array('q') of candidate rows``;
 * a *fact* is a row index into those columns; membership and
   value-identity go through ``rowmap`` (live lid-tuple → row);
-* the matcher (:mod:`repro.matching.plans`) executes compiled join plans
+* the compiled join plans (:mod:`repro.matching.plans`) execute
   directly over the cells and columns — every probe, check and register
   write is an int operation (vectorised through :mod:`.kernels` above a
   pool-size threshold), and no ``Atom``/``Term`` object is touched on
-  the hot path.
+  the hot path.  The ``naive`` matching oracle reads the public
+  per-predicate snapshot (:meth:`ColumnarInstance.with_predicate`)
+  instead.
 
 **Local term ids.**  Terms are interned process-wide with stable
 ``tid``\\ s, but those are sparse; every instance *family* (an instance
@@ -62,14 +64,32 @@ live rowmap keys into ground and null-mentioning rows, so memoising a
 visited state materialises no ``Atom`` at all — the explorer decodes a
 state's null rows only if another state lands in its memo bucket.
 
-The full :class:`~.instances.Instance` contract is honoured:
-add/discard/merge_terms, the savepoint/rollback/release undo log in
-O(changes), the monotone delta log (with :meth:`added_rows_since`
-returning ``(storekey, row)`` handles the matcher consumes without
-materialising atoms), value-equality ``__eq__``, and the same public
-accessors.  The differential suites drive all four matching backends to
-byte-identical chase decisions over it, under both the numpy and the
-pure-Python kernels.
+**Delta log.**  Every successful :meth:`~ColumnarInstance.add` appends a
+``(storekey, row)`` handle to a monotone log.  Consumers snapshot
+:attr:`~ColumnarInstance.tick` and later read exactly the rows added in
+between — as handles (:meth:`~ColumnarInstance.added_rows_since`, the
+zero-materialisation surface the ``columnar`` matcher consumes) or as
+atoms (:meth:`~ColumnarInstance.added_since`, the boundary the ``naive``
+oracle and the explorer read).  This is the semi-naive discovery
+protocol of DESIGN.md §1.  Rows rewritten by
+:meth:`~ColumnarInstance.merge_terms` re-enter the log, because the
+rewrite is a discard followed by an add.
+
+**Transactions.**  Branching searches (the chase explorer, the witness
+engine, core computation) try a step and undo it: they take a
+:meth:`~ColumnarInstance.savepoint`, mutate freely, and
+:meth:`~ColumnarInstance.rollback`.  While at least one savepoint is
+active every add and discard records its inverse in an undo log, and
+rollback replays the inverses in reverse, restoring columns, bitmap,
+index cells, rowmaps *and* the delta-log tick in O(changes since the
+savepoint).  Savepoints nest; each token must be rolled back or
+:meth:`~ColumnarInstance.release`-d exactly once, innermost first
+(DESIGN.md §5).
+
+The public accessors (:meth:`~ColumnarInstance.with_predicate`,
+:meth:`~ColumnarInstance.with_term`) return frozenset *snapshots*, safe
+to iterate while the instance mutates.  Value equality (``__eq__``)
+compares fact sets, also against plain ``set``/``frozenset`` operands.
 """
 
 from __future__ import annotations
@@ -79,7 +99,6 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .atoms import Atom
-from .instances import Instance, Savepoint
 from .terms import Constant, GroundTerm, Null, Term
 
 # Undo-log entry kinds (first element of each entry tuple).
@@ -96,6 +115,23 @@ RowHandle = tuple[StoreKey, int]
 #: at least this fraction of its rows is dead; lighter tombstone loads
 #: ride along shared (re-checking a dead row costs one bitmap read).
 COMPACT_DEAD_FRACTION = 0.25
+
+
+class Savepoint:
+    """A point in an instance's undo log that
+    :meth:`ColumnarInstance.rollback` can restore.  Opaque; obtained from
+    :meth:`ColumnarInstance.savepoint`."""
+
+    __slots__ = ("_undo_len", "_log_len", "_live")
+
+    def __init__(self, undo_len: int, log_len: int) -> None:
+        self._undo_len = undo_len
+        self._log_len = log_len
+        self._live = True
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "live" if self._live else "consumed"
+        return f"Savepoint(undo={self._undo_len}, tick={self._log_len}, {state})"
 
 
 class _TermTable:
@@ -355,8 +391,11 @@ class ColumnarInstance:
     def merge_terms(self, old: Null, new: GroundTerm) -> None:
         """Replace every occurrence of the null ``old`` by ``new`` in place.
 
-        Same contract as :meth:`Instance.merge_terms`: each rewritten row
-        is a discard followed by an add, so it re-enters the delta log.
+        This is the effect of an EGD chase step's substitution γ =
+        {old/new}.  Each rewritten row is a discard followed by an add, so
+        it re-enters the delta log (a merge can enable body matches with
+        repeated variables, so rewritten facts count as new for
+        semi-naive discovery).
         """
         if old is new:
             return
@@ -386,7 +425,12 @@ class ColumnarInstance:
     # -- savepoints ---------------------------------------------------------
 
     def savepoint(self) -> Savepoint:
-        """Open a transaction scope (same contract as ``Instance``)."""
+        """Open a transaction scope: remember the current state cheaply.
+
+        Until the returned token is consumed by :meth:`rollback` or
+        :meth:`release`, every mutation is recorded in the undo log.
+        Savepoints nest; tokens must be consumed innermost-first.
+        """
         if self._undo is None:
             self._undo = []
         sp = Savepoint(len(self._undo), len(self._log))
@@ -441,7 +485,12 @@ class ColumnarInstance:
             self._undo = None
 
     def release(self, sp: Savepoint) -> None:
-        """Consume ``sp`` *keeping* the changes made since (commit)."""
+        """Consume ``sp`` *keeping* the changes made since (commit).
+
+        Inner savepoints still open are consumed too.  The recorded undo
+        entries are retained while an outer savepoint remains active — its
+        rollback still covers the released scope — and dropped otherwise.
+        """
         self._consume(sp)
         if not self._sp_stack:
             self._undo = None
@@ -464,7 +513,14 @@ class ColumnarInstance:
         return bool(self._sp_stack)
 
     def compact_log(self) -> None:
-        """Drop the delta log; the tick resets to 0 (see ``Instance``)."""
+        """Drop the delta log; the tick resets to 0.
+
+        For long-lived instances whose consumers hold no outstanding tick
+        snapshots (the core chase between rounds): without compaction the
+        log would pin every row ever added.  Disallowed while a savepoint
+        is active — rollback relies on log positions recorded at the
+        savepoint.
+        """
         if self._sp_stack:
             raise RuntimeError(
                 "cannot compact the delta log inside a transaction"
@@ -493,9 +549,10 @@ class ColumnarInstance:
 
     def added_since(self, tick: int) -> Sequence[Atom]:
         """The facts added after log position ``tick``, materialised —
-        the ``Instance``-compatible boundary; hot consumers use
-        :meth:`added_rows_since`.  Discarded facts still appear (dead
-        rows keep their column data); callers re-check membership."""
+        the boundary the ``naive`` oracle and the explorer read; the
+        ``columnar`` matcher consumes :meth:`added_rows_since`.
+        Discarded facts still appear (dead rows keep their column data);
+        callers re-check membership."""
         return [self._atom_at(*handle) for handle in self._log[tick:]]
 
     def _atom_at(self, skey: StoreKey, row: int) -> Atom:
@@ -530,13 +587,14 @@ class ColumnarInstance:
         return sum(store.nlive for store in self._stores.values())
 
     def __eq__(self, other: object) -> bool:
-        """Value equality on the fact *set* (derived state — indexes,
-        dead rows, log and tick positions, sharing marks — excluded),
-        mirroring ``Instance.__eq__``.  Within one fork family local ids
-        are bijective with terms, so two related columnar instances
-        compare by raw rowmap keys; unrelated columnar instances,
-        ``Instance`` and plain ``set``/``frozenset`` operands compare
-        through materialised atoms."""
+        """Value equality on the fact *set*: two instances are equal iff
+        they hold the same facts.  Derived state — indexes, dead rows,
+        log and tick positions, sharing marks — records *how* an instance
+        was built, not *what* it contains, and is excluded.  Within one
+        fork family local ids are bijective with terms, so two related
+        instances compare by raw rowmap keys; unrelated instances and
+        plain ``set``/``frozenset`` operands compare through
+        materialised atoms."""
         if isinstance(other, ColumnarInstance):
             if self._terms is other._terms:
                 mine = {
@@ -549,15 +607,22 @@ class ColumnarInstance:
                 }
                 return mine == theirs
             return self.facts() == other.facts()
-        if isinstance(other, Instance):
-            return self.facts() == other.facts()
         if isinstance(other, (set, frozenset)):
             return self.facts() == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        """Unhashable for the same reason ``Instance`` is (mutable value
-        equality); hash the :meth:`frozen` snapshot instead."""
+        """Instances are explicitly unhashable.
+
+        With a value-based ``__eq__`` on a *mutable* container, any hash
+        would be broken one way or the other: hashing the facts changes
+        as the chase mutates the instance (corrupting any dict or set it
+        sits in), while the silent default — ``object.__hash__``,
+        identity-based — would violate the ``a == b ⇒ hash(a) == hash(b)``
+        law.  Raising here (rather than ``__hash__ = None``) gives callers
+        the remedy: hash the immutable :meth:`frozen` snapshot instead.
+        Regression-tested in ``tests/test_instances.py``.
+        """
         raise TypeError(
             "ColumnarInstance is mutable and unhashable; use frozen()"
         )

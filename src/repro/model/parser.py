@@ -34,7 +34,7 @@ from typing import Iterator
 
 from .atoms import Atom
 from .dependencies import EGD, TGD, AnyDependency, DependencySet
-from .instances import Instance
+from .columnar import ColumnarInstance
 from .terms import Constant, Null, Term, Variable
 
 
@@ -217,8 +217,8 @@ class _Parser:
             out.add(self.parse_dependency())
         return out
 
-    def parse_facts(self) -> Instance:
-        inst = Instance()
+    def parse_facts(self) -> ColumnarInstance:
+        inst = ColumnarInstance()
         while self.cur.kind != "eof":
             atom = self.parse_atom(allow_nulls=True)
             if not atom.is_fact:
@@ -245,7 +245,7 @@ def parse_dependencies(text: str) -> DependencySet:
     return _Parser(text).parse_program()
 
 
-def parse_facts(text: str) -> Instance:
+def parse_facts(text: str) -> ColumnarInstance:
     """Parse facts like ``N("a") E("a", "b") P(_1)`` into an instance."""
     return _Parser(text).parse_facts()
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 from .dependencies import DependencySet
-from .instances import Instance
+from .columnar import ColumnarInstance
 
 
 class Schema:
@@ -35,7 +35,7 @@ class Schema:
         return cls(sigma.predicates())
 
     @classmethod
-    def from_instance(cls, inst: Instance) -> "Schema":
+    def from_instance(cls, inst: ColumnarInstance) -> "Schema":
         arities: dict[str, int] = {}
         for fact in inst:
             known = arities.get(fact.predicate)

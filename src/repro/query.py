@@ -24,8 +24,8 @@ from .chase.result import ChaseStatus
 from .chase.runner import run_chase
 from .homomorphism.finder import find_homomorphisms
 from .model.atoms import Atom, atoms_variables
+from .model.columnar import ColumnarInstance
 from .model.dependencies import DependencySet
-from .model.instances import Instance
 from .model.terms import GroundTerm, Term, Variable
 
 
@@ -69,14 +69,14 @@ class ConjunctiveQuery:
     def is_boolean(self) -> bool:
         return not self.answer_vars
 
-    def evaluate(self, instance: Instance) -> set[tuple[GroundTerm, ...]]:
+    def evaluate(self, instance: ColumnarInstance) -> set[tuple[GroundTerm, ...]]:
         """``Q(J)``: all answer tuples, nulls included."""
         out: set[tuple[GroundTerm, ...]] = set()
         for h in find_homomorphisms(list(self.atoms), instance, limit=None):
             out.add(tuple(h[v] for v in self.answer_vars))
         return out
 
-    def evaluate_null_free(self, instance: Instance) -> set[tuple]:
+    def evaluate_null_free(self, instance: ColumnarInstance) -> set[tuple]:
         """``Q(J)↓``: answers containing no labelled nulls."""
         return {
             row for row in self.evaluate(instance)
@@ -100,13 +100,13 @@ class UnionQuery:
         if len(arities) > 1:
             raise ValueError("all disjuncts must share the answer arity")
 
-    def evaluate(self, instance: Instance) -> set[tuple]:
+    def evaluate(self, instance: ColumnarInstance) -> set[tuple]:
         out: set[tuple] = set()
         for q in self.disjuncts:
             out |= q.evaluate(instance)
         return out
 
-    def evaluate_null_free(self, instance: Instance) -> set[tuple]:
+    def evaluate_null_free(self, instance: ColumnarInstance) -> set[tuple]:
         out: set[tuple] = set()
         for q in self.disjuncts:
             out |= q.evaluate_null_free(instance)
@@ -114,11 +114,11 @@ class UnionQuery:
 
 
 def universal_model(
-    database: Instance,
+    database: ColumnarInstance,
     sigma: DependencySet,
     strategy: str = "full_first",
     max_steps: int = 20_000,
-) -> Instance:
+) -> ColumnarInstance:
     """A canonical universal model of (D, Σ) via the standard chase.
 
     Raises :class:`ChaseDidNotTerminate` on budget exhaustion and
@@ -140,7 +140,7 @@ def universal_model(
 
 def certain_answers(
     query: ConjunctiveQuery | UnionQuery,
-    database: Instance,
+    database: ColumnarInstance,
     sigma: DependencySet,
     strategy: str = "full_first",
     max_steps: int = 20_000,

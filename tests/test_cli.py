@@ -194,3 +194,58 @@ class TestExplore:
             ["explore", str(p), "--data", 'N("a")', "--max-depth", "7"]
         )
         assert code == 1
+
+
+class TestInputErrors:
+    """Unusable input ends in one ``repro: error:`` line and exit code
+    ``EXIT_INPUT_ERROR``, never a traceback (checked in a real process,
+    where an escaping exception would print one)."""
+
+    @staticmethod
+    def run_cli(*args, cwd):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ)
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *args],
+            capture_output=True, text=True, cwd=cwd, env=env, timeout=120,
+        )
+
+    def test_missing_program_file(self, tmp_path):
+        from repro.cli import EXIT_INPUT_ERROR
+
+        proc = self.run_cli("chase", "missing.txt", "--data", "x", cwd=tmp_path)
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error:")
+        assert "missing.txt" in lines[0]
+
+    def test_malformed_program(self, tmp_path):
+        from repro.cli import EXIT_INPUT_ERROR
+
+        bad = tmp_path / "bad.deps"
+        bad.write_text("r1: P(x) -> exists y. E(x, y)\nr2: E(x, y -> P(y)\n")
+        proc = self.run_cli("classify", str(bad), cwd=tmp_path)
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error:")
+        assert "(line 2, column" in lines[0]
+
+    def test_malformed_facts_in_process(self, sigma1_file, capsys):
+        from repro.cli import EXIT_INPUT_ERROR
+
+        assert main(["chase", sigma1_file, "--data", 'N("a"']) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and "(line 1, column" in err

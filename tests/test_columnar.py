@@ -1,13 +1,13 @@
 """ColumnarInstance contract tests (DESIGN.md §10).
 
-The columnar fact store must honour the full ``Instance`` contract:
-value-equality, add/discard/merge_terms, the savepoint/rollback/release
-undo log in O(changes), the delta log with both the ``Atom`` boundary
+The fact store must honour the instance contract: value-equality,
+add/discard/merge_terms, the savepoint/rollback/release undo log in
+O(changes), the delta log with both the ``Atom`` boundary
 (``added_since``) and the zero-materialisation row-handle surface
 (``added_rows_since``/``row_live``).  The randomized sections mirror
-every operation on a plain ``Instance`` and compare observable state
-after each step — the same differential style the transactional suite
-uses for savepoints.
+every operation on a plain fact set (``fact_model.FactSetModel``) and
+compare observable state after each step — the same differential style
+the transactional suite uses for savepoints.
 
 The metamorphic half extends the tid-churn suite: canonical keys stay
 tid-free (burning the interned-term counter between builds changes
@@ -18,7 +18,7 @@ The ISSUE 10 sections cover the typed-buffer rebuild (DESIGN.md §11):
 copy-on-write forks (children share segments until first write, never
 mutate the parent's, survive the parent's rollback), threshold
 compaction on fork, random nested-savepoint/fork scripts held against
-the list-backed ``Instance`` reference, and the vectorised kernels —
+the plain fact-set reference, and the vectorised kernels —
 pure-Python vs numpy on random inputs, and the generated vector branch
 vs the inline scalar loop through the same compiled plans.
 """
@@ -30,8 +30,9 @@ from array import array
 
 import pytest
 
+from fact_model import FactSetModel
 from repro.chase import canonical_key
-from repro.model import Atom, ColumnarInstance, Constant, Instance, Null
+from repro.model import Atom, ColumnarInstance, Constant, Null
 from repro.model import kernels
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
@@ -56,23 +57,24 @@ class TestBasicContract:
     def test_construction_and_queries(self):
         facts = sample_facts()
         col = ColumnarInstance(facts)
-        ref = Instance(facts)
+        ref = frozenset(facts)
+        domain = {t for f in ref for t in f.args}
         assert len(col) == len(ref)
-        assert set(col) == set(ref)
-        assert col.facts() == ref.facts()
-        assert col.frozen() == ref.frozen()
+        assert set(col) == ref
+        assert col.facts() == ref
+        assert col.frozen() == ref
         for f in facts:
             assert f in col
         assert Atom("E", (b, a)) not in col
-        assert col.predicates() == ref.predicates()
-        assert col.domain() == ref.domain()
-        assert col.nulls() == ref.nulls()
-        assert col.constants() == ref.constants()
-        assert col.is_database == ref.is_database
-        assert col.with_predicate("E") == ref.with_predicate("E")
+        assert col.predicates() == {f.predicate for f in ref}
+        assert col.domain() == domain
+        assert col.nulls() == {t for t in domain if isinstance(t, Null)}
+        assert col.constants() == {t for t in domain if isinstance(t, Constant)}
+        assert not col.is_database
+        assert col.with_predicate("E") == {f for f in ref if f.predicate == "E"}
         assert col.with_predicate("missing") == frozenset()
-        assert col.with_term(Null(901)) == ref.with_term(Null(901))
-        assert col.with_term(a) == ref.with_term(a)
+        assert col.with_term(Null(901)) == {f for f in ref if Null(901) in f.args}
+        assert col.with_term(a) == {f for f in ref if a in f.args}
 
     def test_add_discard_return_values(self):
         col = ColumnarInstance()
@@ -94,12 +96,10 @@ class TestBasicContract:
     def test_equality_across_representations(self):
         facts = sample_facts()
         col = ColumnarInstance(facts)
-        ref = Instance(facts)
-        assert col == ColumnarInstance(facts)
-        assert col == ref
-        assert ref == col  # reflected through NotImplemented
+        assert col == ColumnarInstance(facts)  # another term-table family
         assert col == set(facts)
         assert col == frozenset(facts)
+        assert frozenset(facts) == col  # reflected through NotImplemented
         col2 = ColumnarInstance(facts)
         col2.discard(facts[0])
         assert col != col2
@@ -122,11 +122,10 @@ class TestBasicContract:
     def test_apply_and_null_free_part(self):
         facts = sample_facts()
         col = ColumnarInstance(facts)
-        ref = Instance(facts)
         mapping = {Null(901): a, Null(902): Null(903)}
-        assert col.apply(mapping) == ref.apply(mapping)
+        assert col.apply(mapping) == {f.apply(mapping) for f in facts}
         assert isinstance(col.apply(mapping), ColumnarInstance)
-        assert col.null_free_part() == ref.null_free_part()
+        assert col.null_free_part() == {f for f in facts if not f.nulls()}
         assert isinstance(col.null_free_part(), ColumnarInstance)
 
     def test_merge_terms_differential(self):
@@ -135,13 +134,14 @@ class TestBasicContract:
             pool = [a, b, c, Null(910), Null(911), Null(912)]
             facts = [random_fact(rng, pool) for _ in range(12)]
             col = ColumnarInstance(facts)
-            ref = Instance(facts)
+            ref = FactSetModel(facts)
             for old in (Null(910), Null(911)):
                 new = rng.choice([t for t in pool if t is not old])
                 col.merge_terms(old, new)
                 ref.merge_terms(old, new)
-                assert col == ref, f"seed={seed} {old}->{new}"
-                assert col.domain() == ref.domain()
+                assert col == ref.facts, f"seed={seed} {old}->{new}"
+                assert col.domain() == {t for f in ref.facts for t in f.args}
+                assert col.tick == ref.tick, f"seed={seed} {old}->{new}"
 
     def test_merge_terms_rejects_constants(self):
         with pytest.raises(TypeError):
@@ -173,7 +173,7 @@ class TestDeltaLog:
         assert not col.row_live(handles[0])
         assert col.row_live(handles[1])
         # The dead row still materialises through the Atom boundary
-        # (rolled-over deltas stay readable), matching Instance.
+        # (rolled-over deltas stay readable).
         assert list(col.added_since(t0)) == [Atom("E", (a, b)), Atom("E", (b, c))]
 
     def test_rows_rewritten_by_merge_reenter_the_log(self):
@@ -183,7 +183,7 @@ class TestDeltaLog:
         col.merge_terms(n, c)
         fresh = [h for h in col.added_rows_since(t) if col.row_live(h)]
         assert len(fresh) == 2
-        assert col == Instance([Atom("E", (a, c)), Atom("E", (c, b))])
+        assert col == {Atom("E", (a, c)), Atom("E", (c, b))}
 
     def test_compact_log_resets_tick(self):
         col = ColumnarInstance(sample_facts())
@@ -232,7 +232,7 @@ class TestSavepoints:
             pool = [a, b, c, Null(930), Null(931)]
             base = [random_fact(rng, pool) for _ in range(10)]
             col = ColumnarInstance(base)
-            ref = Instance(base)
+            ref = FactSetModel(base)
             sp_c, sp_r = col.savepoint(), ref.savepoint()
             for _ in range(25):
                 op = rng.random()
@@ -248,11 +248,11 @@ class TestSavepoints:
                         new = rng.choice([t for t in pool if t is not old])
                         col.merge_terms(old, new)
                         ref.merge_terms(old, new)
-                assert col == ref, f"seed={seed} mid-transaction"
+                assert col == ref.facts, f"seed={seed} mid-transaction"
             col.rollback(sp_c)
             ref.rollback(sp_r)
-            assert col == ref, f"seed={seed} after rollback"
-            assert col == Instance(base), f"seed={seed}"
+            assert col == ref.facts, f"seed={seed} after rollback"
+            assert col == set(base), f"seed={seed}"
             assert col.tick == ref.tick, f"seed={seed}"
 
     def test_nested_savepoints(self):
@@ -262,10 +262,10 @@ class TestSavepoints:
         sp2 = col.savepoint()
         col.add(Atom("E", (c, a)))
         col.rollback(sp2)
-        assert col == Instance([Atom("E", (a, b)), Atom("E", (b, c))])
+        assert col == {Atom("E", (a, b)), Atom("E", (b, c))}
         assert col.in_transaction
         col.rollback(sp1)
-        assert col == Instance([Atom("E", (a, b))])
+        assert col == {Atom("E", (a, b))}
         assert not col.in_transaction
 
     def test_release_keeps_changes(self):
@@ -310,7 +310,7 @@ class TestMetamorphicTidChurn:
             pool = [a, b, Null(940 + seed), Null(970 + seed)]
             facts = [random_fact(rng, pool) for _ in range(8)]
             before = canonical_key(ColumnarInstance(facts))
-            assert before == canonical_key(Instance(facts))
+            assert before == canonical_key(frozenset(facts))
             # Burn the tid counter, then rebuild with brand-new nulls:
             # the key is a function of structure, not of interned ids.
             churn = [Null(600_000 + seed * 100 + i) for i in range(60)]
@@ -400,7 +400,7 @@ class TestCowForks:
         child.discard(facts[0])
         child.merge_terms(Null(901), c)
         assert snapshot(col) == before
-        assert col == Instance(facts)
+        assert col == set(facts)
 
     def test_parent_mutations_never_touch_child(self):
         facts = sample_facts()
@@ -411,7 +411,7 @@ class TestCowForks:
         col.discard(facts[0])
         col.merge_terms(Null(901), c)
         assert snapshot(child) == before
-        assert child == Instance(facts)
+        assert child == set(facts)
 
     def test_fork_shares_segments_until_first_write(self):
         col = ColumnarInstance(sample_facts())  # no dead rows: no compaction
@@ -435,12 +435,12 @@ class TestCowForks:
         col.add(Atom("E", (b, c)))
         child = col.copy()
         col.rollback(sp)
-        assert col == Instance([Atom("E", (a, b))])
-        assert child == Instance([Atom("E", (a, b)), Atom("E", (b, c))])
+        assert col == {Atom("E", (a, b))}
+        assert child == {Atom("E", (a, b)), Atom("E", (b, c))}
         csp = child.savepoint()
         child.add(Atom("E", (c, a)))
         child.rollback(csp)
-        assert child == Instance([Atom("E", (a, b)), Atom("E", (b, c))])
+        assert child == {Atom("E", (a, b)), Atom("E", (b, c))}
 
     def test_eager_copy_matches_cow_fork(self):
         # The eager copy is a plain frozenset of the facts: a COW fork
@@ -482,12 +482,13 @@ class TestRandomScriptsWithForks:
     def test_nested_savepoint_fork_scripts_differential(self):
         """Random scripts of add/discard/merge, nested savepoint push /
         rollback / release, and mid-script COW forks (mutated on the
-        side, then dropped), held step-for-step against ``Instance``."""
+        side, then dropped), held step-for-step against the plain
+        fact-set reference."""
         for seed in range(12):
             rng = random.Random(1000 + seed)
             pool = [a, b, c, Null(960), Null(961), Null(962)]
             base = [random_fact(rng, pool) for _ in range(8)]
-            col, ref = ColumnarInstance(base), Instance(base)
+            col, ref = ColumnarInstance(base), FactSetModel(base)
             stack = []
             for step in range(120):
                 r = rng.random()
@@ -522,13 +523,13 @@ class TestRandomScriptsWithForks:
                     for g in [random_fact(rng, pool) for _ in range(4)]:
                         assert cc.add(g) == cr.add(g)
                     assert cc.discard(f) == cr.discard(f)
-                    assert cc == cr, f"seed={seed} step={step} fork"
-                assert col == ref, f"seed={seed} step={step}"
+                    assert cc == cr.facts, f"seed={seed} step={step} fork"
+                assert col == ref.facts, f"seed={seed} step={step}"
             while stack:
                 sc, sr = stack.pop()
                 col.rollback(sc)
                 ref.rollback(sr)
-            assert col == ref, f"seed={seed} unwound"
+            assert col == ref.facts, f"seed={seed} unwound"
             assert col.tick == ref.tick, f"seed={seed}"
 
 

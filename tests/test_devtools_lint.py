@@ -247,52 +247,62 @@ class TestInstanceEncapsulation:
     def test_flags_foreign_private_access(self, tmp_path):
         report = lint_tree(tmp_path, {"src/repro/chase/peek.py": """\
             def cheat(instance):
-                return instance._facts
+                return instance._stores
             """})
         assert rules_of(report) == ["instance-encapsulation"]
-        assert "_facts" in report.findings[0].message
+        assert "_stores" in report.findings[0].message
 
     def test_self_access_is_exempt(self, tmp_path):
         report = lint_tree(tmp_path, {"src/repro/chase/own.py": """\
             class Thing:
                 def size(self):
-                    return len(self._facts)
+                    return len(self._stores)
             """})
         assert report.clean
 
-    def test_instances_module_is_exempt(self, tmp_path):
-        report = lint_tree(tmp_path, {"src/repro/model/instances.py": """\
+    def test_columnar_module_is_exempt(self, tmp_path):
+        report = lint_tree(tmp_path, {"src/repro/model/columnar.py": """\
             def rebuild(instance):
-                return instance._by_predicate
+                return instance._stores
             """})
         assert report.clean
+
+    def test_instances_module_is_not_exempt(self, tmp_path):
+        # It holds only the database constructors: no fact store.
+        report = lint_tree(tmp_path, {"src/repro/model/instances.py": """\
+            def rebuild(instance):
+                return instance._stores
+            """})
+        assert rules_of(report) == ["instance-encapsulation"]
 
     def test_matching_engine_is_not_exempt(self, tmp_path):
         # The engine module holds only the shared primitives and delta
-        # discovery; the backends that borrow buckets are plans/naive.
+        # discovery; the plan executor is the one reader of innards.
         report = lint_tree(tmp_path, {"src/repro/matching/engine.py": """\
             def probe(instance, pred):
                 return instance._pred_bucket(pred)
             """})
         assert rules_of(report) == ["instance-encapsulation"]
 
-    def test_matching_backends_are_exempt(self, tmp_path):
-        report = lint_tree(tmp_path, {
-            "src/repro/matching/plans.py": """\
-                def probe(instance, pred):
-                    return instance._pred_bucket(pred)
-                """,
-            "src/repro/matching/naive.py": """\
-                def probe(instance, pred):
-                    return instance._pred_bucket(pred)
-                """,
-        })
+    def test_plan_executor_is_exempt(self, tmp_path):
+        report = lint_tree(tmp_path, {"src/repro/matching/plans.py": """\
+            def probe(instance, pred):
+                return instance._stores, instance._pred_bucket(pred)
+            """})
         assert report.clean
+
+    def test_naive_matcher_is_not_exempt(self, tmp_path):
+        # The naive oracle reads instances only through with_predicate.
+        report = lint_tree(tmp_path, {"src/repro/matching/naive.py": """\
+            def probe(instance, pred):
+                return instance._pred_bucket(pred)
+            """})
+        assert rules_of(report) == ["instance-encapsulation"]
 
     def test_tests_are_not_patrolled(self, tmp_path):
         report = lint_tree(tmp_path, {"tests/test_peek.py": """\
             def test_internal(instance):
-                assert instance._facts
+                assert instance._stores
             """})
         assert report.clean
 
@@ -465,7 +475,7 @@ class TestSuppressions:
         report = lint_tree(tmp_path, {"src/repro/chase/z.py": """\
             def cheat(instance, pending):
                 # repro-lint: disable=budget-loop,instance-encapsulation -- fixture exercising the list form
-                while instance._facts:
+                while instance._stores:
                     pending.pop()
             """})
         assert report.clean
@@ -631,7 +641,7 @@ class TestCli:
                 def cheat(instance, pending):
                     while pending:  # repro-lint: disable=budget-loop -- pops one item per iteration
                         pending.pop()
-                    return instance._facts
+                    return instance._stores
                 """,
         }
         for rel, src in files.items():

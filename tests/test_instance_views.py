@@ -3,14 +3,15 @@
 The seed returned the *live* internal sets from ``with_predicate`` /
 ``with_term``; a caller iterating one of them while the chase mutated the
 instance hit "set changed size during iteration" (or silently saw a moving
-target).  They now return snapshots.  The position index and the delta log
-added for the matching engine are covered here too.
+target).  They now return snapshots.  The position index (the compiled
+plans' index cells) and the delta log are covered here too.
 """
 
 import pytest
 
+from fact_model import index_cell
+from repro.model import Instance
 from repro.model.atoms import Atom
-from repro.model.instances import Instance
 from repro.model.terms import Constant, Null
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
@@ -60,26 +61,26 @@ class TestSnapshotViews:
 class TestPositionIndex:
     def test_buckets_follow_adds_and_discards(self):
         inst = fresh_instance()
-        assert inst._pos_bucket("E", 0, a) == {Atom("E", (a, b))}
-        assert inst._pos_bucket("E", 1, c) == {Atom("E", (b, c))}
+        assert index_cell(inst, "E", 2, 0, a) == {Atom("E", (a, b))}
+        assert index_cell(inst, "E", 2, 1, c) == {Atom("E", (b, c))}
         inst.discard(Atom("E", (a, b)))
-        assert not inst._pos_bucket("E", 0, a)
+        assert not index_cell(inst, "E", 2, 0, a)
         inst.add(Atom("E", (a, c)))
-        assert inst._pos_bucket("E", 1, c) == {Atom("E", (b, c)), Atom("E", (a, c))}
+        assert index_cell(inst, "E", 2, 1, c) == {Atom("E", (b, c)), Atom("E", (a, c))}
 
     def test_buckets_follow_merges(self):
         inst = Instance([Atom("E", (a, Null(1)))])
         inst.merge_terms(Null(1), a)
-        assert inst._pos_bucket("E", 1, Null(1)) == frozenset()
-        assert inst._pos_bucket("E", 1, a) == {Atom("E", (a, a))}
+        assert index_cell(inst, "E", 2, 1, Null(1)) == frozenset()
+        assert index_cell(inst, "E", 2, 1, a) == {Atom("E", (a, a))}
 
     def test_repeated_term_positions(self):
         inst = Instance([Atom("E", (a, a))])
-        assert inst._pos_bucket("E", 0, a) == {Atom("E", (a, a))}
-        assert inst._pos_bucket("E", 1, a) == {Atom("E", (a, a))}
+        assert index_cell(inst, "E", 2, 0, a) == {Atom("E", (a, a))}
+        assert index_cell(inst, "E", 2, 1, a) == {Atom("E", (a, a))}
         inst.discard(Atom("E", (a, a)))
-        assert not inst._pos_bucket("E", 0, a)
-        assert not inst._pos_bucket("E", 1, a)
+        assert not index_cell(inst, "E", 2, 0, a)
+        assert not index_cell(inst, "E", 2, 1, a)
 
 
 class TestDeltaLog:

@@ -172,3 +172,36 @@ class TestConstruction:
         out = inst.apply({n1: b})
         assert out.facts() == {E(a, b)}
         assert inst.facts() == {E(a, n1)}  # original untouched
+
+
+class TestOneFactStore:
+    """Every construction site builds the one mutable fact store, and the
+    public ``Instance`` name is that class, under both matching backends."""
+
+    def test_public_name_is_the_columnar_class(self):
+        import repro
+        import repro.model
+        from repro.model.columnar import ColumnarInstance
+
+        assert repro.Instance is ColumnarInstance
+        assert repro.model.Instance is ColumnarInstance
+
+    @pytest.mark.parametrize("backend", ["columnar", "naive"])
+    def test_construction_sites_return_the_columnar_class(self, backend):
+        from repro import io
+        from repro.chase import critical_instance, run_chase
+        from repro.matching import using_backend
+        from repro.model import parse_dependencies, parse_facts
+        from repro.model.columnar import ColumnarInstance
+
+        sigma = parse_dependencies(
+            "r1: N(x) -> exists y. E(x, y)\nr2: E(x, y) -> x = y"
+        )
+        with using_backend(backend):
+            db = parse_facts('N("a")')
+            loaded = io.loads(io.dumps(db))
+            critical = critical_instance(sigma)
+            result = run_chase(db, sigma, max_steps=20)
+        for inst in (db, loaded, critical, result.instance):
+            assert type(inst) is ColumnarInstance
+        assert result.instance == parse_facts('N("a") E("a", "a")')

@@ -2,12 +2,12 @@
 
 The compiled join plans (``repro.matching.plans``) — executing as
 generated int loops over a ``ColumnarInstance`` (the columnar backend)
-and through the plan executor for non-columnar targets (plain
-``Instance``s and atom lists) — must be *observationally identical* to
-the naive reference (``repro.matching.naive``):
+and through the plan executor for atom lists — must be *observationally
+identical* to the naive reference (``repro.matching.naive``):
 
 * both plan executors enumerate exactly the same homomorphism sets as
-  the reference (order may differ);
+  the reference run over the plain fact list (order may differ), and so
+  does the reference itself when it reads the instance's snapshots;
 * a chase run driven by the columnar backend produces the identical
   ``ChaseResult`` — status, step count, and final instance — as one
   driven by the naive backend, for all variants and all strategies,
@@ -39,7 +39,6 @@ from repro.matching import plans as plan_engine
 from repro.matching import seed_mapping, using_backend
 from repro.model.atoms import Atom
 from repro.model.columnar import ColumnarInstance
-from repro.model.instances import Instance
 from repro.model.terms import Constant, Null
 
 VARIANTS = ("standard", "oblivious", "semi_oblivious")
@@ -51,7 +50,7 @@ def random_instance(seed, sigma, n_facts=14, n_consts=4, n_nulls=2):
     pool = [Constant(f"c{i}") for i in range(n_consts)]
     pool += [Null(900 + i) for i in range(n_nulls)]
     preds = sorted(sigma.predicates().items())
-    inst = Instance()
+    inst = ColumnarInstance()
     for _ in range(n_facts):
         if not preds:
             break
@@ -67,6 +66,17 @@ def hom_key(h):
 
 def hom_set(matcher, body, target, **kw):
     return {hom_key(h) for h in matcher.match(body, target, limit=None, **kw)}
+
+
+def assert_same_hom_sets(body, inst, context, **kw):
+    """Naive over the plain fact list is the reference; naive over the
+    instance, plans over the instance and plans over the atom list must
+    all enumerate exactly its homomorphism set."""
+    facts = sorted(inst, key=str)
+    want = hom_set(naive_engine, body, facts, **kw)
+    assert hom_set(naive_engine, body, inst, **kw) == want, f"{context} (naive)"
+    assert hom_set(plan_engine, body, inst, **kw) == want, f"{context} (columnar)"
+    assert hom_set(plan_engine, body, facts, **kw) == want, f"{context} (atoms)"
 
 
 def assert_same_result(r1, r2, context=""):
@@ -85,15 +95,8 @@ def test_homomorphism_sets_identical_on_random_programs():
     for seed in range(220):
         sigma = random_dependency_set(seed, n_deps=6)
         inst = random_instance(seed * 7 + 1, sigma)
-        col = ColumnarInstance(inst)
         for dep in sigma:
-            want = hom_set(naive_engine, dep.body, inst)
-            assert hom_set(plan_engine, dep.body, inst) == want, (
-                f"seed={seed} dep={dep} (Instance)"
-            )
-            assert hom_set(plan_engine, dep.body, col) == want, (
-                f"seed={seed} dep={dep} (columnar)"
-            )
+            assert_same_hom_sets(dep.body, inst, f"seed={seed} dep={dep}")
 
 
 def test_homomorphism_sets_identical_with_seeds_and_frozen_nulls():
@@ -109,23 +112,10 @@ def test_homomorphism_sets_identical_with_seeds_and_frozen_nulls():
                 if partial is None:
                     continue
                 for frozen in (False, True):
-                    want = hom_set(
-                        naive_engine, dep.body, inst, seed=partial,
-                        frozen_nulls=frozen,
-                    )
-                    assert hom_set(
-                        plan_engine, dep.body, inst, seed=partial,
-                        frozen_nulls=frozen,
-                    ) == want, (
-                        f"seed={seed} dep={dep} fact={fact} "
-                        f"frozen={frozen} (Instance)"
-                    )
-                    assert hom_set(
-                        plan_engine, dep.body, ColumnarInstance(inst),
+                    assert_same_hom_sets(
+                        dep.body, inst,
+                        f"seed={seed} dep={dep} fact={fact} frozen={frozen}",
                         seed=partial, frozen_nulls=frozen,
-                    ) == want, (
-                        f"seed={seed} dep={dep} fact={fact} "
-                        f"frozen={frozen} (columnar)"
                     )
 
 
@@ -134,15 +124,8 @@ def test_homomorphism_sets_identical_on_corpus_bodies():
     assert corpus
     for ont in corpus:
         db = seed_database(ont.sigma)
-        col = ColumnarInstance(db)
         for dep in list(ont.sigma)[:15]:
-            want = hom_set(naive_engine, dep.body, db)
-            assert hom_set(plan_engine, dep.body, db) == want, (
-                f"{ont.name} dep={dep} (Instance)"
-            )
-            assert hom_set(plan_engine, dep.body, col) == want, (
-                f"{ont.name} dep={dep} (columnar)"
-            )
+            assert_same_hom_sets(dep.body, db, f"{ont.name} dep={dep}")
 
 
 def test_non_instance_targets_and_empty_sources():
@@ -381,8 +364,8 @@ def test_columnar_saturation_differential():
 
 
 def test_columnar_ambient_backend_chase():
-    """``using_backend("columnar")`` (no explicit engine=) converts the
-    runner's working instance and still drives byte-identical decisions."""
+    """``using_backend("columnar")`` (no explicit engine=) drives
+    byte-identical decisions over the same kind of working instance."""
     for seed in range(30):
         sigma = random_dependency_set(seed, n_deps=6)
         db = random_instance(seed * 13 + 3, sigma, n_facts=8, n_nulls=0)

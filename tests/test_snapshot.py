@@ -3,10 +3,9 @@
 The heart of this suite is a property-based differential check: random
 scripts of ``add``/``discard``/``merge_terms`` interleaved with *nested*
 savepoints run against one instance, and every rollback must restore the
-exact state a pristine ``copy()`` taken at the savepoint recorded — the
-fact set, all three indexes (predicate, position, term), the delta-log
-tick and the ``added_since`` tail.  ``copy()`` is thereby the reference
-backend the undo log is held against, exactly as DESIGN.md §5 frames it.
+exact state recorded when the savepoint was taken — the fact set, every
+store's columns, live bitmap, rowmap and index cells, the delta-log tick
+and the ``added_since`` tail (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import random
 
 import pytest
 
+from fact_model import index_cell
 from repro.model import Atom, Instance
 from repro.model.terms import Constant, Null
 
@@ -32,50 +32,63 @@ def random_fact(rng: random.Random) -> Atom:
     return Atom(pred, tuple(rng.choice(pool) for _ in range(arity)))
 
 
-def assert_state_equals(inst: Instance, pristine: Instance, tick: int, log: list) -> None:
-    """Exact equality of facts, all three indexes, tick and log tail."""
-    assert inst._facts == pristine._facts
-    assert inst._by_predicate == pristine._by_predicate
-    assert inst._by_term == pristine._by_term
-    assert inst._by_pos == pristine._by_pos
-    assert inst.tick == tick
-    assert list(inst._log) == log
-    assert list(inst.added_since(0)) == log
+def state(inst: Instance) -> tuple:
+    """The full observable and internal state: the fact set, every
+    store's columns, rowmap, index cells, live bitmap and counts, and the
+    delta log (as row handles and as materialised atoms)."""
+    stores = {
+        skey: (
+            [list(col) for col in st.cols],
+            dict(st.rowmap),
+            [{lid: list(rows) for lid, rows in cells.items()} for cells in st.index],
+            bytes(st.live),
+            st.nlive,
+            st.nrows,
+        )
+        for skey, st in inst._stores.items()
+    }
+    return (
+        inst.frozen(),
+        stores,
+        inst.tick,
+        list(inst.added_rows_since(0)),
+        list(inst.added_since(0)),
+    )
 
 
 class TestSavepointProtocol:
     def test_rollback_restores_add_and_merge(self):
         inst = Instance([Atom("Q", (a, Null(1)))])
-        pristine, tick, log = inst.copy(), inst.tick, list(inst._log)
+        before = state(inst)
         sp = inst.savepoint()
         inst.add(Atom("P", (b,)))
         inst.merge_terms(Null(1), b)
         inst.discard(Atom("Q", (a, b)))
         inst.rollback(sp)
-        assert_state_equals(inst, pristine, tick, log)
+        assert state(inst) == before
         assert not inst.in_transaction
 
     def test_new_predicate_slots_shrink_back(self):
         inst = Instance()
-        pristine = inst.copy()
+        before = state(inst)
         sp = inst.savepoint()
         inst.add(Atom("R", (a, b, c)))
         inst.rollback(sp)
-        assert_state_equals(inst, pristine, 0, [])
-        assert inst._by_pos == {}
+        assert state(inst) == before
+        assert inst._stores == {}
 
     def test_nested_rollback_innermost_first(self):
         inst = Instance([Atom("P", (a,))])
-        outer_copy, outer_tick = inst.copy(), inst.tick
+        outer = state(inst)
         sp1 = inst.savepoint()
         inst.add(Atom("P", (b,)))
-        mid_copy, mid_tick = inst.copy(), inst.tick
+        mid = state(inst)
         sp2 = inst.savepoint()
         inst.add(Atom("P", (c,)))
         inst.rollback(sp2)
-        assert inst._facts == mid_copy._facts and inst.tick == mid_tick
+        assert state(inst) == mid
         inst.rollback(sp1)
-        assert inst._facts == outer_copy._facts and inst.tick == outer_tick
+        assert state(inst) == outer
 
     def test_rollback_to_outer_consumes_inner(self):
         inst = Instance()
@@ -136,7 +149,7 @@ class TestSavepointProtocol:
                 Atom("Q", (a, b)),
             ]
         )
-        pristine, tick, log = inst.copy(), inst.tick, list(inst._log)
+        before, tick = state(inst), inst.tick
         sp = inst.savepoint()
         inst.merge_terms(Null(1), a)
         assert len(inst) == 2
@@ -144,29 +157,27 @@ class TestSavepointProtocol:
         # collapse into the pre-existing Q(a, b) does not.
         assert list(inst.added_since(tick)) == [Atom("Q", (a, Null(2)))]
         inst.rollback(sp)
-        assert_state_equals(inst, pristine, tick, log)
+        assert state(inst) == before
 
 
 class TestSavepointProperty:
-    """Random mutation scripts with nested savepoints vs pristine copies."""
+    """Random mutation scripts with nested savepoints vs recorded states."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_script(self, seed):
         rng = random.Random(seed)
         inst = Instance(random_fact(rng) for _ in range(rng.randint(0, 12)))
-        # Stack of (savepoint, pristine copy, tick, log snapshot).
+        # Stack of (savepoint, state recorded when it was taken).
         stack = []
         for _ in range(rng.randint(20, 120)):
             roll = rng.random()
             if roll < 0.12:
-                stack.append(
-                    (inst.savepoint(), inst.copy(), inst.tick, list(inst._log))
-                )
+                stack.append((inst.savepoint(), state(inst)))
             elif roll < 0.22 and stack:
-                sp, pristine, tick, log = stack.pop()
+                sp, before = stack.pop()
                 if rng.random() < 0.5:
                     inst.rollback(sp)
-                    assert_state_equals(inst, pristine, tick, log)
+                    assert state(inst) == before
                 else:
                     inst.release(sp)
             elif roll < 0.60:
@@ -182,16 +193,16 @@ class TestSavepointProperty:
                     new = rng.choice([t for t in _terms_pool() if t is not old])
                     inst.merge_terms(old, new)
         while stack:
-            sp, pristine, tick, log = stack.pop()
+            sp, before = stack.pop()
             inst.rollback(sp)
-            assert_state_equals(inst, pristine, tick, log)
+            assert state(inst) == before
         assert not inst.in_transaction
         assert inst._undo is None
 
     @pytest.mark.parametrize("seed", range(10))
     def test_added_since_matches_copy_taken_at_savepoint(self, seed):
         """After a rollback, a consumer that snapshotted the tick at the
-        savepoint sees exactly the same delta as against the pristine copy
+        savepoint sees exactly the same delta as before the savepoint
         (i.e. nothing) — the semi-naive discovery contract."""
         rng = random.Random(1000 + seed)
         inst = Instance(random_fact(rng) for _ in range(8))
@@ -217,38 +228,40 @@ class TestSavepointProperty:
 
 class TestBorrowingAccessorsAcrossRollback:
     def test_buckets_reflect_rolled_back_state(self):
-        """The matching engine's borrowing accessors, re-fetched after a
-        rollback, see exactly the pre-savepoint buckets."""
+        """The compiled plans' index cells, re-read after a rollback, see
+        exactly the pre-savepoint rows."""
         inst = Instance([Atom("Q", (a, b)), Atom("Q", (a, c))])
-        before_pred = set(inst._pred_bucket("Q"))
-        before_pos = set(inst._pos_bucket("Q", 0, a))
+        before_pred = inst.with_predicate("Q")
+        before_pos = index_cell(inst, "Q", 2, 0, a)
         sp = inst.savepoint()
         inst.add(Atom("Q", (a, a)))
         inst.discard(Atom("Q", (a, b)))
         inst.rollback(sp)
-        assert set(inst._pred_bucket("Q")) == before_pred
-        assert set(inst._pos_bucket("Q", 0, a)) == before_pos
-        assert inst._pos_bucket("Q", 1, a) == frozenset()
+        assert inst.with_predicate("Q") == before_pred
+        assert index_cell(inst, "Q", 2, 0, a) == before_pos
+        assert index_cell(inst, "Q", 2, 1, a) == set()
 
     def test_pos_slots_for_rolled_back_predicate_disappear(self):
         inst = Instance()
         sp = inst.savepoint()
         inst.add(Atom("R", (a, b, c)))
-        assert inst._pos_slots("R") is not None
+        assert ("R", 3) in inst._stores
         inst.rollback(sp)
-        assert inst._pos_slots("R") is None
+        assert ("R", 3) not in inst._stores
 
 
 class TestInternedIndexes:
-    """The position index is keyed by interned term ids (DESIGN.md §9);
-    the keys must track the terms' tids exactly and the undo log must
-    restore them regardless of how the global tid counter moves."""
+    """The position index is keyed by the family-local ids of interned
+    terms (DESIGN.md §9/§10); the keys must track the terms exactly and
+    the undo log must restore them regardless of how the global tid
+    counter moves."""
 
     def test_position_index_is_keyed_by_term_ids(self):
         inst = Instance([Atom("Q", (a, b)), Atom("Q", (a, c))])
-        slots = inst._by_pos["Q"]
-        assert set(slots[0]) == {a.tid}
-        assert set(slots[1]) == {b.tid, c.tid}
+        lid = inst._terms.local_of
+        cells = inst._stores[("Q", 2)].index
+        assert set(cells[0]) == {lid[a.tid]}
+        assert set(cells[1]) == {lid[b.tid], lid[c.tid]}
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rollback_is_immune_to_tid_counter_churn(self, seed):
@@ -258,7 +271,7 @@ class TestInternedIndexes:
         the counter's position."""
         rng = random.Random(2000 + seed)
         inst = Instance(random_fact(rng) for _ in range(6))
-        pristine, tick, log = inst.copy(), inst.tick, list(inst._log)
+        before = state(inst)
         sp = inst.savepoint()
         churn = []  # hold references so the weak interner keeps the tids
         for i in range(40):
@@ -277,7 +290,7 @@ class TestInternedIndexes:
                     new = rng.choice([t for t in _terms_pool() if t is not old])
                     inst.merge_terms(old, new)
         inst.rollback(sp)
-        assert_state_equals(inst, pristine, tick, log)
+        assert state(inst) == before
 
     @pytest.mark.parametrize("seed", range(10))
     def test_probe_agrees_with_uninterned_scan_after_rollback(self, seed):
@@ -297,7 +310,7 @@ class TestInternedIndexes:
                         if f.predicate == pred
                         and len(f.args) > i and f.args[i] is t
                     }
-                    assert set(inst._pos_bucket(pred, i, t)) == scan
+                    assert index_cell(inst, pred, arity, i, t) == scan
 
 
 class TestCoreInPlace:
@@ -315,13 +328,13 @@ class TestCoreInPlace:
         from repro.homomorphism import core
 
         inst = Instance([Atom("Q", (a, Null(1))), Atom("Q", (a, b))])
-        pristine, tick, log = inst.copy(), inst.tick, list(inst._log)
+        before = state(inst)
         sp = inst.savepoint()
         result = core(inst, fresh=False)
         assert result is inst
         assert inst.facts() == {Atom("Q", (a, b))}
         inst.rollback(sp)
-        assert_state_equals(inst, pristine, tick, log)
+        assert state(inst) == before
 
 
 class TestCoreChaseTransactional:
@@ -332,9 +345,9 @@ class TestCoreChaseTransactional:
 
         sigma = parse_dependencies("r: Q(x, y) -> x = y")
         db = parse_facts('Q("a", "b")')
-        pristine, tick, log = db.copy(), db.tick, list(db._log)
+        before = state(db)
         assert core_chase_step(db, sigma, NullFactory(start=1)) is None
-        assert_state_equals(db, pristine, tick, log)
+        assert state(db) == before
 
     def test_step_advances_in_place(self):
         from repro.chase.core_chase import core_chase_step
