@@ -116,9 +116,9 @@ def _workloads():
             max_steps=GROW_STEPS,
         )
         grown = result.instance if result.instance is not None else db
-        # The chase warmed its plans against the seed database's
-        # statistics; drop them so the timed plans are compiled for the
-        # grown instance they run on.
+        # The chase compiled its plans on first use, against the instance
+        # as it was then; drop them so the timed plans are compiled for
+        # the grown instance they run on.
         planned_engine.clear_cache()
         # A fresh rebuild, outside timing: chases build their store
         # incrementally and never pay a bulk rebuild on the matching path.

@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 from ..budget import Budget
 from ..homomorphism.finder import find_homomorphisms
 from ..homomorphism.satisfaction import satisfies_tgd
-from ..matching import body_atom_index, delta_homomorphisms, warm_plans
+from ..matching import body_atom_index, delta_homomorphisms
 from ..matching.engine import match_atom
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance, Savepoint
@@ -387,10 +387,6 @@ def explore_chase(
     budget_hit = [False]
     semi_naive = discovery == "delta"
     body_index = body_atom_index((d, d.body) for d in sigma) if semi_naive else None
-    # Compile the per-dependency join plans once for the whole exploration
-    # (under the default columnar backend; a no-op only under the naive
-    # reference).
-    warm_plans((d.body for d in sigma), database)
     head_preds = {
         d: frozenset(a.predicate for a in d.head)
         for d in sigma

@@ -51,7 +51,6 @@ from ..matching import (
     delta_row_homomorphisms,
     get_backend,
     using_backend,
-    warm_plans,
 )
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
@@ -226,9 +225,6 @@ class ChaseRunner:
             return self._run()
 
     def _run(self) -> ChaseResult:
-        # Compile the per-dependency join plans up front (under the
-        # default columnar backend; a no-op only under the naive reference).
-        warm_plans((d.body for d in self.sigma), self.instance)
         self._discover_initial()
         self._tick = self.instance.tick
         facts_seen = len(self.instance)

@@ -24,7 +24,6 @@ from ..matching import (
     delta_homomorphisms,
     delta_row_homomorphisms,
     get_backend,
-    warm_plans,
 )
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
@@ -180,9 +179,6 @@ def saturate(
     naive = get_backend() == "naive"
     rules = list(rules)
     body_index = body_atom_index((rule, rule.source.body) for rule in rules)
-    # Compile the per-rule join plans once for the whole saturation (under
-    # the default columnar backend; a no-op only under the naive reference).
-    warm_plans((rule.source.body for rule in rules), instance)
     rounds = 0
     tick = instance.tick
     budget.charge_facts(len(instance))

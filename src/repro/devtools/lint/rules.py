@@ -234,12 +234,10 @@ class SwallowedControlExceptionRule(Rule):
 # ---------------------------------------------------------------------------
 
 #: The fact store's private columns, term table, copy-on-write marks,
-#: delta log and undo machinery (DESIGN.md §5/§10), plus the borrowing
-#: accessors of the plan executor's atom-list index (``AdHocIndex``).
+#: delta log and undo machinery (DESIGN.md §5/§10).
 _INSTANCE_PRIVATES = {
     "_stores", "_terms", "_owned", "_cow",
     "_log", "_undo", "_sp_stack", "_undo_len", "_log_len",
-    "_pred_bucket", "_pos_slots",
 }
 
 

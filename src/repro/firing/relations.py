@@ -41,7 +41,6 @@ from .witness import (
     FiringDecision,
     WitnessEngine,
     may_fire,
-    warm_renamed,
 )
 
 
@@ -262,7 +261,6 @@ class FiringOracle:
         renamed = self._renamed.get(key)
         if renamed is None:
             renamed = dep.rename_variables(suffix)
-            warm_renamed([renamed])
             self._renamed[key] = renamed
         return renamed
 

@@ -60,7 +60,6 @@ from typing import Iterable, Iterator, Sequence
 from ..budget import Budget, coerce_budget
 from ..homomorphism.finder import find_homomorphism, find_homomorphisms
 from ..homomorphism.satisfaction import satisfies_instantiated
-from ..matching import warm_plans
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.dependencies import EGD, TGD, AnyDependency
@@ -150,7 +149,7 @@ def iter_partitions(items: Sequence, limit_vars: int = MAX_PARTITION_VARS) -> It
         yield part
 
 
-# -- the pair gate and plan warming ------------------------------------------------
+# -- the pair gate -------------------------------------------------------------
 
 
 def may_fire(r1: AnyDependency, r2: AnyDependency) -> bool:
@@ -165,16 +164,6 @@ def may_fire(r1: AnyDependency, r2: AnyDependency) -> bool:
         head_preds = {a.predicate for a in r1.head}
         return any(a.predicate in head_preds for a in r2.body)
     return True
-
-
-def warm_renamed(deps: Iterable[AnyDependency]) -> None:
-    """Compile the join plans for the bodies an engine probes over and
-    over (candidate instances are built per partition, but the renamed
-    bodies are fixed).  The empty compile target means ordering falls
-    back to probe count; witness instances are small enough that order
-    barely matters.  This runs under the default ``columnar`` backend and
-    is a no-op only under the ``naive`` reference."""
-    warm_plans([d.body for d in deps], ())
 
 
 # -- the engine ------------------------------------------------------------------
@@ -196,15 +185,13 @@ class WitnessEngine:
         # Rename apart so self-loops and shared variable names are safe.
         # A caller deciding many pairs over one Σ (the FiringOracle)
         # renames each dependency once and passes ``renamed`` =
-        # (r1 renamed "1", r2 renamed "2", fulls[i] renamed f"f{i}"),
-        # having warmed their plans itself.
+        # (r1 renamed "1", r2 renamed "2", fulls[i] renamed f"f{i}").
         if renamed is None:
             renamed = (
                 r1.rename_variables("1"),
                 r2.rename_variables("2"),
                 [d.rename_variables(f"f{i}") for i, d in enumerate(fulls)],
             )
-            warm_renamed([renamed[0], renamed[1], *renamed[2]])
         self.r1, self.r2 = renamed[0], renamed[1]
         self.fulls = list(renamed[2])
         self.orig_r1 = r1
@@ -324,11 +311,14 @@ class WitnessEngine:
         check_defusal: bool,
     ) -> Iterator[tuple[Witness | None, bool]]:
         """Enumerate mappings of Body(r2) into J = (K ∪ extras)γ ∪ New."""
+        # J0 is its own instance, loaded once per call: the h2 enumeration
+        # below stays live while _complete_with_bound mutates Kbase under
+        # savepoints, so it must not be an overlay of Kbase (DESIGN.md §5).
         if gamma is None:
-            J0 = list(dict.fromkeys(K0 + new_atoms))
+            J0 = ColumnarInstance(K0 + new_atoms)
         else:
             old, new = gamma
-            J0 = list(dict.fromkeys(a.apply({old: new}) for a in K0))
+            J0 = ColumnarInstance(a.apply({old: new}) for a in K0)
         b2 = list(self.r2.body)
         n = len(b2)
         # Choose, per body atom of r2, whether it maps into J0 or becomes a

@@ -6,10 +6,14 @@ mapping ``h : Dom(A1) → Dom(A2)`` with ``h(c) = c`` for every constant and
 
 The search itself lives in :mod:`repro.matching`: by default compiled,
 cached join plans (fixed most-constrained-first atom order, candidate pools
-from ``(predicate, position, term)`` buckets or columnar row-id cells),
-with the seed's naive algorithm retained as a switchable reference backend
-— see ``repro.matching.config``.  This module keeps the stable public API:
+from columnar row-id cells), with the seed's naive algorithm retained as a
+switchable reference backend — see ``repro.matching.config``.  This module
+keeps the stable public API:
 
+* the **target is a set of facts** — a
+  :class:`~repro.model.columnar.ColumnarInstance`, or a plain collection
+  of facts, which is loaded into one; an atom with a variable in the
+  target raises ``ValueError`` under either backend;
 * a partial seed mapping supports *extension* homomorphisms, which the
   standard chase's applicability test and EGD satisfaction checks need;
 * nulls in the **source** behave like variables (they may map anywhere)
@@ -46,6 +50,8 @@ def find_homomorphisms(
 ) -> Iterator[Homomorphism]:
     """Enumerate homomorphisms from ``source`` atoms into ``target``.
 
+    ``target`` is a set of facts: an instance, or a collection of facts
+    (ground atoms; one with a variable raises ``ValueError``).
     ``seed`` fixes the image of some terms in advance (extension search).
     ``limit`` bounds how many homomorphisms are yielded (None = all).
     The yielded dicts map every flexible term of the source (and include the
@@ -60,7 +66,7 @@ def find_homomorphism(
     seed: Mapping[Term, Term] | None = None,
     frozen_nulls: bool = False,
 ) -> Homomorphism | None:
-    """First homomorphism or None."""
+    """First homomorphism into the facts ``target``, or None."""
     for h in find_homomorphisms(source, target, seed, frozen_nulls, limit=1):
         return h
     return None

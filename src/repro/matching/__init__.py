@@ -10,13 +10,12 @@ The shared matching engine behind every chase consumer — see DESIGN.md,
 * :func:`seed_mapping` — anchor a body atom onto a fact;
 * :func:`get_backend` / :func:`set_backend` / :func:`using_backend` —
   switch between the ``columnar`` compiled plans (default) and the
-  ``naive`` reference;
-* :func:`warm_plans` — precompile the ``columnar`` backend's join plans
-  for a dependency set's bodies at chase start.
+  ``naive`` reference.
 
 Both backends run over the one fact store,
-:class:`~repro.model.columnar.ColumnarInstance`, or over plain atom
-collections; the backend choice never changes the instance type.
+:class:`~repro.model.columnar.ColumnarInstance`: :func:`homomorphisms`
+loads a plain fact collection into one before dispatching, so the
+backend choice never changes the target type.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .engine import (
     seed_mapping,
 )
 from .plans import delta_row_homomorphisms
-from .plans import warm as _warm
 
 
 def homomorphisms(
@@ -47,25 +45,18 @@ def homomorphisms(
     frozen_nulls: bool = False,
     limit: int | None = None,
 ) -> Iterator[Homomorphism]:
-    """Enumerate homomorphisms using the active matching backend."""
+    """Enumerate homomorphisms using the active matching backend.
+
+    A ``target`` that is not an instance is loaded into a
+    :class:`~repro.model.columnar.ColumnarInstance` once, here, for both
+    backends; it must therefore be a collection of facts (a ``ValueError``
+    names the first atom with a variable).
+    """
+    if not isinstance(target, ColumnarInstance):
+        target = ColumnarInstance(target)
     if get_backend() == "naive":
         return _naive.match(source, target, seed, frozen_nulls, limit)
-    # plans.match runs the int executor over instances and the plan
-    # executor over atom collections.
     return _plans.match(source, target, seed, frozen_nulls, limit)
-
-
-def warm_plans(
-    bodies: Iterable[Sequence[Atom]],
-    target: ColumnarInstance | Iterable[Atom],
-    frozen_nulls: bool = False,
-) -> int:
-    """Precompile join plans for ``bodies`` under the ``columnar`` backend;
-    a no-op (returning 0) under the ``naive`` reference, which runs no
-    plans."""
-    if get_backend() == "naive":
-        return 0
-    return _warm(bodies, target, frozen_nulls)
 
 
 __all__ = [
@@ -80,5 +71,4 @@ __all__ = [
     "seed_mapping",
     "set_backend",
     "using_backend",
-    "warm_plans",
 ]

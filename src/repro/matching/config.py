@@ -5,9 +5,7 @@ Two interchangeable homomorphism-search backends exist:
 * ``"columnar"`` (default) — compiled fixed-order join plans
   (:mod:`.plans`) executed as generated int loops over a
   :class:`~repro.model.columnar.ColumnarInstance`'s typed tid columns and
-  row-id sets, with optional vectorised kernels (DESIGN.md §10–§11); the
-  same plans run over atom collections through the plan executor for
-  :class:`~.engine.AdHocIndex` targets;
+  row-id sets, with optional vectorised kernels (DESIGN.md §10–§11);
 * ``"naive"`` — the retained reference: static atom order, full predicate
   extent scans read through the instance's public per-predicate
   snapshots, no interning anywhere on its path (:mod:`.naive`).

@@ -8,9 +8,6 @@ computation all reduce to "enumerate homomorphisms of a small atom set into
 a growing instance".  The enumeration itself lives in the backends
 (:mod:`.plans`, :mod:`.naive`); this module holds what they share:
 
-* :class:`AdHocIndex` — a position index over a plain atom collection,
-  the plan executor's target for atom lists (the witness engine's
-  candidate ``J``, core retraction targets);
 * :func:`match_atom` / :func:`seed_mapping` — extend a partial mapping
   so one body atom lands on one fact;
 * :func:`body_atom_index` / :func:`delta_homomorphisms` — semi-naive
@@ -44,33 +41,6 @@ from ..model.columnar import ColumnarInstance
 from ..model.terms import Null, Term, Variable
 
 Homomorphism = dict[Term, Term]
-
-_EMPTY: frozenset[Atom] = frozenset()
-
-
-class AdHocIndex:
-    """A position index over a plain atom collection, read by the plan
-    executor through its two borrowing accessors."""
-
-    __slots__ = ("_by_predicate", "_by_pos")
-
-    def __init__(self, atoms: Iterable[Atom]) -> None:
-        self._by_predicate: dict[str, set[Atom]] = {}
-        # Per-position cells keyed by term id (``term.tid``).
-        self._by_pos: dict[str, list[dict[int, set[Atom]]]] = {}
-        for a in atoms:
-            self._by_predicate.setdefault(a.predicate, set()).add(a)
-            slots = self._by_pos.setdefault(a.predicate, [])
-            while len(slots) < len(a.args):
-                slots.append({})
-            for i, t in enumerate(a.args):
-                slots[i].setdefault(t.tid, set()).add(a)
-
-    def _pred_bucket(self, predicate: str):
-        return self._by_predicate.get(predicate, _EMPTY)
-
-    def _pos_slots(self, predicate: str):
-        return self._by_pos.get(predicate)
 
 
 def match_atom(

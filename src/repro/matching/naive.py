@@ -7,9 +7,10 @@ filtered one fact at a time.  It serves two purposes:
 
 * the reference side of the differential test suite
   (``tests/test_matching_differential.py``), which asserts the compiled
-  plans (:mod:`.plans`, over instances and atom lists alike) enumerate
-  exactly the same homomorphism sets and drive the chase to identical
-  results;
+  plans (:mod:`.plans`) enumerate exactly the same homomorphism sets —
+  also for plain atom lists, which this module still reads directly while
+  :func:`repro.matching.homomorphisms` loads them into an instance first —
+  and drive the chase to identical results;
 * the baseline side of the matching micro-benchmark
   (``benchmarks/test_bench_matching.py``).
 

@@ -8,9 +8,10 @@ trigger probes, e.g. E1001-5000/G1-10) that interpretive overhead would
 be the cost:
 
 * **Atom order is chosen at compile time** from the index statistics of
-  the first target the plan runs against (bucket sizes / predicate
+  the first instance the plan runs against (candidate-cell sizes / live
   extents), greedily most-constrained-first, instead of being re-derived
-  at every search node.
+  at every search node.  Compilation is lazy: a plan is compiled on its
+  first use, against the instance it then runs on.
 * **Each atom becomes one specialised step** — a flat tuple of probe,
   check and output position lists.  Rigid positions (constants, frozen
   nulls) compile to probes by a term id known at compile time; positions
@@ -22,8 +23,7 @@ be the cost:
   ``(body atoms, seeded flex-term ids restricted to the body,
   frozen_nulls)`` — exactly the inputs that determine the compiled
   shape.  The semi-naive discovery loop therefore hits one cached plan
-  per (dependency, anchor atom) pair after the first delta round;
-  :func:`warm` precompiles those pairs up front at chase start.
+  per (dependency, anchor atom) pair after the first delta round.
 
 Plans enumerate the same homomorphism **set** as the naive reference
 (:mod:`.naive`), possibly in a different order, which is the contract the
@@ -36,24 +36,17 @@ objects and term ids — so the cache never pins instance state.  Term ids
 are process-local (:mod:`repro.model.terms`) and never escape into the
 emitted homomorphisms, which map term objects to term objects.
 
-**Columnar execution (DESIGN.md §10/§11).**  When the target is an
-instance — a :class:`~repro.model.columnar.ColumnarInstance`, the one
-fact store — each plan lazily
-code-generates one specialised nested-loop generator
-(:func:`_codegen_columnar`) whose registers, probes and checks are all
-family-local term ids — probe-free steps scan rowmap keys directly
-(zero column reads), probed pools filter tombstones against the live
-bitmap and upgrade to the vectorised :mod:`repro.model.kernels` above a
-size threshold, and no ``Atom`` or ``Term`` object is touched until a
-homomorphism is emitted at the boundary.
-
-**The plan executor for atom collections.**  The same plans run over a
-plain atom list (:func:`_execute`, probing the term-id-keyed ``(predicate,
-position)`` cells of an :class:`~.engine.AdHocIndex` built over the
-list).  This is a production path, not a reference: the witness engine
-matches ``Body(r2)`` into its candidate ``J`` atom list thousands of
-times per classification portfolio, and core computation matches into
-retraction targets.
+**Columnar execution (DESIGN.md §10/§11).**  The target is always a
+:class:`~repro.model.columnar.ColumnarInstance`, the one fact store
+(:func:`repro.matching.homomorphisms` loads a plain atom collection
+into one first).  Each plan lazily code-generates one specialised
+nested-loop generator (:func:`_codegen_columnar`) whose registers,
+probes and checks are all family-local term ids — probe-free steps scan
+rowmap keys directly (zero column reads), probed pools filter tombstones
+against the live bitmap and upgrade to the vectorised
+:mod:`repro.model.kernels` above a size threshold, and no ``Atom`` or
+``Term`` object is touched until a homomorphism is emitted at the
+boundary.
 """
 
 from __future__ import annotations
@@ -64,9 +57,7 @@ from ..model import kernels as _kernels
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.terms import Constant, Null, Term, Variable
-from .engine import AdHocIndex, Homomorphism
-
-_EMPTY: frozenset[Atom] = frozenset()
+from .engine import Homomorphism
 
 #: Hard cap on cached compiled bodies.  Each entry is a few hundred bytes
 #: of tuples; 4096 covers every corpus class with room to spare, and the
@@ -100,12 +91,12 @@ class _Plan:
     ``steps[k]`` is a flat tuple
     ``(predicate, arity, rigid, bound, checks, outs)`` with
 
-    * ``rigid``  — ``((pos, term), ...)``: bucket-probe by ``term.tid``,
-      then identity-check ``fact.args[pos] is term``;
-    * ``bound``  — ``((pos, reg), ...)``: bucket-probe by the term id of
+    * ``rigid``  — ``((pos, term), ...)``: cell-probe by the term's
+      family-local id, then check column ``pos`` against it;
+    * ``bound``  — ``((pos, reg), ...)``: cell-probe by the local id in
       register ``reg`` (seeded, or written by an earlier step);
-    * ``checks`` — ``((pos, pos0), ...)``: within-atom repeats,
-      ``fact.args[pos] is fact.args[pos0]``;
+    * ``checks`` — ``((pos, pos0), ...)``: within-atom repeats, columns
+      ``pos`` and ``pos0`` must hold the same id;
     * ``outs``   — ``((pos, reg), ...)``: first occurrences, written to
       register ``reg``.
 
@@ -167,47 +158,17 @@ def _estimate(
     atom: Atom,
     bound_terms: set[Term],
     frozen_nulls: bool,
-    idx: AdHocIndex,
+    inst: ColumnarInstance,
 ) -> tuple[float, int]:
     """(estimated candidate-pool size, -probe count) for greedy ordering.
 
-    Rigid positions contribute their exact compile-time bucket size;
-    positions over already-bound flex terms contribute the *average* cell
-    size of their slot (extent / distinct keys) — the runtime value is
-    unknown at compile time.  No probe at all costs the whole predicate
-    extent.
+    Rigid positions contribute their exact compile-time candidate-cell
+    size (tombstones included — dead rows inflate an estimate but never
+    its correctness); positions over already-bound flex terms contribute
+    the *average* cell size of their slot (live extent / distinct keys)
+    — the runtime value is unknown at compile time.  No probe at all
+    costs the whole live extent.
     """
-    extent = len(idx._pred_bucket(atom.predicate))
-    slots = idx._pos_slots(atom.predicate)
-    best = float(extent)
-    probes = 0
-    for pos, s in enumerate(atom.args):
-        flex = _is_flex(s, frozen_nulls)
-        if flex and s not in bound_terms:
-            continue
-        probes += 1
-        if slots is None or pos >= len(slots):
-            best = 0.0
-            continue
-        cell = slots[pos]
-        if not flex:
-            size = float(len(cell.get(s.tid, _EMPTY)))
-        else:
-            size = extent / len(cell) if cell else 0.0
-        if size < best:
-            best = size
-    return best, -probes
-
-
-def _estimate_columnar(
-    atom: Atom,
-    bound_terms: set[Term],
-    frozen_nulls: bool,
-    inst: ColumnarInstance,
-) -> tuple[float, int]:
-    """:func:`_estimate` over a columnar store's row-id index: extents are
-    live-row counts, rigid cells are candidate-cell sizes (tombstones
-    included — dead rows inflate an estimate but never its correctness)."""
     store = inst._stores.get((atom.predicate, atom.arity))
     if store is None:
         return 0.0, 0
@@ -235,18 +196,17 @@ def _order_atoms(
     atoms: Sequence[Atom],
     seeded: set[Term],
     frozen_nulls: bool,
-    idx: AdHocIndex | ColumnarInstance,
-    estimate: Callable = _estimate,
+    inst: ColumnarInstance,
 ) -> list[int]:
     """Greedy most-constrained-first order, decided once at compile time
-    from the statistics of the compiling target's index."""
+    from the statistics of the instance the plan first runs on."""
     remaining = list(range(len(atoms)))
     bound = set(seeded)
     order: list[int] = []
     while remaining:
         best_j = min(
             remaining,
-            key=lambda j: (*estimate(atoms[j], bound, frozen_nulls, idx), j),
+            key=lambda j: (*_estimate(atoms[j], bound, frozen_nulls, inst), j),
         )
         remaining.remove(best_j)
         order.append(best_j)
@@ -260,11 +220,10 @@ def _compile(
     atoms: tuple[Atom, ...],
     seeded: set[Term],
     frozen_nulls: bool,
-    idx: AdHocIndex | ColumnarInstance,
-    estimate: Callable = _estimate,
+    inst: ColumnarInstance,
 ) -> _Plan:
     seed_terms = sorted(seeded, key=lambda t: t.tid)
-    order = _order_atoms(atoms, seeded, frozen_nulls, idx, estimate)
+    order = _order_atoms(atoms, seeded, frozen_nulls, inst)
     return _Plan(atoms, order, seed_terms, frozen_nulls)
 
 
@@ -475,112 +434,30 @@ def _codegen_columnar(plan: _Plan) -> Callable:
     return ns["plan_fn"]
 
 
-def _execute(
-    steps: tuple,
-    depth: int,
-    idx: AdHocIndex,
-    regs: list,
-) -> Iterator[None]:
-    """Run the plan from ``steps[depth]``; yields once per full match.
-
-    Emission protocol: a bare ``yield`` signals "the registers currently
-    hold one complete homomorphism" — the caller reads ``regs`` while the
-    generator is suspended.  Registers are overwritten, never unwound:
-    each register has exactly one writing step, and deeper steps only
-    read registers written above them.
-    """
-    predicate, arity, rigid, bound, checks, outs = steps[depth]
-    pos_slots = idx._pos_slots(predicate)
-    if pos_slots is None:
-        return  # predicate never seen: no facts to match
-    pool = None
-    best = -1
-    nslots = len(pos_slots)
-    for pos, term in rigid:
-        if pos >= nslots:
-            return
-        b = pos_slots[pos].get(term.tid)
-        if not b:
-            return
-        if best < 0 or len(b) < best:
-            pool, best = b, len(b)
-    for pos, reg in bound:
-        if pos >= nslots:
-            return
-        b = pos_slots[pos].get(regs[reg].tid)
-        if not b:
-            return
-        if best < 0 or len(b) < best:
-            pool, best = b, len(b)
-    if pool is None:
-        pool = idx._pred_bucket(predicate)
-    last = depth + 1 == len(steps)
-    for fact in pool:
-        fargs = fact.args
-        if len(fargs) != arity:
-            continue
-        ok = True
-        for pos, term in rigid:
-            if fargs[pos] is not term:
-                ok = False
-                break
-        if ok:
-            for pos, reg in bound:
-                if fargs[pos] is not regs[reg]:
-                    ok = False
-                    break
-        if ok:
-            for pos, pos0 in checks:
-                if fargs[pos] is not fargs[pos0]:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        for pos, reg in outs:
-            regs[reg] = fargs[pos]
-        if last:
-            yield None
-        else:
-            yield from _execute(steps, depth + 1, idx, regs)
-
-
 def match(
     source: Sequence[Atom],
-    target: ColumnarInstance | Iterable[Atom],
+    target: ColumnarInstance,
     seed: Mapping[Term, Term] | None = None,
     frozen_nulls: bool = False,
     limit: int | None = None,
 ) -> Iterator[Homomorphism]:
     """Enumerate homomorphisms from ``source`` into ``target`` via a
-    compiled (and cached) join plan.
+    compiled (and cached) join plan and its generated int executor.
 
     Same contract and same homomorphism *set* as
-    :func:`repro.matching.naive.match` (order may differ).  Instances
-    run the plan's generated int executor; atom collections run the plan
-    executor over an :class:`~.engine.AdHocIndex`.
+    :func:`repro.matching.naive.match` (order may differ).  Terms cross
+    the boundary exactly twice — seed images are lowered to family-local
+    ids going in (``None`` for a term the instance has never seen, which
+    the generated probes and checks reject wholesale), and out-register
+    lids are lifted through the family's dense term list coming out.
     """
-    if isinstance(target, ColumnarInstance):
-        return _match_columnar(tuple(source), target, seed, frozen_nulls, limit)
-    return _match_atoms(source, target, seed, frozen_nulls, limit)
-
-
-def _match_atoms(
-    source: Sequence[Atom],
-    target: Iterable[Atom],
-    seed: Mapping[Term, Term] | None = None,
-    frozen_nulls: bool = False,
-    limit: int | None = None,
-) -> Iterator[Homomorphism]:
-    idx = AdHocIndex(target)
     base: Homomorphism = dict(seed) if seed else {}
-
     # Constants in the source must not be seeded to something else (the
     # naive reference rejects these wholesale, irrespective of body
     # membership).
     for k, v in base.items():
         if isinstance(k, Constant) and k is not v:
             return
-
     atoms = tuple(source)
     if not atoms:
         yield dict(base)
@@ -597,70 +474,17 @@ def _match_atoms(
     if plan is None:
         if len(_plan_cache) >= _CACHE_LIMIT:
             _plan_cache.clear()
-        plan = _compile(atoms, seeded, frozen_nulls, idx)
-        _plan_cache[key] = plan
-
-    regs: list = [None] * plan.nregs
-    for i, t in enumerate(plan.seed_terms):
-        regs[i] = base[t]
-
-    out_pairs = plan.out_pairs
-    count = 0
-    for _ in _execute(plan.steps, 0, idx, regs):
-        h = dict(base)
-        for t, reg in out_pairs:
-            h[t] = regs[reg]
-        yield h
-        count += 1
-        if limit is not None and count >= limit:
-            return
-
-
-def _match_columnar(
-    atoms: tuple[Atom, ...],
-    inst: ColumnarInstance,
-    seed: Mapping[Term, Term] | None,
-    frozen_nulls: bool,
-    limit: int | None,
-) -> Iterator[Homomorphism]:
-    """The columnar arm of :func:`match`: same plan cache, int executor.
-
-    Terms cross the boundary exactly twice — seed images are lowered to
-    family-local ids going in (``None`` for a term the instance has
-    never seen, which the generated probes and checks reject wholesale),
-    and out-register lids are lifted through the family's dense term
-    list coming out.
-    """
-    base: Homomorphism = dict(seed) if seed else {}
-    for k, v in base.items():
-        if isinstance(k, Constant) and k is not v:
-            return
-    if not atoms:
-        yield dict(base)
-        return
-
-    seeded = {
-        s
-        for a in atoms
-        for s in a.args
-        if _is_flex(s, frozen_nulls) and s in base
-    }
-    key = (atoms, frozenset(t.tid for t in seeded), frozen_nulls)
-    plan = _plan_cache.get(key)
-    if plan is None:
-        if len(_plan_cache) >= _CACHE_LIMIT:
-            _plan_cache.clear()
-        plan = _compile(atoms, seeded, frozen_nulls, inst, _estimate_columnar)
+        plan = _compile(atoms, seeded, frozen_nulls, target)
         _plan_cache[key] = plan
     fn = plan.columnar_fn
     if fn is None:
         fn = _codegen_columnar(plan)
         plan.columnar_fn = fn
 
-    table = inst._terms
+    table = target._terms
     local_of = table.local_of
     seed_lids = [local_of.get(base[t].tid) for t in plan.seed_terms]
-    gen = fn(inst._stores, table.terms, local_of, *seed_lids)
+    gen = fn(target._stores, table.terms, local_of, *seed_lids)
     if not base and limit is None:
         # The executor already yields finished homomorphism dicts; the
         # unseeded, unbounded hot path delegates to it wholesale.
@@ -725,42 +549,3 @@ def delta_row_homomorphisms(
             for h in match(body, target, seed=seed, limit=None):
                 yield key, h
 
-
-def warm(
-    bodies: Iterable[Sequence[Atom]],
-    target: ColumnarInstance | Iterable[Atom],
-    frozen_nulls: bool = False,
-) -> int:
-    """Precompile the plans a chase over ``bodies`` will need.
-
-    For every body: the unseeded plan (initial full enumeration) plus one
-    plan per body atom seeded with that atom's variables — exactly the
-    seed shapes :func:`repro.matching.engine.seed_mapping` produces during
-    semi-naive delta discovery.  Returns the number of plans compiled
-    fresh (cached ones are skipped).  Purely an optimisation: a cold
-    cache compiles lazily on first use with identical results.
-    """
-    idx: AdHocIndex | ColumnarInstance
-    if isinstance(target, ColumnarInstance):
-        idx, estimate = target, _estimate_columnar
-    else:
-        idx, estimate = AdHocIndex(target), _estimate
-    compiled = 0
-    for body in bodies:
-        atoms = tuple(body)
-        if not atoms:
-            continue
-        seed_sets = [set()]
-        for anchor in atoms:
-            seed_sets.append(
-                {s for s in anchor.args if _is_flex(s, frozen_nulls)}
-            )
-        for seeded in seed_sets:
-            key = (atoms, frozenset(t.tid for t in seeded), frozen_nulls)
-            if key in _plan_cache:
-                continue
-            if len(_plan_cache) >= _CACHE_LIMIT:
-                _plan_cache.clear()
-            _plan_cache[key] = _compile(atoms, seeded, frozen_nulls, idx, estimate)
-            compiled += 1
-    return compiled

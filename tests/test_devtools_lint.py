@@ -280,14 +280,14 @@ class TestInstanceEncapsulation:
         # discovery; the plan executor is the one reader of innards.
         report = lint_tree(tmp_path, {"src/repro/matching/engine.py": """\
             def probe(instance, pred):
-                return instance._pred_bucket(pred)
+                return instance._stores.get(pred)
             """})
         assert rules_of(report) == ["instance-encapsulation"]
 
     def test_plan_executor_is_exempt(self, tmp_path):
         report = lint_tree(tmp_path, {"src/repro/matching/plans.py": """\
             def probe(instance, pred):
-                return instance._stores, instance._pred_bucket(pred)
+                return instance._stores.get(pred)
             """})
         assert report.clean
 
@@ -295,7 +295,7 @@ class TestInstanceEncapsulation:
         # The naive oracle reads instances only through with_predicate.
         report = lint_tree(tmp_path, {"src/repro/matching/naive.py": """\
             def probe(instance, pred):
-                return instance._pred_bucket(pred)
+                return instance._stores.get(pred)
             """})
         assert rules_of(report) == ["instance-encapsulation"]
 

@@ -1,5 +1,7 @@
 """Unit tests for the homomorphism finder and satisfaction checks."""
 
+import pytest
+
 from repro.homomorphism import (
     find_homomorphism,
     find_homomorphisms,
@@ -11,6 +13,7 @@ from repro.homomorphism import (
     satisfies_instantiated,
     violations,
 )
+from repro.matching import using_backend
 from repro.model import (
     Atom,
     Constant,
@@ -77,6 +80,15 @@ class TestFinder:
 
     def test_empty_source(self):
         assert find_homomorphism([], Instance([E(a, b)])) == {}
+
+    @pytest.mark.parametrize("backend", ["columnar", "naive"])
+    def test_target_must_be_facts(self, backend):
+        # Targets are sets of facts: a plain atom list is loaded into an
+        # instance, which rejects an atom with a variable.
+        with using_backend(backend):
+            assert find_homomorphism([E(x, y)], [E(a, b)]) == {x: a, y: b}
+            with pytest.raises(ValueError, match="is not a fact"):
+                find_homomorphism([E(x, y)], [E(z, Variable("w"))])
 
     def test_target_as_plain_list(self):
         assert has_homomorphism([E(x, y)], [E(a, b)])
