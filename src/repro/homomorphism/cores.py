@@ -55,18 +55,29 @@ class _BudgetedSearch:
             raise CoreBudgetExceeded
 
 
+def _retraction_source(facts: list[Atom]) -> list[Atom]:
+    """The body every retraction of ``facts`` is searched with.
+
+    A fact without nulls maps to itself and is in every target (victims
+    are nulls), so only the facts with nulls constrain the retraction.
+    Computed once per instance state and shared by all its victims."""
+    return sorted(
+        (f for f in facts if any(isinstance(t, Null) for t in f.args)), key=str
+    )
+
+
 def _find_retraction(
-    instance: ColumnarInstance, victim: Null, search: _BudgetedSearch
+    facts: list[Atom], source: list[Atom], victim: Null, search: _BudgetedSearch
 ) -> Homomorphism | None:
-    """A homomorphism retracting ``instance`` into its victim-free part,
-    or None.  Pure — the instance is not modified."""
-    target_facts = [f for f in instance if victim not in f.args]
-    if len(target_facts) == len(instance):
+    """A homomorphism retracting the instance holding ``facts`` into its
+    victim-free part, or None; ``source`` is :func:`_retraction_source`
+    of ``facts``."""
+    target_facts = [f for f in facts if victim not in f.args]
+    if len(target_facts) == len(facts):
         # The victim occurs in no fact (cannot happen with indexes in sync),
         # nothing to eliminate.
         return None
-    source = sorted(instance, key=str)
-    search.charge(len(source))
+    search.charge(len(facts))
     for h in find_homomorphisms(source, target_facts, limit=1):
         return h
     return None
@@ -107,8 +118,10 @@ def core(
     progress = True
     while progress:
         progress = False
+        facts = list(current)
+        source = _retraction_source(facts)
         for victim in sorted(current.nulls(), key=lambda n: n.label):
-            h = _find_retraction(current, victim, search)
+            h = _find_retraction(facts, source, victim, search)
             if h is not None:
                 if fresh and current is instance:
                     current = instance.copy()
@@ -123,8 +136,10 @@ def core(
 def is_core(instance: ColumnarInstance, budget: int = 2_000_000) -> bool:
     """True iff the instance admits no proper retraction."""
     search = _BudgetedSearch(budget)
+    facts = list(instance)
+    source = _retraction_source(facts)
     for victim in sorted(instance.nulls(), key=lambda n: n.label):
-        if _find_retraction(instance, victim, search) is not None:
+        if _find_retraction(facts, source, victim, search) is not None:
             return False
     return True
 

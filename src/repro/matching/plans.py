@@ -59,19 +59,30 @@ from ..model.columnar import ColumnarInstance
 from ..model.terms import Constant, Null, Term, Variable
 from .engine import Homomorphism
 
-#: Hard cap on cached compiled bodies.  Each entry is a few hundred bytes
-#: of tuples; 4096 covers every corpus class with room to spare, and the
-#: table is simply cleared when it would overflow (compilation is cheap
-#: relative to the chase that triggered it).
-_CACHE_LIMIT = 4096
+#: Most join steps one generated function nests.  Each step is one
+#: ``for`` level, and CPython refuses more than 20 statically nested
+#: blocks in one code object; a longer body (core retraction matches
+#: every fact with a null) continues in a chained inner generator.
+_STEPS_PER_FUNCTION = 12
+
+#: Hard cap on the body atoms of all cached plans together: a plan and
+#: its generated code grow with its body.  Rule bodies have a few atoms,
+#: so 16384 covers every corpus class with room to spare, while a core
+#: retraction (whose body is every fact with a null) weighs its full
+#: size.  The table is simply cleared when it would overflow
+#: (compilation is cheap relative to the chase that triggered it).
+_CACHE_LIMIT = 16384
 
 # (atoms, frozenset of seeded body-flex tids, frozen_nulls) → _Plan
 _plan_cache: dict[tuple, "_Plan"] = {}
+_cached_atoms = 0  # body atoms over all of _plan_cache
 
 
 def clear_cache() -> None:
     """Drop every compiled plan (test isolation / memory pressure)."""
+    global _cached_atoms
     _plan_cache.clear()
+    _cached_atoms = 0
 
 
 def cache_size() -> int:
@@ -233,7 +244,7 @@ def _codegen_columnar(plan: _Plan) -> Callable:
     The emitted function has the shape::
 
         def plan_fn(stores, terms, lof, r0, ..., rk):  # seeds, as lids
-            s0 = stores.get(('P', 2))            # one store per step
+            s0 = stores.get(('P', 2))            # one per distinct store
             if s0 is None: return
             q0 = lof.get(17)                     # rigid term → local id
             if q0 is None: return                # term absent: no match
@@ -260,13 +271,17 @@ def _codegen_columnar(plan: _Plan) -> Callable:
     iteration; the ``for`` statement captures each pool's iterator at
     entry, so the scratch names ``p``/``b`` are safely reused per depth.
 
-    Three layout-driven specialisations (DESIGN.md §11):
+    Four layout-driven specialisations (DESIGN.md §11):
 
     * **Probe-free steps iterate rowmap keys**, unpacking the lid tuple
       straight into loop variables — the keys already hold every column
       value of a live row, so the full-extent scan (the dominant shape
       on the flat corpus classes) reads no column and consults no live
       bit at all.
+    * **Fully bound steps test rowmap membership**: a step that binds
+      no new register (every position rigid or bound) emits one
+      ``if (ids…) in m:`` instead of a loop, since at most one live row
+      holds those ids.
     * **Probed steps filter tombstones** (``live`` bit per candidate),
       and the outermost probed pool upgrades to one
       :func:`repro.model.kernels.filter_rows` call above
@@ -286,6 +301,15 @@ def _codegen_columnar(plan: _Plan) -> Callable:
     entries are NOT in the emitted dict (out terms are never seeded, so
     the two halves are disjoint); the caller updates them in when
     present.
+
+    A body longer than ``_STEPS_PER_FUNCTION`` atoms is split: every
+    ``_STEPS_PER_FUNCTION``-th step starts an inner generator ``_c{d}``,
+    defined once after the prologue (so it reads the hoisted stores,
+    columns and rigid ids as closure cells) and entered by ``yield from
+    _c{d}(r…)`` with every register bound so far.  No code object then
+    nests more loops than CPython allows.  Such a body gets no
+    vectorised arm, which would emit its first function twice, so each
+    of its steps and inner generators is emitted exactly once.
     """
     steps = plan.steps
     nsteps = len(steps)
@@ -295,11 +319,17 @@ def _codegen_columnar(plan: _Plan) -> Callable:
         + [f"r{i}" for i in range(len(plan.seed_terms))]
     )
     src.append(f"def plan_fn({args}):")
+    # Steps over the same store share its hoisted locals, named after
+    # the first such step: sid[d] is that step's index.
+    sid: list[int] = []
+    first_step: dict[tuple[str, int], int] = {}
     for d, step in enumerate(steps):
-        predicate, arity = step[0], step[1]
-        src.append(f" s{d} = stores.get(({predicate!r}, {arity}))")
-        src.append(f" if s{d} is None:")
-        src.append("  return")
+        sd = first_step.setdefault((step[0], step[1]), d)
+        sid.append(sd)
+        if sd == d:
+            src.append(f" s{d} = stores.get(({step[0]!r}, {step[1]}))")
+            src.append(f" if s{d} is None:")
+            src.append("  return")
     # Rigid terms: one family-local id lookup per distinct term, hoisted.
     rigid_name: dict[int, str] = {}
     for step in steps:
@@ -311,12 +341,14 @@ def _codegen_columnar(plan: _Plan) -> Callable:
                 src.append(f" if {name} is None:")
                 src.append("  return")
     probe_free = []
+    hoists: dict[str, str] = {}  # local name → expression, in order
     for d, step in enumerate(steps):
         _, _, rigid, bound, checks, outs = step
+        sd = sid[d]
         pf = not rigid and not bound
         probe_free.append(pf)
-        if pf:
-            src.append(f" m{d} = s{d}.rowmap")
+        if pf or not outs:
+            hoists.setdefault(f"m{sd}", f"s{sd}.rowmap")
             continue
         probe_pos = sorted({p for p, _ in rigid} | {p for p, _ in bound})
         col_pos = sorted(
@@ -326,69 +358,109 @@ def _codegen_columnar(plan: _Plan) -> Callable:
             | {p for p, _ in outs}
         )
         for p in col_pos:
-            src.append(f" c{d}_{p} = s{d}.cols[{p}]")
+            hoists.setdefault(f"c{sd}_{p}", f"s{sd}.cols[{p}]")
         for p in probe_pos:
-            src.append(f" x{d}_{p} = s{d}.index[{p}]")
-        src.append(f" v{d} = s{d}.live")
+            hoists.setdefault(f"x{sd}_{p}", f"s{sd}.index[{p}]")
+        hoists.setdefault(f"v{sd}", f"s{sd}.live")
+    src.extend(f" {name} = {expr}" for name, expr in hoists.items())
 
     # regname[reg] → the expression naming that register's current lid at
     # the point of use: a seed parameter, an unpacked rowmap-key element,
     # or an explicit r{reg} written from a column read.
     regname = {i: f"r{i}" for i in range(len(plan.seed_terms))}
     vectorise = _kernels.VECTORISED
+    # live[d]: the registers bound before step d (seeds, then the outs
+    # of steps 0..d-1) — the arguments of an inner generator at step d.
+    live: list[tuple[int, ...]] = []
+    bound_regs = list(regname)
+    for step in steps:
+        live.append(tuple(bound_regs))
+        bound_regs.extend(reg for _, reg in step[5])
+    inner_defs: list[str] = []  # source of the inner generators
 
-    def emit_tail(d: int, indent: str) -> None:
-        if d + 1 == nsteps:
+    def emit_tail(d: int, indent: str, looped: bool) -> None:
+        e = d + 1
+        if e == nsteps:
             items = ", ".join(
                 f"k{j}: terms[{regname[reg]}]"
                 for j, (_, reg) in enumerate(plan.out_pairs)
             )
             src.append(f"{indent}yield {{{items}}}")
+        elif e % _STEPS_PER_FUNCTION:
+            emit_step(e, indent, looped)
         else:
-            emit_step(d + 1, indent)
+            args = ", ".join(regname[reg] for reg in live[e])
+            src.append(f"{indent}yield from _c{e}({args})")
+            for reg in live[e]:
+                regname[reg] = f"r{reg}"
+            mark = len(src)
+            emit_step(e, "  ", False)
+            params = ", ".join(f"r{reg}" for reg in live[e])
+            inner_defs.append(f" def _c{e}({params}):")
+            inner_defs.extend(src[mark:])
+            del src[mark:]
 
     def emit_scalar_loop(d: int, indent: str, step: tuple) -> None:
         _, _, rigid, bound, checks, outs = step
+        sd = sid[d]
         src.append(f"{indent}for w{d} in p:")
         body = indent + " "
-        src.append(f"{body}if not v{d}[w{d}]:")
+        src.append(f"{body}if not v{sd}[w{d}]:")
         src.append(f"{body} continue")
         for p, t in rigid:
-            src.append(f"{body}if c{d}_{p}[w{d}] != {rigid_name[t.tid]}:")
+            src.append(f"{body}if c{sd}_{p}[w{d}] != {rigid_name[t.tid]}:")
             src.append(f"{body} continue")
         for p, reg in bound:
-            src.append(f"{body}if c{d}_{p}[w{d}] != {regname[reg]}:")
+            src.append(f"{body}if c{sd}_{p}[w{d}] != {regname[reg]}:")
             src.append(f"{body} continue")
         for p, p0 in checks:
-            src.append(f"{body}if c{d}_{p}[w{d}] != c{d}_{p0}[w{d}]:")
+            src.append(f"{body}if c{sd}_{p}[w{d}] != c{sd}_{p0}[w{d}]:")
             src.append(f"{body} continue")
         for p, reg in outs:
-            src.append(f"{body}r{reg} = c{d}_{p}[w{d}]")
+            src.append(f"{body}r{reg} = c{sd}_{p}[w{d}]")
             regname[reg] = f"r{reg}"
-        emit_tail(d, body)
+        emit_tail(d, body, True)
 
-    def emit_step(d: int, indent: str) -> None:
+    def emit_step(d: int, indent: str, looped: bool) -> None:
+        """Emit step ``d`` and everything after it; ``looped`` says
+        whether a loop of the current function encloses it (a dead end
+        then skips to that loop's next row, else it ends the call)."""
         step = steps[d]
         _, arity, rigid, bound, checks, outs = step
-        bail = "return" if d == 0 else "continue"
+        sd = sid[d]
+        bail = "continue" if looped else "return"
         if probe_free[d]:
             if arity:
                 names = ", ".join(f"t{d}_{p}" for p in range(arity))
                 if arity == 1:
                     names += ","  # unpack the 1-tuple key
-                src.append(f"{indent}for {names} in m{d}:")
+                src.append(f"{indent}for {names} in m{sd}:")
             else:
-                src.append(f"{indent}for _e{d} in m{d}:")
+                src.append(f"{indent}for _e{d} in m{sd}:")
             body = indent + " "
             for p, p0 in checks:
                 src.append(f"{body}if t{d}_{p} != t{d}_{p0}:")
                 src.append(f"{body} continue")
             for p, reg in outs:
                 regname[reg] = f"t{d}_{p}"
-            emit_tail(d, body)
+            emit_tail(d, body, True)
             return
-        probes = [f"x{d}_{p}.get({rigid_name[t.tid]})" for p, t in rigid] + [
-            f"x{d}_{p}.get({regname[reg]})" for p, reg in bound
+        if not outs:
+            # Every position is rigid or bound, so the step is one rowmap
+            # membership test: at most one live row holds these ids.
+            key = [""] * arity
+            for p, t in rigid:
+                key[p] = rigid_name[t.tid]
+            for p, reg in bound:
+                key[p] = regname[reg]
+            for p, p0 in checks:
+                key[p] = key[p0]
+            tup = ", ".join(key) + ("," if arity == 1 else "")
+            src.append(f"{indent}if ({tup}) in m{sd}:")
+            emit_tail(d, indent + " ", looped)
+            return
+        probes = [f"x{sd}_{p}.get({rigid_name[t.tid]})" for p, t in rigid] + [
+            f"x{sd}_{p}.get({regname[reg]})" for p, reg in bound
         ]
         src.append(f"{indent}p = {probes[0]}")
         src.append(f"{indent}if p is None:")
@@ -399,34 +471,38 @@ def _codegen_columnar(plan: _Plan) -> Callable:
             src.append(f"{indent} {bail}")
             src.append(f"{indent}if len(b) < len(p):")
             src.append(f"{indent} p = b")
-        if vectorise and d == 0:
+        if vectorise and d == 0 and nsteps <= _STEPS_PER_FUNCTION:
             # Only the outermost pool gets the vectorised branch: inner
             # pools are small by most-constrained ordering, and a dual
             # path per depth would double the nest size at each level.
-            eqs = [f"(c{d}_{p}, {rigid_name[t.tid]})" for p, t in rigid] + [
-                f"(c{d}_{p}, {regname[reg]})" for p, reg in bound
+            # A chained body has none: it is typically a one-shot core
+            # retraction, whose compile time the copy would double.
+            eqs = [f"(c{sd}_{p}, {rigid_name[t.tid]})" for p, t in rigid] + [
+                f"(c{sd}_{p}, {regname[reg]})" for p, reg in bound
             ]
-            pairs = [f"(c{d}_{p}, c{d}_{p0})" for p, p0 in checks]
+            pairs = [f"(c{sd}_{p}, c{sd}_{p0})" for p, p0 in checks]
             eqs_src = "(" + ", ".join(eqs) + ("," if len(eqs) == 1 else "") + ")"
             pairs_src = (
                 "(" + ", ".join(pairs) + ("," if len(pairs) == 1 else "") + ")"
             )
             src.append(f"{indent}if len(p) >= _K.MIN_VECTOR_ROWS:")
             src.append(
-                f"{indent} p = _K.filter_rows(p, v{d}, {eqs_src}, {pairs_src})"
+                f"{indent} p = _K.filter_rows(p, v{sd}, {eqs_src}, {pairs_src})"
             )
             src.append(f"{indent} for w{d} in p:")
             body = indent + "  "
             for p, reg in outs:
-                src.append(f"{body}r{reg} = c{d}_{p}[w{d}]")
+                src.append(f"{body}r{reg} = c{sd}_{p}[w{d}]")
                 regname[reg] = f"r{reg}"
-            emit_tail(d, body)
+            emit_tail(d, body, True)
             src.append(f"{indent}else:")
             emit_scalar_loop(d, indent + " ", step)
         else:
             emit_scalar_loop(d, indent, step)
 
-    emit_step(0, " ")
+    mark = len(src)
+    emit_step(0, " ", False)
+    src[mark:mark] = inner_defs
     ns: dict = {"len": len, "_K": _kernels}
     for j, (t, _) in enumerate(plan.out_pairs):
         ns[f"k{j}"] = t
@@ -451,6 +527,7 @@ def match(
     the generated probes and checks reject wholesale), and out-register
     lids are lifted through the family's dense term list coming out.
     """
+    global _cached_atoms
     base: Homomorphism = dict(seed) if seed else {}
     # Constants in the source must not be seeded to something else (the
     # naive reference rejects these wholesale, irrespective of body
@@ -472,10 +549,11 @@ def match(
     key = (atoms, frozenset(t.tid for t in seeded), frozen_nulls)
     plan = _plan_cache.get(key)
     if plan is None:
-        if len(_plan_cache) >= _CACHE_LIMIT:
-            _plan_cache.clear()
+        if _cached_atoms + len(atoms) > _CACHE_LIMIT:
+            clear_cache()
         plan = _compile(atoms, seeded, frozen_nulls, target)
         _plan_cache[key] = plan
+        _cached_atoms += len(atoms)
     fn = plan.columnar_fn
     if fn is None:
         fn = _codegen_columnar(plan)

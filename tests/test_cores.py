@@ -2,8 +2,23 @@
 
 import pytest
 
-from repro.homomorphism import CoreBudgetExceeded, core, is_core
-from repro.model import Atom, Constant, Instance, Null, parse_facts
+from repro.chase import ChaseStatus, core_chase
+from repro.homomorphism import (
+    CoreBudgetExceeded,
+    core,
+    homomorphically_equivalent,
+    instance_maps_into,
+    is_core,
+)
+from repro.matching import using_backend
+from repro.model import (
+    Atom,
+    Constant,
+    Instance,
+    Null,
+    parse_dependencies,
+    parse_facts,
+)
 
 a, b = Constant("a"), Constant("b")
 n1, n2, n3 = Null(1), Null(2), Null(3)
@@ -60,3 +75,81 @@ class TestCore:
         # needed by both).
         assert E(a, n1) in result or len(result) == 2
         assert len(result) == 2
+
+
+class TestLongInstances:
+    """Instances with more than 20 facts with nulls: the retraction body
+    then outgrows one generated function (CPython caps static nesting at
+    20 blocks), and both backends must still agree with the naive one."""
+
+    @staticmethod
+    def null_path(length, start=a):
+        """E(start, _1), E(_1, _2), …: a core, since it cannot fold into
+        any shorter path from ``start``."""
+        nodes = [start] + [Null(100 + i) for i in range(length)]
+        return [E(nodes[i], nodes[i + 1]) for i in range(length)]
+
+    @staticmethod
+    def const_path(length):
+        nodes = [a] + [Constant(f"c{i}") for i in range(length)]
+        return [E(nodes[i], nodes[i + 1]) for i in range(length)]
+
+    @pytest.mark.parametrize("backend", ["columnar", "naive"])
+    def test_redundant_nulls_collapse(self, backend):
+        ground = self.const_path(26)
+        nodes = [a] + [Constant(f"c{i}") for i in range(26)]
+        redundant = [E(nodes[i], Null(200 + i)) for i in range(0, 26, 3)]
+        redundant += self.null_path(6)  # folds onto the constant path
+        inst = Instance(ground + redundant)
+        assert len(inst) > 25
+        with using_backend(backend):
+            assert not is_core(inst)
+            result = core(inst)
+            assert result.facts() == set(ground)
+            assert is_core(result)
+
+    @pytest.mark.parametrize("backend", ["columnar", "naive"])
+    def test_long_null_path_is_a_core(self, backend):
+        inst = Instance(self.null_path(30) + [E(b, Null(300))])
+        with using_backend(backend):
+            assert is_core(inst)
+            assert core(inst).facts() == inst.facts()
+
+    def test_core_chase_past_twenty_facts(self):
+        sigma = parse_dependencies(
+            """
+            r1: N(x) -> exists y. E(x, y)
+            r2: E(x, y) -> N(y)
+            """
+        )
+        chain = parse_dependencies("r: E(x, y) -> exists z. E(y, z)")
+        chain_db = Instance(self.const_path(24))
+        results = {}
+        for backend in ("columnar", "naive"):
+            with using_backend(backend):
+                results[backend] = (
+                    core_chase(parse_facts('N("a")'), sigma, max_rounds=30),
+                    core_chase(chain_db, chain, max_rounds=6),
+                )
+        for got, want in zip(results["columnar"], results["naive"]):
+            assert got.status is want.status is ChaseStatus.EXCEEDED
+            assert len(got.instance) > 20
+            assert got.instance.facts() == want.instance.facts()
+        # The chain's redundant null successors were retracted each round:
+        # only the null path hanging off the last constant survives.
+        grown = results["columnar"][1].instance
+        assert len(grown) == 24 + 6
+        assert is_core(grown)
+
+    @pytest.mark.parametrize("backend", ["columnar", "naive"])
+    def test_instance_maps_into(self, backend):
+        nulls = Instance(self.null_path(25))
+        consts = Instance(self.const_path(27))
+        short = Instance(self.null_path(24, start=b) + self.const_path(1))
+        with using_backend(backend):
+            h = instance_maps_into(nulls, consts)
+            assert h is not None
+            assert {f.apply(h) for f in nulls} <= consts.facts()
+            assert instance_maps_into(consts, nulls) is None
+            assert instance_maps_into(nulls, short) is None
+            assert homomorphically_equivalent(nulls, Instance(self.null_path(25)))

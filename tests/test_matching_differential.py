@@ -162,6 +162,51 @@ def test_non_instance_targets_and_empty_sources():
             assert list(homomorphisms([], facts, seed={a: a})) == [{a: a}]
 
 
+def test_long_bodies_chain_generated_functions():
+    """Bodies longer than one generated function may nest (12 steps)
+    continue in chained inner generators: path bodies of 12-42 atoms,
+    with a repeated atom, a constant and a side atom, enumerate the naive
+    set unseeded, seeded and with frozen nulls.  (The bodies stay in path
+    order, which keeps the unordered naive reference fast; the plans
+    reorder them anyway.)"""
+    consts = [Constant(f"c{i}") for i in range(46)]
+    nulls = [Null(950 + i) for i in range(6)]
+    inst = ColumnarInstance()
+    for i in range(45):
+        inst.add(Atom("E", (consts[i], consts[i + 1])))
+        if i % 2 == 0:
+            inst.add(Atom("N", (consts[i],)))
+    for i, n in enumerate(nulls):
+        inst.add(Atom("E", (consts[7 * i], n)))
+        inst.add(Atom("E", (n, nulls[(i + 1) % len(nulls)])))
+        inst.add(Atom("N", (n,)))
+    inst.add(Atom("E", (consts[30], consts[30])))
+    for length in (10, 11, 22, 23, 40):  # bodies of 12, 13, 24, 25, 42 atoms
+        xs = [Variable(f"x{i}") for i in range(length + 1)]
+        body = [Atom("E", (xs[i], xs[i + 1])) for i in range(length)]
+        body.append(Atom("N", (xs[0],)))
+        body.append(Atom("E", (xs[length // 2], xs[length // 2 + 1])))
+        assert_same_hom_sets(body, inst, f"length={length}")
+        with_const = [a.apply({xs[3]: consts[5]}) for a in body]
+        assert_same_hom_sets(with_const, inst, f"length={length} const")
+        for frozen in (False, True):
+            for start in (consts[0], consts[14], nulls[0]):
+                assert_same_hom_sets(
+                    body, inst, f"length={length} seed={start} frozen={frozen}",
+                    seed={xs[0]: start}, frozen_nulls=frozen,
+                )
+    # Seeded at a hub with 70 out-edges, the first pool is large enough
+    # for the vectorised arm (numpy kernels) of an unchained body; a
+    # chained body scans it with the scalar loop.
+    hub = Constant("hub")
+    for i in range(70):
+        inst.add(Atom("E", (hub, Constant(f"h{i}"))))
+        inst.add(Atom("E", (Constant(f"h{i}"), consts[i % 30])))
+    for length in (12, 14):
+        path = [Atom("E", (xs[i], xs[i + 1])) for i in range(length)]
+        assert_same_hom_sets(path, inst, f"hub {length}", seed={xs[0]: hub})
+
+
 # -- chase differential -------------------------------------------------------
 
 
