@@ -23,11 +23,32 @@ discovery") states and proves the invariant that replaces it:
   discovery (a merge can enable body matches with repeated variables,
   e.g. ``E(x,x)`` after ``E(a,η)`` collapses to ``E(a,a)``).
 
-Each discovery batch is pushed in a canonical order (dependency order in Σ,
-then assignment images), so a run's step sequence depends only on the *set*
-of homomorphisms each discovery finds — the columnar default and the naive
-reference backend (``engine="naive"``) drive byte-identical chase runs,
-which the differential test suite exploits.
+**Lid rows.**  The runner works on the family-local term ids (lids) of
+the :class:`~repro.model.columnar.ColumnarInstance` it owns.  A trigger
+is a row ``(dependency index, lids)`` — the images of the body variables
+in name order — which the columnar matcher emits directly
+(:func:`~repro.matching.plans.delta_row_homomorphisms` with
+``lid_rows``).  The seen set, the (semi-)oblivious fired keys and the
+EGD-merge rewriting (old lid → new lid) all work on these int tuples.
+The standard chase's head-extension test runs each TGD's head plan —
+bound once per run, frontier seeded, nulls frozen — on the frontier's
+lids; an EGD trigger is live iff its two lids differ.  Head instantiation
+writes int rows straight into the instance, through per-atom lid
+templates (body-variable lid, fresh-null lid or rigid-term lid).  Terms,
+``Atom``\\ s and :class:`~.step.Trigger`\\ s are built only for the step
+that fires.  Strategies see :class:`~.step.PendingTrigger` wrappers of
+the rows (``.dependency``, plus ``.assignment`` on demand).
+
+**Order.**  Each discovery batch is pushed in a canonical order:
+dependency index in Σ, then the ``repr`` strings of the images (a per-lid
+cache that grows with the term table).  A run's step sequence therefore
+depends only on the *set* of homomorphisms each discovery finds.  The
+naive reference backend (``engine="naive"``) runs the same loop: its
+dict homomorphisms are lowered to lid rows, and the head test goes
+through :func:`repro.matching.naive.match` — only those two matching
+calls differ — so both backends drive byte-identical chase runs, which
+the differential suites and the golden step sequences
+(``tests/golden/chase_sequences.json``) hold them to.
 
 Variant-specific applicability (Section 2):
 
@@ -40,27 +61,33 @@ Variant-specific applicability (Section 2):
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from ..budget import Budget
-from ..homomorphism.finder import find_homomorphism, find_homomorphisms
-from ..homomorphism.satisfaction import violations
+from ..homomorphism.finder import find_homomorphisms
 from ..matching import (
+    BoundPlan,
     body_atom_index,
     delta_homomorphisms,
     delta_row_homomorphisms,
     get_backend,
+    lid_getter,
     using_backend,
 )
+from ..matching import naive as _naive
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.dependencies import EGD, TGD, AnyDependency, DependencySet
-from ..model.terms import GroundTerm, Null, NullFactory, Variable
+from ..model.terms import NullFactory, Term, Variable
 from .result import ChaseResult, ChaseStatus
-from .step import StepOutcome, Substitution, Trigger, apply_step
+from .step import PendingTrigger, StepOutcome, Substitution, egd_substitution
 from .strategies import Strategy, resolve_strategy
 
 VARIANTS = ("standard", "oblivious", "semi_oblivious")
+
+#: A trigger row: (dependency index in Σ, lids of the body variables in
+#: name order).
+Row = tuple[int, tuple[int, ...]]
 
 
 class ChaseBudgetExceeded(Exception):
@@ -77,6 +104,59 @@ def _key_variables(dep: AnyDependency, variant: str) -> tuple[Variable, ...]:
     else:
         shared = {dep.lhs, dep.rhs}
     return tuple(sorted(shared, key=lambda v: v.name))
+
+
+class _Rule:
+    """One dependency of Σ as the runner uses it, resolved once per run.
+
+    ``variables`` is the name order of the body variables (the layout of
+    a trigger row's lids); ``key`` reads the (semi-)oblivious key lids
+    off a row.  An EGD keeps the row positions of its two equated
+    variables.  A TGD keeps its head plan (bound lazily, on the first
+    head test, like any plan) with the getter of its seed lids, and its
+    head instantiation: ``extras`` lists, in first occurrence order over
+    the head, the terms a step registers beyond the body images —
+    ``(k, None)`` for the ``k``-th existential's fresh null, ``(-1,
+    term)`` for a rigid head term — and ``templates`` maps each head
+    atom to its store key and the getter of its lids from ``row lids +
+    extras``.
+    """
+
+    __slots__ = (
+        "dep", "variables", "is_egd", "lhs", "rhs", "key", "frontier",
+        "head_plan", "head_seed", "extras", "templates",
+    )
+
+    def __init__(self, dep: AnyDependency, variant: str) -> None:
+        self.dep = dep
+        self.variables = tuple(sorted(dep.body_variables(), key=lambda v: v.name))
+        pos = {v: i for i, v in enumerate(self.variables)}
+        self.key = lid_getter([pos[v] for v in _key_variables(dep, variant)])
+        self.is_egd = isinstance(dep, EGD)
+        if isinstance(dep, EGD):
+            self.lhs, self.rhs = pos[dep.lhs], pos[dep.rhs]
+            return
+        self.frontier = tuple((v, pos[v]) for v in dep.frontier())
+        self.head_plan = BoundPlan(dep.head, dep.frontier(), True, ())
+        self.head_seed = lid_getter([pos[v] for v in self.head_plan.seed_terms])
+        existential = {z: k for k, z in enumerate(dep.existential)}
+        slot: dict[Term, int] = {}
+        extras: list[tuple[int, Term | None]] = []
+        templates = []
+        for atom in dep.head:
+            idx = []
+            for t in atom.args:
+                i = pos.get(t)
+                if i is None:
+                    i = slot.get(t)
+                    if i is None:
+                        i = slot[t] = len(pos) + len(extras)
+                        k = existential.get(t, -1)
+                        extras.append((k, None if k >= 0 else t))
+                idx.append(i)
+            templates.append(((atom.predicate, atom.arity), lid_getter(idx)))
+        self.extras = tuple(extras)
+        self.templates = tuple(templates)
 
 
 class ChaseRunner:
@@ -110,110 +190,179 @@ class ChaseRunner:
         start = max((n.label for n in self.instance.nulls()), default=0) + 1
         self.nulls = NullFactory(start=start)
         self.steps: list[StepOutcome] = []
-        self._pending: list[Trigger] = []
-        self._seen: set[Trigger] = set()
-        self._fired_keys: set[tuple] = set()
-        self._key_vars: dict[AnyDependency, tuple[Variable, ...]] = {}
-        if variant != "standard":
-            self._key_vars = {d: _key_variables(d, variant) for d in sigma}
-        self._dep_order = {d: i for i, d in enumerate(sigma)}
-        self._body_index = body_atom_index((d, d.body) for d in sigma)
+        self._rules = [_Rule(d, variant) for d in sigma]
+        self._standard = variant == "standard"
+        self._naive = False  # set per run from the active backend
+        self._pending: list[PendingTrigger] = []
+        self._seen: set[Row] = set()
+        self._fired_keys: set[Row] = set()
+        # The family term table: lid → term, term tid → lid, and the
+        # ``repr`` of every lid seen so far (the canonical order's key).
+        table = self.instance.term_table
+        self._terms = table.terms
+        self._local_of = table.local_of
+        self._register = table.register
+        self._reprs: list[str] = []
+        self._body_index = body_atom_index(
+            (i, d.body) for i, d in enumerate(sigma)
+        )
         self._tick = 0
 
     # -- discovery ---------------------------------------------------------
 
-    def _trigger_sort_key(self, trigger: Trigger) -> tuple:
-        return (
-            self._dep_order[trigger.dependency],
-            tuple(repr(t) for _, t in trigger.assignment),
+    def _lower(self, index: int, h: Mapping[Term, Term]) -> Row:
+        """A dict homomorphism of dependency ``index``'s body as a row."""
+        local_of = self._local_of
+        return index, tuple(
+            [local_of[h[v].tid] for v in self._rules[index].variables]
         )
 
-    def _push_batch(self, triggers: Iterable[Trigger]) -> None:
+    def _push_batch(self, rows: Iterable[Row]) -> None:
         """Push one discovery batch in canonical order (see module docstring)."""
-        batch = [t for t in triggers if t not in self._seen]
-        batch.sort(key=self._trigger_sort_key)
-        for t in batch:
-            if t not in self._seen:  # batch may repeat a trigger
-                self._seen.add(t)
-                self._pending.append(t)
+        seen = self._seen
+        batch = [r for r in rows if r not in seen]
+        if not batch:
+            return
+        if len(batch) > 1:
+            terms, reprs = self._terms, self._reprs
+            if len(reprs) < len(terms):
+                reprs.extend(map(repr, terms[len(reprs):]))
+            lookup = reprs.__getitem__
+            batch.sort(key=lambda r: (r[0], tuple(map(lookup, r[1]))))
+        rules = self._rules
+        pending = self._pending
+        for r in batch:
+            if r not in seen:  # batch may repeat a trigger
+                seen.add(r)
+                rule = rules[r[0]]
+                pending.append(
+                    PendingTrigger(rule.dep, r, rule.variables, self._terms)
+                )
 
     def _discover_initial(self) -> None:
-        """Full discovery over the starting instance."""
+        """Full discovery over the starting instance (the standard chase
+        keeps only the violations, as ``violations`` would)."""
         batch = []
-        if self.variant == "standard":
-            for dep in self.sigma:
-                for h in violations(self.instance, dep):
-                    batch.append(Trigger.make(dep, h))
-        else:
-            for dep in self.sigma:
-                for h in find_homomorphisms(dep.body, self.instance, limit=None):
-                    batch.append(Trigger.make(dep, h))
+        for i, rule in enumerate(self._rules):
+            for h in find_homomorphisms(rule.dep.body, self.instance, limit=None):
+                row = self._lower(i, h)
+                if self._standard and not self._applicable(row):
+                    continue
+                batch.append(row)
         self._push_batch(batch)
 
     def _discover_delta(self) -> None:
         """Semi-naive discovery: join the delta-log facts added since the
         last call against the bodies mentioning their predicates."""
         inst = self.instance
-        if get_backend() == "naive":
+        if self._naive:
             # The naive oracle's path: materialised delta facts, re-checked
-            # for membership (a merge may have rewritten them away since).
+            # for membership (a merge may have rewritten them away since),
+            # and its dict homomorphisms lowered to rows.
             delta = inst.added_since(self._tick)
             self._tick = inst.tick
             live = [f for f in delta if f in inst]
             if live:
                 self._push_batch(
-                    Trigger.make(dep, h)
-                    for dep, h in delta_homomorphisms(self._body_index, inst, live)
+                    self._lower(i, h)
+                    for i, h in delta_homomorphisms(self._body_index, inst, live)
                 )
             return
         # Row-handle path: no Atom is materialised for discovery; dead rows
         # (discarded or merge-rewritten since being logged) are filtered
-        # by liveness.
+        # by liveness, and the matcher emits trigger rows directly.
         handles = inst.added_rows_since(self._tick)
         self._tick = inst.tick
         live_rows = [hd for hd in handles if inst.row_live(hd)]
         if live_rows:
             self._push_batch(
-                Trigger.make(dep, h)
-                for dep, h in delta_row_homomorphisms(
-                    self._body_index, inst, live_rows
+                delta_row_homomorphisms(
+                    self._body_index, inst, live_rows, lid_rows=True
                 )
             )
 
     # -- applicability -------------------------------------------------------
 
-    def _applicable(self, trigger: Trigger) -> bool:
-        dep = trigger.dependency
-        h = trigger.mapping()
-        if isinstance(dep, EGD) and h[dep.lhs] is h[dep.rhs]:
-            return False
-        if self.variant == "standard":
-            if isinstance(dep, TGD):
-                seed = {v: h[v] for v in dep.frontier()}
-                ext = find_homomorphism(
-                    dep.head, self.instance, seed=seed, frozen_nulls=True
-                )
-                return ext is None
-            return True
-        key = trigger.key(self._key_vars[dep])
-        return key not in self._fired_keys
+    def _applicable(self, row: Row) -> bool:
+        index, lids = row
+        rule = self._rules[index]
+        if rule.is_egd:
+            if lids[rule.lhs] == lids[rule.rhs]:
+                return False
+            if self._standard:
+                return True
+        elif self._standard:
+            return not self._head_holds(rule, lids)
+        return (index, rule.key(lids)) not in self._fired_keys
 
-    # -- merges ---------------------------------------------------------------
+    def _head_holds(self, rule: _Rule, lids: tuple[int, ...]) -> bool:
+        """Does the trigger's frontier image extend to the TGD's head?"""
+        inst = self.instance
+        if self._naive:
+            terms = self._terms
+            seed = {v: terms[lids[p]] for v, p in rule.frontier}
+            found = _naive.match(rule.dep.head, inst, seed, True, limit=1)
+            return next(found, None) is not None
+        extensions = rule.head_plan.run(inst, rule.head_seed(lids))
+        return next(extensions, None) is not None
+
+    # -- steps and merges -----------------------------------------------------
+
+    def _fire(self, pending: PendingTrigger) -> StepOutcome:
+        """Apply one chase step (Definition 1) for an applicable trigger,
+        in place, by lid."""
+        index, lids = pending.row
+        rule = self._rules[index]
+        trigger = pending.trigger()
+        terms = self._terms
+        if rule.is_egd:
+            dep = rule.dep
+            gamma = egd_substitution(
+                dep,
+                {dep.lhs: terms[lids[rule.lhs]], dep.rhs: terms[lids[rule.rhs]]},
+            )
+            if gamma is None:
+                return StepOutcome(trigger, failed=True)
+            self.instance.merge_terms(gamma.old, gamma.new)
+            self._apply_gamma(gamma)
+            return StepOutcome(trigger, gamma=gamma)
+        created = [self.nulls.fresh() for _ in rule.dep.existential]
+        register = self._register
+        values = list(lids)
+        for k, term in rule.extras:
+            values.append(register(created[k] if k >= 0 else term))
+        add_key = self.instance._add_key
+        added = []
+        for skey, lids_of in rule.templates:
+            key = lids_of(values)
+            if add_key(skey, key):
+                added.append(Atom(skey[0], tuple([terms[lid] for lid in key])))
+        return StepOutcome(trigger, added=added, created_nulls=created)
 
     def _apply_gamma(self, gamma: Substitution) -> None:
-        """Rewrite trigger bookkeeping after an EGD merge.
+        """Rewrite trigger bookkeeping after an EGD merge (old lid → new lid).
 
         The instance itself was already rewritten by the step; the rewritten
         facts re-entered the delta log and are picked up by the next
         ``_discover_delta`` call.
         """
-        old, new = gamma.old, gamma.new
-        self._pending = [t.rewrite(old, new) for t in self._pending]
-        self._seen = set(self._pending)
+        old, new = self._register(gamma.old), self._register(gamma.new)
+
+        def rewrite(lids: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple([new if lid == old else lid for lid in lids])
+
+        pending = []
+        for p in self._pending:
+            index, lids = p.row
+            if old in lids:
+                p = p.rewritten((index, rewrite(lids)))
+            pending.append(p)
+        self._pending = pending
+        self._seen = {p.row for p in pending}
         if self._fired_keys:
             self._fired_keys = {
-                (dep, tuple(new if t is old else t for t in images))
-                for dep, images in self._fired_keys
+                (index, rewrite(key) if old in key else key)
+                for index, key in self._fired_keys
             }
 
     # -- main loop -------------------------------------------------------------
@@ -225,11 +374,21 @@ class ChaseRunner:
             return self._run()
 
     def _run(self) -> ChaseResult:
+        self._naive = get_backend() == "naive"
         self._discover_initial()
         self._tick = self.instance.tick
         facts_seen = len(self.instance)
         self.budget.charge_facts(facts_seen)
         while True:
+            pending = self._next_applicable()
+            if pending is None:
+                if self.check_exhaustive:
+                    self._assert_exhaustive()
+                return ChaseResult(
+                    ChaseStatus.SUCCESS, self.instance, self.steps, self.variant
+                )
+            # A cap only bites when a step is still applicable: a chase
+            # that halts exactly at the cap terminated.
             if len(self.steps) >= self.max_steps:
                 return ChaseResult(
                     ChaseStatus.EXCEEDED, self.instance, self.steps, self.variant
@@ -239,39 +398,31 @@ class ChaseRunner:
                     ChaseStatus.EXCEEDED, self.instance, self.steps, self.variant,
                     exhausted=self.budget.exhausted,
                 )
-            trigger = self._next_applicable()
-            if trigger is None:
-                if self.check_exhaustive:
-                    self._assert_exhaustive()
-                return ChaseResult(
-                    ChaseStatus.SUCCESS, self.instance, self.steps, self.variant
-                )
-            if self.variant != "standard":
-                self._fired_keys.add(trigger.key(self._key_vars[trigger.dependency]))
-            outcome = apply_step(self.instance, trigger, self.nulls)
+            if not self._standard:
+                index, lids = pending.row
+                self._fired_keys.add((index, self._rules[index].key(lids)))
+            outcome = self._fire(pending)
             self.steps.append(outcome)
             if outcome.failed:
                 return ChaseResult(ChaseStatus.FAILURE, None, self.steps, self.variant)
-            if outcome.gamma is not None:
-                self._apply_gamma(outcome.gamma)
             self._discover_delta()
             if len(self.instance) > facts_seen:
                 self.budget.charge_facts(len(self.instance) - facts_seen)
                 facts_seen = len(self.instance)
 
-    def _next_applicable(self) -> Trigger | None:
+    def _next_applicable(self) -> PendingTrigger | None:
         """Pop pending triggers per strategy until one is applicable.
 
         Dead triggers are dropped permanently and the pool is never
         re-swept: semi-naive discovery keeps it complete at all times (the
         invariant in the module docstring / DESIGN.md).
         """
+        pending = self._pending
         # repro-lint: disable=budget-loop -- pool strictly shrinks: every iteration pops one trigger; the caller's step loop charges the budget
-        while self._pending:
-            i = self.strategy(self._pending)
-            trigger = self._pending.pop(i)
-            if self._applicable(trigger):
-                return trigger
+        while pending:
+            candidate = pending.pop(self.strategy(pending))
+            if self._applicable(candidate.row):
+                return candidate
         return None
 
     def _assert_exhaustive(self) -> None:
@@ -281,12 +432,12 @@ class ChaseRunner:
         differential tests enable it to certify the semi-naive invariant on
         every terminating run they produce.
         """
-        for dep in self.sigma:
-            for h in find_homomorphisms(dep.body, self.instance, limit=None):
-                if self._applicable(Trigger.make(dep, h)):
+        for i, rule in enumerate(self._rules):
+            for h in find_homomorphisms(rule.dep.body, self.instance, limit=None):
+                if self._applicable(self._lower(i, h)):
                     raise AssertionError(
                         f"semi-naive discovery missed an applicable trigger "
-                        f"for {dep} under {h}"
+                        f"for {rule.dep} under {h}"
                     )
 
 
@@ -308,8 +459,10 @@ def run_chase(
     ``using_backend(...)`` around this call is honoured; both run over a
     copy-on-write fork of ``database``.  ``budget``
     adds fact/wall-clock bounds and cancellation on top of ``max_steps``;
-    exhaustion yields ``EXCEEDED`` with ``result.exhausted`` set.  The
-    input database is not modified.
+    exhaustion yields ``EXCEEDED`` with ``result.exhausted`` set — in
+    either case only when some step is still applicable (a chase that
+    halts exactly at a cap is ``SUCCESS``/``FAILURE``).  The input
+    database is not modified.
     """
     runner = ChaseRunner(
         database, sigma, variant, strategy, max_steps, engine=engine, budget=budget

@@ -18,7 +18,7 @@ compose substitutions per Section 2's sequence definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
@@ -74,6 +74,49 @@ class Trigger:
         binding = ", ".join(f"{v.name}↦{t}" for v, t in self.assignment)
         label = self.dependency.label or str(self.dependency)
         return f"⟨{label} | {binding}⟩"
+
+
+class PendingTrigger:
+    """A trigger waiting in the chase runner's pool, kept as a lid row.
+
+    ``row`` is ``(dependency index in Σ, lids)``: the family-local term
+    ids of the body variables' images, in variable-name order — the
+    runner's seen set, fired keys and EGD-merge rewriting all work on
+    these int tuples.  ``dependency`` is what strategies read; the
+    :class:`Trigger`-style ``assignment`` is built on demand from the
+    instance family's term table, and :meth:`trigger` builds the
+    :class:`Trigger` a fired step records.
+    """
+
+    __slots__ = ("dependency", "row", "_variables", "_lid_terms")
+
+    def __init__(
+        self,
+        dependency: AnyDependency,
+        row: tuple[int, tuple[int, ...]],
+        variables: tuple[Variable, ...],
+        lid_terms: Sequence[Term],
+    ) -> None:
+        self.dependency = dependency
+        self.row = row
+        self._variables = variables
+        self._lid_terms = lid_terms
+
+    @property
+    def assignment(self) -> tuple[tuple[Variable, GroundTerm], ...]:
+        return tuple(
+            zip(self._variables, map(self._lid_terms.__getitem__, self.row[1]))
+        )
+
+    def rewritten(self, row: tuple[int, tuple[int, ...]]) -> "PendingTrigger":
+        """The same dependency's trigger at another row (an EGD merge)."""
+        return PendingTrigger(self.dependency, row, self._variables, self._lid_terms)
+
+    def trigger(self) -> Trigger:
+        return Trigger(self.dependency, self.assignment)
+
+    def __repr__(self) -> str:
+        return f"PendingTrigger({self.trigger()})"
 
 
 @dataclass(frozen=True)

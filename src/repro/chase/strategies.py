@@ -2,8 +2,8 @@
 
 The standard chase picks nondeterministically among applicable steps;
 different choices yield different sequences (Example 1).  A strategy is a
-callable receiving the list of currently applicable triggers and returning
-the index of the one to fire.
+callable receiving the list of pending triggers and returning the index of
+the one to fire (see :data:`Strategy` for what each element answers).
 
 ``full_first`` is the strategy behind the paper's existential-termination
 results: full dependencies (full TGDs and EGDs) never create new nulls, so
@@ -15,38 +15,58 @@ terminating sequences.
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
-from .step import Trigger
+Strategy = Callable[[Sequence[Any]], int]
+"""A strategy: ``pick(pending) -> index``.
 
-Strategy = Callable[[Sequence[Trigger]], int]
+``pending`` is the runner's list of pending triggers in discovery order
+(each discovery batch in canonical order; see
+:mod:`repro.chase.runner`).  It may hold triggers that turn out no
+longer applicable — the runner drops such a pick and asks again.  Every
+element answers
+
+* ``.dependency`` — the dependency of Σ the trigger would fire, and
+* ``.assignment`` — its body homomorphism as ``(variable, image)``
+  pairs in variable-name order, built on demand (cheap to skip, so
+  strategies that only read ``.dependency`` cost nothing extra).
+
+The runner's elements are :class:`~repro.chase.step.PendingTrigger`;
+a :class:`~repro.chase.step.Trigger` answers the same two, so a strategy
+works on either.  A strategy must not mutate the list.
+"""
 
 
-def fifo(triggers: Sequence[Trigger]) -> int:
+def fifo(triggers: Sequence[Any]) -> int:
     """Fire the oldest discovered applicable trigger."""
     return 0
 
 
-def lifo(triggers: Sequence[Trigger]) -> int:
+def lifo(triggers: Sequence[Any]) -> int:
     """Fire the most recently discovered applicable trigger."""
     return len(triggers) - 1
 
 
-def full_first(triggers: Sequence[Trigger]) -> int:
+def full_first(triggers: Sequence[Any]) -> int:
     """Prefer full dependencies (EGDs and full TGDs) over existential TGDs.
 
     Among full dependencies, EGDs win (merging early keeps instances small).
+    The first trigger of the best rank is picked, so the scan stops at the
+    first EGD.
     """
-    best = 0
-    best_rank = _rank(triggers[0])
+    best, best_rank = 0, _rank(triggers[0])
+    if best_rank == 0:
+        return 0
     for i, t in enumerate(triggers):
-        r = _rank(t)
-        if r < best_rank:
-            best, best_rank = i, r
+        dep = t.dependency
+        if dep.is_egd:
+            return i
+        if best_rank == 2 and dep.is_full:
+            best, best_rank = i, 1
     return best
 
 
-def egd_first(triggers: Sequence[Trigger]) -> int:
+def egd_first(triggers: Sequence[Any]) -> int:
     """Prefer EGDs, then anything."""
     for i, t in enumerate(triggers):
         if t.dependency.is_egd:
@@ -54,7 +74,7 @@ def egd_first(triggers: Sequence[Trigger]) -> int:
     return 0
 
 
-def existential_first(triggers: Sequence[Trigger]) -> int:
+def existential_first(triggers: Sequence[Any]) -> int:
     """Adversarial strategy: prefer null-creating steps (used in tests to
     find non-terminating sequences)."""
     for i, t in enumerate(triggers):
@@ -63,7 +83,7 @@ def existential_first(triggers: Sequence[Trigger]) -> int:
     return 0
 
 
-def _rank(trigger: Trigger) -> int:
+def _rank(trigger: Any) -> int:
     dep = trigger.dependency
     if dep.is_egd:
         return 0
@@ -76,7 +96,7 @@ def random_strategy(seed: int) -> Strategy:
     """A reproducible random strategy."""
     rng = random.Random(seed)
 
-    def pick(triggers: Sequence[Trigger]) -> int:
+    def pick(triggers: Sequence[Any]) -> int:
         return rng.randrange(len(triggers))
 
     return pick

@@ -35,7 +35,7 @@ from .engine import (
     match_atom,
     seed_mapping,
 )
-from .plans import delta_row_homomorphisms
+from .plans import BoundPlan, delta_row_homomorphisms, lid_getter
 
 
 def homomorphisms(
@@ -61,12 +61,14 @@ def homomorphisms(
 
 __all__ = [
     "BACKENDS",
+    "BoundPlan",
     "Homomorphism",
     "body_atom_index",
     "delta_homomorphisms",
     "delta_row_homomorphisms",
     "get_backend",
     "homomorphisms",
+    "lid_getter",
     "match_atom",
     "seed_mapping",
     "set_backend",

@@ -84,23 +84,65 @@ def seed_mapping(atom: Atom, fact: Atom) -> Homomorphism | None:
 # -- semi-naive discovery ---------------------------------------------------
 
 
+class BodyAnchor:
+    """One atom of one indexed body: a place semi-naive discovery anchors
+    a new fact.
+
+    ``variables`` pairs each of the atom's variables with the position of
+    its first occurrence (in position order); ``repeats`` holds the
+    ``(pos, first_pos)`` pairs of later occurrences, which must agree;
+    ``rigid`` the ``(pos, term)`` pairs of constants and nulls, which must
+    sit on the fact exactly; ``checked`` says whether either is non-empty.
+    ``bound`` is the columnar backend's per-emit-mode plan binding, filled
+    on first use by :func:`repro.matching.plans.delta_row_homomorphisms`.
+    """
+
+    __slots__ = (
+        "key", "body", "atom", "arity", "variables", "repeats", "rigid",
+        "checked", "bound",
+    )
+
+    def __init__(self, key: object, body: Sequence[Atom], atom: Atom) -> None:
+        self.key = key
+        self.body = body
+        self.atom = atom
+        self.arity = atom.arity
+        first: dict[Variable, int] = {}
+        repeats: list[tuple[int, int]] = []
+        rigid: list[tuple[int, Term]] = []
+        for pos, s in enumerate(atom.args):
+            if not isinstance(s, Variable):
+                rigid.append((pos, s))
+            elif s in first:
+                repeats.append((pos, first[s]))
+            else:
+                first[s] = pos
+        self.variables = tuple(first.items())
+        self.repeats = tuple(repeats)
+        self.rigid = tuple(rigid)
+        self.checked = bool(repeats or rigid)
+        self.bound: dict[bool, tuple] = {}
+
+
 def body_atom_index(
     items: Iterable[tuple[object, Sequence[Atom]]],
-) -> dict[str, list[tuple[object, Sequence[Atom], Atom]]]:
+) -> dict[str, list[BodyAnchor]]:
     """Index ``(key, body)`` pairs by body-atom predicate.
 
     Built once per dependency set; :func:`delta_homomorphisms` then joins
     each new fact only against the bodies that mention its predicate.
     """
-    by_pred: dict[str, list[tuple[object, Sequence[Atom], Atom]]] = {}
+    by_pred: dict[str, list[BodyAnchor]] = {}
     for key, body in items:
         for atom in body:
-            by_pred.setdefault(atom.predicate, []).append((key, body, atom))
+            by_pred.setdefault(atom.predicate, []).append(
+                BodyAnchor(key, body, atom)
+            )
     return by_pred
 
 
 def delta_homomorphisms(
-    by_pred: Mapping[str, list[tuple[object, Sequence[Atom], Atom]]],
+    by_pred: Mapping[str, list[BodyAnchor]],
     target: ColumnarInstance,
     new_facts: Iterable[Atom],
 ) -> Iterator[tuple[object, Homomorphism]]:
@@ -114,9 +156,9 @@ def delta_homomorphisms(
     from . import homomorphisms  # backend dispatch; no cycle at module load
 
     for fact in new_facts:
-        for key, body, atom in by_pred.get(fact.predicate, ()):
-            seed = seed_mapping(atom, fact)
+        for anchor in by_pred.get(fact.predicate, ()):
+            seed = seed_mapping(anchor.atom, fact)
             if seed is None:
                 continue
-            for h in homomorphisms(body, target, seed=seed, limit=None):
-                yield key, h
+            for h in homomorphisms(anchor.body, target, seed=seed, limit=None):
+                yield anchor.key, h

@@ -51,13 +51,14 @@ boundary.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..model import kernels as _kernels
-from ..model.atoms import Atom
+from ..model.atoms import Atom, atoms_variables
 from ..model.columnar import ColumnarInstance
 from ..model.terms import Constant, Null, Term, Variable
-from .engine import Homomorphism
+from .engine import BodyAnchor, Homomorphism
 
 #: Most join steps one generated function nests.  Each step is one
 #: ``for`` level, and CPython refuses more than 20 statically nested
@@ -76,13 +77,15 @@ _CACHE_LIMIT = 16384
 # (atoms, frozenset of seeded body-flex tids, frozen_nulls) → _Plan
 _plan_cache: dict[tuple, "_Plan"] = {}
 _cached_atoms = 0  # body atoms over all of _plan_cache
+_epoch = 0  # bumped by every clear; a BoundPlan re-resolves when it moved
 
 
 def clear_cache() -> None:
     """Drop every compiled plan (test isolation / memory pressure)."""
-    global _cached_atoms
+    global _cached_atoms, _epoch
     _plan_cache.clear()
     _cached_atoms = 0
+    _epoch += 1
 
 
 def cache_size() -> int:
@@ -113,10 +116,11 @@ class _Plan:
 
     ``seed_terms`` lists the seeded body-flex terms in register order
     0..n; ``out_pairs`` maps the remaining registers back to their terms
-    when a result dict is emitted.
+    when a result is emitted.  ``fns`` caches the generated executor per
+    emit mode (see :func:`_codegen_columnar`).
     """
 
-    __slots__ = ("steps", "seed_terms", "out_pairs", "nregs", "columnar_fn")
+    __slots__ = ("steps", "seed_terms", "out_pairs", "nregs", "fns")
 
     def __init__(
         self,
@@ -125,7 +129,7 @@ class _Plan:
         seed_terms: Sequence[Term],
         frozen_nulls: bool,
     ) -> None:
-        self.columnar_fn: Callable | None = None  # lazy; see _codegen_columnar
+        self.fns: dict[tuple[Term, ...] | None, Callable] = {}
         self.seed_terms = tuple(seed_terms)
         reg_of: dict[Term, int] = {t: i for i, t in enumerate(self.seed_terms)}
         out_pairs: list[tuple[Term, int]] = []
@@ -205,7 +209,7 @@ def _estimate(
 
 def _order_atoms(
     atoms: Sequence[Atom],
-    seeded: set[Term],
+    seeded: set[Term] | frozenset[Term],
     frozen_nulls: bool,
     inst: ColumnarInstance,
 ) -> list[int]:
@@ -229,7 +233,7 @@ def _order_atoms(
 
 def _compile(
     atoms: tuple[Atom, ...],
-    seeded: set[Term],
+    seeded: set[Term] | frozenset[Term],
     frozen_nulls: bool,
     inst: ColumnarInstance,
 ) -> _Plan:
@@ -238,8 +242,8 @@ def _compile(
     return _Plan(atoms, order, seed_terms, frozen_nulls)
 
 
-def _codegen_columnar(plan: _Plan) -> Callable:
-    """Generate the columnar executor for one compiled plan.
+def _codegen_columnar(plan: _Plan, emit: tuple[Term, ...] | None) -> Callable:
+    """Generate the columnar executor for one compiled plan and emit mode.
 
     The emitted function has the shape::
 
@@ -294,13 +298,19 @@ def _codegen_columnar(plan: _Plan) -> Callable:
       in): an absent term means no row can match and the executor
       returns before touching a store.
 
-    Emission happens *inside* the generated code: the innermost loop
-    yields the finished homomorphism dict (out terms are burned in as
-    the globals ``k0…``, out lids lifted through the family's dense
-    ``terms`` list), built by one dict-display instruction.  Seed
-    entries are NOT in the emitted dict (out terms are never seeded, so
-    the two halves are disjoint); the caller updates them in when
-    present.
+    Emission happens *inside* the generated code, in one of two modes:
+
+    * ``emit=None`` — the innermost loop yields the finished
+      homomorphism dict (out terms are burned in as the globals
+      ``k0…``, out lids lifted through the family's dense ``terms``
+      list), built by one dict-display instruction.  Seed entries are
+      NOT in the emitted dict (out terms are never seeded, so the two
+      halves are disjoint); the caller updates them in when present;
+    * ``emit=(t0, …, tn)`` — it yields the registers of those terms
+      (seeded or not) as one tuple of family-local ids, in that order,
+      with no term lifted at all: the chase runner's trigger rows
+      (every body variable in name order), and ``()`` for a pure
+      existence test such as the standard chase's head check.
 
     A body longer than ``_STEPS_PER_FUNCTION`` atoms is split: every
     ``_STEPS_PER_FUNCTION``-th step starts an inner generator ``_c{d}``,
@@ -377,15 +387,22 @@ def _codegen_columnar(plan: _Plan) -> Callable:
         live.append(tuple(bound_regs))
         bound_regs.extend(reg for _, reg in step[5])
     inner_defs: list[str] = []  # source of the inner generators
+    reg_of = {t: i for i, t in enumerate(plan.seed_terms)}
+    reg_of.update(plan.out_pairs)
 
     def emit_tail(d: int, indent: str, looped: bool) -> None:
         e = d + 1
         if e == nsteps:
-            items = ", ".join(
-                f"k{j}: terms[{regname[reg]}]"
-                for j, (_, reg) in enumerate(plan.out_pairs)
-            )
-            src.append(f"{indent}yield {{{items}}}")
+            if emit is None:
+                items = ", ".join(
+                    f"k{j}: terms[{regname[reg]}]"
+                    for j, (_, reg) in enumerate(plan.out_pairs)
+                )
+                src.append(f"{indent}yield {{{items}}}")
+            else:
+                lids = [regname[reg_of[t]] for t in emit]
+                tup = ", ".join(lids) + ("," if len(lids) == 1 else "")
+                src.append(f"{indent}yield ({tup})")
         elif e % _STEPS_PER_FUNCTION:
             emit_step(e, indent, looped)
         else:
@@ -510,6 +527,79 @@ def _codegen_columnar(plan: _Plan) -> Callable:
     return ns["plan_fn"]
 
 
+def _resolve(
+    atoms: tuple[Atom, ...],
+    seeded: set[Term] | frozenset[Term],
+    frozen_nulls: bool,
+    target: ColumnarInstance,
+) -> _Plan:
+    """The cached plan for ``(atoms, seeded, frozen_nulls)``, compiled
+    against ``target`` on a miss."""
+    global _cached_atoms
+    key = (atoms, frozenset(t.tid for t in seeded), frozen_nulls)
+    plan = _plan_cache.get(key)
+    if plan is None:
+        if _cached_atoms + len(atoms) > _CACHE_LIMIT:
+            clear_cache()
+        plan = _compile(atoms, seeded, frozen_nulls, target)
+        _plan_cache[key] = plan
+        _cached_atoms += len(atoms)
+    return plan
+
+
+def _executor(plan: _Plan, emit: tuple[Term, ...] | None) -> Callable:
+    """The plan's generated executor for one emit mode (generated once)."""
+    fn = plan.fns.get(emit)
+    if fn is None:
+        fn = _codegen_columnar(plan, emit)
+        plan.fns[emit] = fn
+    return fn
+
+
+class BoundPlan:
+    """One ``(atoms, seeded terms, frozen_nulls)`` plan bound for repeated
+    execution in one emit mode.
+
+    :meth:`run` starts the generated executor on ``target`` with the
+    seed lids in :attr:`seed_terms` order.  Resolution is lazy — the plan
+    is taken from the cache, or compiled against ``target``, at the first
+    call, exactly when :func:`match` would have — and repeats after a
+    cache clear, so every plan compiled and cached is the one ``match``
+    would have compiled and cached.
+    """
+
+    __slots__ = ("atoms", "seeded", "frozen_nulls", "emit", "seed_terms", "fn", "epoch")
+
+    def __init__(
+        self,
+        atoms: Sequence[Atom],
+        seeded: Iterable[Term],
+        frozen_nulls: bool,
+        emit: tuple[Term, ...] | None,
+    ) -> None:
+        self.atoms = tuple(atoms)
+        self.seeded = frozenset(seeded)
+        self.frozen_nulls = frozen_nulls
+        self.emit = emit
+        self.seed_terms = tuple(sorted(self.seeded, key=lambda t: t.tid))
+        self.fn: Callable | None = None
+        self.epoch = -1
+
+    def executor(self, target: ColumnarInstance) -> Callable:
+        if self.epoch != _epoch:
+            plan = _resolve(self.atoms, self.seeded, self.frozen_nulls, target)
+            self.fn = _executor(plan, self.emit)
+            self.epoch = _epoch
+        return self.fn  # type: ignore[return-value]
+
+    def run(self, target: ColumnarInstance, seed_lids: Sequence[int]) -> Iterator:
+        """The executor's results on ``target`` for one seed binding."""
+        table = target._terms
+        return self.executor(target)(
+            target._stores, table.terms, table.local_of, *seed_lids
+        )
+
+
 def match(
     source: Sequence[Atom],
     target: ColumnarInstance,
@@ -527,7 +617,6 @@ def match(
     the generated probes and checks reject wholesale), and out-register
     lids are lifted through the family's dense term list coming out.
     """
-    global _cached_atoms
     base: Homomorphism = dict(seed) if seed else {}
     # Constants in the source must not be seeded to something else (the
     # naive reference rejects these wholesale, irrespective of body
@@ -546,18 +635,8 @@ def match(
         for s in a.args
         if _is_flex(s, frozen_nulls) and s in base
     }
-    key = (atoms, frozenset(t.tid for t in seeded), frozen_nulls)
-    plan = _plan_cache.get(key)
-    if plan is None:
-        if _cached_atoms + len(atoms) > _CACHE_LIMIT:
-            clear_cache()
-        plan = _compile(atoms, seeded, frozen_nulls, target)
-        _plan_cache[key] = plan
-        _cached_atoms += len(atoms)
-    fn = plan.columnar_fn
-    if fn is None:
-        fn = _codegen_columnar(plan)
-        plan.columnar_fn = fn
+    plan = _resolve(atoms, seeded, frozen_nulls, target)
+    fn = _executor(plan, None)
 
     table = target._terms
     local_of = table.local_of
@@ -578,52 +657,99 @@ def match(
             return
 
 
+def lid_getter(positions: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
+    """A C-speed ``lids -> tuple(lids[p] for p in positions)``
+    (``itemgetter`` returns a bare item for one position, so the short
+    cases are spelled out)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda lids: (lids[p],)
+    return lambda lids: ()
+
+
+def _bind_anchor(
+    anchor: BodyAnchor, lid_rows: bool
+) -> tuple[BoundPlan, Callable[[Sequence[int]], tuple]]:
+    """The plan ``match`` would run for every fact this anchor accepts
+    (the body seeded with the anchor's variables), bound once, plus the
+    getter of its seed lids (in executor-parameter order) from a row."""
+    emit = (
+        tuple(sorted(atoms_variables(anchor.body), key=lambda v: v.name))
+        if lid_rows
+        else None
+    )
+    first = dict(anchor.variables)
+    bound = BoundPlan(anchor.body, first, False, emit)
+    return bound, lid_getter([first[t] for t in bound.seed_terms])
+
+
 def delta_row_homomorphisms(
-    by_pred: Mapping[str, list[tuple[object, Sequence[Atom], Atom]]],
+    by_pred: Mapping[str, list[BodyAnchor]],
     target: ColumnarInstance,
     handles: Iterable[tuple[tuple[str, int], int]],
-) -> Iterator[tuple[object, Homomorphism]]:
+    lid_rows: bool = False,
+) -> Iterator[tuple[object, Homomorphism | tuple[int, ...]]]:
     """Semi-naive discovery over columnar delta-row handles.
 
     The columnar counterpart of
     :func:`repro.matching.engine.delta_homomorphisms`: each ``(storekey,
     row)`` handle from :meth:`ColumnarInstance.added_rows_since` anchors
     every body atom over its predicate without materialising the fact —
-    the anchor is computed lid-by-lid (variables bind consistently,
-    constants and nulls must match rigidly), then the plan executor runs
-    with the resulting seed.  Same ``(key, h)`` stream as the object
-    version, same duplication caveats; consumers dedupe.
+    the anchor is checked lid-by-lid (repeated variables must agree,
+    constants and nulls must sit on the row exactly), then the anchor's
+    plan runs with the row's lids as its seeds.  Each anchor binds its
+    plan once (:func:`_bind_anchor`), so a row costs no plan lookup.
+    Same ``(key, h)`` stream, in the same order, as the object version
+    and as :func:`match` per anchor; same duplication caveats; consumers
+    dedupe.
+
+    With ``lid_rows`` each homomorphism is emitted as the tuple of
+    family-local ids of the body's variables in name order instead of a
+    term dict — the chase runner's trigger rows.
     """
-    terms = target._terms.terms
+    table = target._terms
+    terms = table.terms
+    local_of = table.local_of
     stores = target._stores
     for skey, row in handles:
-        predicate, arity = skey
-        entries = by_pred.get(predicate)
-        if not entries:
+        anchors = by_pred.get(skey[0])
+        if not anchors:
             continue
-        store = stores[skey]
-        row_terms = [terms[col[row]] for col in store.cols]
-        for key, body, atom in entries:
-            if atom.arity != arity:
+        arity = skey[1]
+        lids = [col[row] for col in stores[skey].cols]
+        for anchor in anchors:
+            if anchor.arity != arity:
                 continue
-            seed: Homomorphism = {}
-            ok = True
-            for s, rt in zip(atom.args, row_terms):
-                if isinstance(s, Variable):
-                    bound = seed.get(s)
-                    if bound is None:
-                        seed[s] = rt
-                    elif bound is not rt:
-                        ok = False
-                        break
-                elif s is not rt:
-                    # Rigid anchor: constants and nulls must sit on the
-                    # row exactly (seed_mapping's frozen-null semantics;
-                    # terms are interned, so identity is equality).
-                    ok = False
-                    break
-            if not ok:
+            if anchor.checked and not _anchor_fits(anchor, lids, local_of):
                 continue
-            for h in match(body, target, seed=seed, limit=None):
-                yield key, h
+            bound = anchor.bound.get(lid_rows)
+            if bound is None:
+                bound = anchor.bound[lid_rows] = _bind_anchor(anchor, lid_rows)
+            plan, seeds = bound
+            fn = plan.fn if plan.epoch == _epoch else plan.executor(target)
+            gen = fn(stores, terms, local_of, *seeds(lids))
+            key = anchor.key
+            if lid_rows:
+                for image in gen:
+                    yield key, image
+            else:
+                base = [(v, terms[lids[p]]) for v, p in anchor.variables]
+                for h in gen:
+                    h.update(base)  # disjoint from outs, as in match
+                    yield key, h
 
+
+def _anchor_fits(
+    anchor: BodyAnchor, lids: Sequence[int], local_of: Mapping[int, int]
+) -> bool:
+    """Do a row's lids satisfy the anchor's repeated-variable and rigid
+    checks?  (A rigid term this family has never seen matches no row.)"""
+    for pos, pos0 in anchor.repeats:
+        if lids[pos] != lids[pos0]:
+            return False
+    for pos, term in anchor.rigid:
+        if local_of.get(term.tid) != lids[pos]:
+            return False
+    return True

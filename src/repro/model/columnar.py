@@ -280,7 +280,9 @@ class _Store:
 class ColumnarInstance:
     """A mutable set of facts stored as lid columns plus row-id indexes."""
 
-    __slots__ = ("_stores", "_terms", "_owned", "_cow", "_log", "_undo", "_sp_stack")
+    __slots__ = (
+        "_stores", "_terms", "_owned", "_cow", "_log", "_undo", "_sp_stack", "_size",
+    )
 
     def __init__(self, facts: Iterable[Atom] = ()) -> None:
         self._stores: dict[StoreKey, _Store] = {}
@@ -295,6 +297,9 @@ class ColumnarInstance:
         self._log: list[RowHandle] = []
         self._undo: list[tuple] | None = None
         self._sp_stack: list[Savepoint] = []
+        # Live facts over every store, kept by each mutation so that
+        # ``len`` is O(1).
+        self._size = 0
         for f in facts:
             self.add(f)
 
@@ -337,12 +342,13 @@ class ColumnarInstance:
             created = True
         elif key in store.rowmap:
             return False
-        else:
+        elif self._cow and skey not in self._owned:
             store = self._writable(skey)
         row = store.nrows
+        cols = store.cols
         index = store.index
         for pos, lid in enumerate(key):
-            store.cols[pos].append(lid)
+            cols[pos].append(lid)
             cell = index[pos].get(lid)
             if cell is None:
                 index[pos][lid] = array("q", (row,))
@@ -353,6 +359,7 @@ class ColumnarInstance:
         store.nrows = row + 1
         store.nlive += 1
         store.version += 1
+        self._size += 1
         self._log.append((skey, row))
         if self._undo is not None:
             self._undo.append((_UNDO_ADD, skey, row, created))
@@ -385,6 +392,7 @@ class ColumnarInstance:
         store.live[row] = 0
         store.nlive -= 1
         store.version += 1
+        self._size -= 1
         if self._undo is not None:
             self._undo.append((_UNDO_DISCARD, skey, row))
 
@@ -459,6 +467,7 @@ class ColumnarInstance:
                 if store.live[row]:
                     del store.rowmap[key]
                     store.nlive -= 1
+                    self._size -= 1
                 for pos, lid in enumerate(key):
                     cell = store.index[pos][lid]
                     cell.pop()
@@ -477,6 +486,7 @@ class ColumnarInstance:
             else:
                 store.live[row] = 1
                 store.nlive += 1
+                self._size += 1
                 store.rowmap[store.row_key(row)] = row
                 store.version += 1
         del undo[sp._undo_len:]
@@ -526,6 +536,17 @@ class ColumnarInstance:
                 "cannot compact the delta log inside a transaction"
             )
         self._log.clear()
+
+    @property
+    def term_table(self) -> _TermTable:
+        """The family's lid ↔ term table, shared by every fork: ``terms[lid]``
+        is the term behind a local id, ``local_of[term.tid]`` the id of a
+        term, ``register(term)`` assigns one.  Append-only, so registering
+        a term never disturbs a fact.  Lid-level consumers (the chase
+        runner's trigger rows) read ids through it; facts still change
+        only through the mutators, which keep columns, indexes and the
+        delta log in lockstep."""
+        return self._terms
 
     # -- delta log ---------------------------------------------------------
 
@@ -584,7 +605,7 @@ class ColumnarInstance:
                 yield Atom(pred, tuple(terms[lid] for lid in key))
 
     def __len__(self) -> int:
-        return sum(store.nlive for store in self._stores.values())
+        return self._size
 
     def __eq__(self, other: object) -> bool:
         """Value equality on the fact *set*: two instances are equal iff
@@ -668,6 +689,7 @@ class ColumnarInstance:
             else:
                 child_stores[skey] = store
         out._stores = child_stores
+        out._size = self._size
         out._owned = owned
         out._cow = True
         self._cow = True

@@ -21,8 +21,9 @@ class Dependency:
     """Common base class of :class:`TGD` and :class:`EGD`."""
 
     # ``__weakref__`` lets tests prove an analysis keeps no dependency
-    # alive after it returns.
-    __slots__ = ("body", "label", "_hash", "__weakref__")
+    # alive after it returns.  ``_body_vars`` is computed once at
+    # construction (a frozenset, so callers cannot corrupt it).
+    __slots__ = ("body", "label", "_hash", "_body_vars", "__weakref__")
 
     body: tuple[Atom, ...]
     label: str
@@ -48,13 +49,13 @@ class Dependency:
 
     # -- structure -------------------------------------------------------
 
-    def body_variables(self) -> set[Variable]:
-        return atoms_variables(self.body)
+    def body_variables(self) -> frozenset[Variable]:
+        return self._body_vars
 
     def body_constants(self) -> set[Constant]:
         return atoms_constants(self.body)
 
-    def variables(self) -> set[Variable]:
+    def variables(self) -> frozenset[Variable]:
         raise NotImplementedError
 
     def body_positions_of(self, var: Variable) -> list[Position]:
@@ -100,7 +101,7 @@ class TGD(Dependency):
     variables "following the order they appear in z").
     """
 
-    __slots__ = ("head", "existential")
+    __slots__ = ("head", "existential", "_head_vars", "_frontier")
 
     def __init__(
         self,
@@ -115,8 +116,11 @@ class TGD(Dependency):
             raise ValueError("a TGD needs a non-empty body")
         if not self.head:
             raise ValueError("a TGD needs a non-empty head")
-        body_vars = atoms_variables(self.body)
-        head_vars = atoms_variables(self.head)
+        body_vars = frozenset(atoms_variables(self.body))
+        head_vars = frozenset(atoms_variables(self.head))
+        object.__setattr__(self, "_body_vars", body_vars)
+        object.__setattr__(self, "_head_vars", head_vars)
+        object.__setattr__(self, "_frontier", body_vars & head_vars)
         inferred = head_vars - body_vars
         if existential is None:
             ordered: list[Variable] = []
@@ -146,19 +150,19 @@ class TGD(Dependency):
     def is_full(self) -> bool:
         return not self.existential
 
-    def head_variables(self) -> set[Variable]:
-        return atoms_variables(self.head)
+    def head_variables(self) -> frozenset[Variable]:
+        return self._head_vars
 
-    def frontier(self) -> set[Variable]:
+    def frontier(self) -> frozenset[Variable]:
         """Variables occurring in both body and head (the TGD's frontier).
 
         The semi-oblivious chase identifies triggers by their restriction to
         the frontier.
         """
-        return self.body_variables() & self.head_variables()
+        return self._frontier
 
-    def variables(self) -> set[Variable]:
-        return self.body_variables() | self.head_variables()
+    def variables(self) -> frozenset[Variable]:
+        return self._body_vars | self._head_vars
 
     def existential_variables(self) -> tuple[Variable, ...]:
         return self.existential
@@ -214,7 +218,8 @@ class EGD(Dependency):
             raise ValueError("an EGD needs a non-empty body")
         if not isinstance(lhs, Variable) or not isinstance(rhs, Variable):
             raise TypeError("EGD equality sides must be variables")
-        body_vars = atoms_variables(self.body)
+        body_vars = frozenset(atoms_variables(self.body))
+        object.__setattr__(self, "_body_vars", body_vars)
         if lhs not in body_vars or rhs not in body_vars:
             raise ValueError("EGD equality variables must occur in the body")
         if lhs is rhs:
@@ -231,8 +236,8 @@ class EGD(Dependency):
     def is_full(self) -> bool:
         return True
 
-    def variables(self) -> set[Variable]:
-        return self.body_variables()
+    def variables(self) -> frozenset[Variable]:
+        return self._body_vars
 
     def rename_variables(self, suffix: str) -> "EGD":
         ren: dict[Term, Term] = {

@@ -105,6 +105,27 @@ class TestStandardChase:
         assert result.status is ChaseStatus.SUCCESS
         assert result.step_count == 0
 
+    def test_chase_halting_exactly_at_the_cap_succeeds(self):
+        # One step fires and nothing is applicable after it: the step cap
+        # of 1 is reached, but the sequence has terminated.
+        sigma = parse_dependencies("r: P(x) -> Q(x)")
+        db = parse_facts('P("a")')
+        result = run_chase(db, sigma, max_steps=1)
+        assert result.status is ChaseStatus.SUCCESS
+        assert result.step_count == 1
+        assert Atom("Q", (a,)) in result.instance
+        # One step short of the halt, the cap still bites.
+        capped = run_chase(parse_facts('P("a") P("b")'), sigma, max_steps=1)
+        assert capped.status is ChaseStatus.EXCEEDED
+        assert capped.step_count == 1
+
+    def test_satisfied_database_with_zero_cap_succeeds(self):
+        sigma6 = parse_dependencies("r: E(x, y) -> exists z. E(x, z)")
+        db = parse_facts('E("a", "b")')
+        result = run_chase(db, sigma6, max_steps=0)
+        assert result.status is ChaseStatus.SUCCESS
+        assert result.step_count == 0
+
     def test_failing_chase(self):
         sigma = parse_dependencies("r: E(x, y) -> x = y")
         db = parse_facts('E("a", "b")')

@@ -249,9 +249,11 @@ class TestSavepoints:
                         col.merge_terms(old, new)
                         ref.merge_terms(old, new)
                 assert col == ref.facts, f"seed={seed} mid-transaction"
+                assert len(col) == len(ref.facts), f"seed={seed}"
             col.rollback(sp_c)
             ref.rollback(sp_r)
             assert col == ref.facts, f"seed={seed} after rollback"
+            assert len(col) == len(ref.facts), f"seed={seed} after rollback"
             assert col == set(base), f"seed={seed}"
             assert col.tick == ref.tick, f"seed={seed}"
 
@@ -520,11 +522,16 @@ class TestRandomScriptsWithForks:
                     # Fork both sides (possibly mid-transaction), mutate
                     # only the children, compare, drop them.
                     cc, cr = col.copy(), ref.copy()
+                    assert len(cc) == len(cr.facts), f"seed={seed} step={step}"
                     for g in [random_fact(rng, pool) for _ in range(4)]:
                         assert cc.add(g) == cr.add(g)
+                        assert len(cc) == len(cr.facts), f"seed={seed} step={step}"
+                        assert len(col) == len(ref.facts), f"seed={seed} step={step}"
                     assert cc.discard(f) == cr.discard(f)
+                    assert len(cc) == len(cr.facts), f"seed={seed} step={step}"
                     assert cc == cr.facts, f"seed={seed} step={step} fork"
                 assert col == ref.facts, f"seed={seed} step={step}"
+                assert len(col) == len(ref.facts), f"seed={seed} step={step}"
             while stack:
                 sc, sr = stack.pop()
                 col.rollback(sc)

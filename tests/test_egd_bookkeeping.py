@@ -56,27 +56,30 @@ class TestFiredKeyRewriting:
         assert result.instance.facts() == db.facts()
 
     def test_apply_gamma_rewrites_keys_directly(self):
-        # Unit-level: chained γ1 = {η1/η2}, γ2 = {η2/b} over a recorded key.
+        # Unit-level: chained γ1 = {η1/η2}, γ2 = {η2/b} over a recorded
+        # key, which the runner keeps as (dependency index, key lids).
         sigma = parse_dependencies("r1: P(x) -> exists y. R(x, y)")
         runner = ChaseRunner(parse_facts('P("a")'), sigma, "oblivious")
-        dep = sigma[0]
-        runner._fired_keys = {(dep, (a, Null(1)))}
+        lid = runner.instance.term_table.register
+        runner._fired_keys = {(0, (lid(a), lid(Null(1))))}
         runner._apply_gamma(Substitution(Null(1), Null(2)))
-        assert runner._fired_keys == {(dep, (a, Null(2)))}
+        assert runner._fired_keys == {(0, (lid(a), lid(Null(2))))}
         runner._apply_gamma(Substitution(Null(2), b))
-        assert runner._fired_keys == {(dep, (a, b))}
+        assert runner._fired_keys == {(0, (lid(a), lid(b)))}
 
     def test_apply_gamma_rewrites_pending_triggers(self):
         sigma = parse_dependencies("r1: R(x, y) -> N(y)")
         runner = ChaseRunner(parse_facts('R("a", "b")'), sigma, "oblivious")
-        from repro.chase.step import Trigger
         x, y = (v for v in sorted(sigma[0].body_variables(), key=lambda v: v.name))
-        runner._pending = [Trigger.make(sigma[0], {x: a, y: Null(5)})]
-        runner._seen = set(runner._pending)
+        lid = runner.instance.term_table.register
+        # A pending row binds (x, y) — name order — to (a, η5).
+        runner._push_batch([(0, (lid(a), lid(Null(5))))])
+        assert runner._seen == {p.row for p in runner._pending}
         runner._apply_gamma(Substitution(Null(5), b))
         (trigger,) = runner._pending
-        assert trigger.mapping() == {x: a, y: b}
-        assert runner._seen == {trigger}
+        assert trigger.row == (0, (lid(a), lid(b)))
+        assert trigger.trigger().mapping() == {x: a, y: b}
+        assert runner._seen == {trigger.row}
 
 
 class TestMergeEnablesRepeatedVariableBody:

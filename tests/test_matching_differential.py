@@ -230,6 +230,15 @@ def test_chase_differential_on_random_programs():
                 )
 
 
+def smallest_images_first(triggers):
+    """A user strategy over ``.assignment``: the pending trigger whose
+    rendered images sort first (ties: the oldest)."""
+    return min(
+        range(len(triggers)),
+        key=lambda i: [str(t) for _, t in triggers[i].assignment],
+    )
+
+
 def test_chase_differential_all_strategies():
     """The canonical batch order makes every strategy backend-agnostic."""
     for seed in range(25):
@@ -237,7 +246,7 @@ def test_chase_differential_all_strategies():
         db = random_instance(seed * 17 + 9, sigma, n_facts=8, n_nulls=0)
         for variant in VARIANTS:
             for strategy in ("fifo", "lifo", "full_first", "egd_first",
-                             "existential_first"):
+                             "existential_first", smallest_images_first):
                 r_nai = run_chase(
                     db, sigma, variant=variant, strategy=strategy,
                     max_steps=40, engine="naive",
