@@ -90,10 +90,6 @@ VARIANTS = ("standard", "oblivious", "semi_oblivious")
 Row = tuple[int, tuple[int, ...]]
 
 
-class ChaseBudgetExceeded(Exception):
-    """Internal signal: step budget exhausted (mapped to EXCEEDED status)."""
-
-
 def _key_variables(dep: AnyDependency, variant: str) -> tuple[Variable, ...]:
     """The variables identifying a trigger for the given chase variant."""
     if variant == "oblivious":
@@ -406,9 +402,10 @@ class ChaseRunner:
             if outcome.failed:
                 return ChaseResult(ChaseStatus.FAILURE, None, self.steps, self.variant)
             self._discover_delta()
-            if len(self.instance) > facts_seen:
-                self.budget.charge_facts(len(self.instance) - facts_seen)
-                facts_seen = len(self.instance)
+            size = len(self.instance)
+            if size > facts_seen:
+                self.budget.charge_facts(size - facts_seen)
+                facts_seen = size
 
     def _next_applicable(self) -> PendingTrigger | None:
         """Pop pending triggers per strategy until one is applicable.

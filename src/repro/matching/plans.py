@@ -22,8 +22,9 @@ be the cost:
 * **Plans are cached** in a bounded module-level table keyed by
   ``(body atoms, seeded flex-term ids restricted to the body,
   frozen_nulls)`` — exactly the inputs that determine the compiled
-  shape.  The semi-naive discovery loop therefore hits one cached plan
-  per (dependency, anchor atom) pair after the first delta round.
+  shape.  Semi-naive discovery (:func:`delta_row_homomorphisms`) binds
+  one plan per (body, anchor atom) pair once (:class:`BoundPlan`) and
+  then runs it per delta row with no lookup at all.
 
 Plans enumerate the same homomorphism **set** as the naive reference
 (:mod:`.naive`), possibly in a different order, which is the contract the
@@ -33,8 +34,10 @@ canonically; see DESIGN.md §9).
 
 A plan holds **no** reference to any instance — only atom structure, term
 objects and term ids — so the cache never pins instance state.  Term ids
-are process-local (:mod:`repro.model.terms`) and never escape into the
-emitted homomorphisms, which map term objects to term objects.
+are process-local (:mod:`repro.model.terms`) and never escape: emitted
+homomorphisms map term objects to term objects, and the lid-tuple emit
+mode hands out family-local ids, meaningful only within the target's
+instance family (DESIGN.md §11).
 
 **Columnar execution (DESIGN.md §10/§11).**  The target is always a
 :class:`~repro.model.columnar.ColumnarInstance`, the one fact store
@@ -46,7 +49,8 @@ rowmap keys directly (zero column reads), probed pools filter tombstones
 against the live bitmap and upgrade to the vectorised
 :mod:`repro.model.kernels` above a size threshold, and no ``Atom`` or
 ``Term`` object is touched until a homomorphism is emitted at the
-boundary.
+boundary — as a term dict or, for lid-level consumers, as a tuple of
+the registers' lids (see :func:`_codegen_columnar`'s emit modes).
 """
 
 from __future__ import annotations
@@ -586,6 +590,8 @@ class BoundPlan:
         self.epoch = -1
 
     def executor(self, target: ColumnarInstance) -> Callable:
+        """The generated function, (re-)resolved against ``target`` when
+        no plan is bound or the cache was cleared since."""
         if self.epoch != _epoch:
             plan = _resolve(self.atoms, self.seeded, self.frozen_nulls, target)
             self.fn = _executor(plan, self.emit)

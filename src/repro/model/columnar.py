@@ -345,13 +345,11 @@ class ColumnarInstance:
         elif self._cow and skey not in self._owned:
             store = self._writable(skey)
         row = store.nrows
-        cols = store.cols
-        index = store.index
-        for pos, lid in enumerate(key):
-            cols[pos].append(lid)
-            cell = index[pos].get(lid)
+        for col, cells, lid in zip(store.cols, store.index, key):
+            col.append(lid)
+            cell = cells.get(lid)
             if cell is None:
-                index[pos][lid] = array("q", (row,))
+                cells[lid] = array("q", (row,))
             else:
                 cell.append(row)
         store.rowmap[key] = row
