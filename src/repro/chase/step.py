@@ -115,9 +115,6 @@ class PendingTrigger:
     def trigger(self) -> Trigger:
         return Trigger(self.dependency, self.assignment)
 
-    def __repr__(self) -> str:
-        return f"PendingTrigger({self.trigger()})"
-
 
 @dataclass(frozen=True)
 class Substitution:

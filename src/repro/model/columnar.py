@@ -342,7 +342,7 @@ class ColumnarInstance:
             created = True
         elif key in store.rowmap:
             return False
-        elif self._cow and skey not in self._owned:
+        else:
             store = self._writable(skey)
         row = store.nrows
         for col, cells, lid in zip(store.cols, store.index, key):
