@@ -28,30 +28,21 @@ corpus outliers simply stay cold.  Only deterministic decisions ever
 reach a :class:`DecisionCache`, so everything snapshotted from one is
 safe to persist.
 
-The store rides in the same directory as the result cache and speaks the
-same selectable :mod:`repro.store` backends: the ``artifacts`` table of
-``store.sqlite`` (default — one row per probe, ``INSERT OR IGNORE``
-merge semantics), or the append-only ``artifacts.jsonl`` reference log
-(one record batch per line, truncated tails skipped, later lines can
-only *add* decisions — decisions are deterministic, so re-derived ones
-are equal).
+The store is the ``artifacts`` table of the same directory's
+``store.sqlite`` as the result cache: one row per probe, ``INSERT OR
+IGNORE`` merge semantics (later writes can only *add* decisions —
+decisions are deterministic, so re-derived ones are equal).
 """
 
 from __future__ import annotations
 
 import os
-import pathlib
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..firing.relations import DecisionCache
 from ..firing.witness import FiringDecision
 from ..model.dependencies import AnyDependency, DependencySet
-from ..store import (
-    BACKENDS,
-    JsonlArtifactBackend,
-    SqliteArtifactBackend,
-    record_identity,
-)
+from ..store import ArtifactTable, record_identity
 from .fingerprint import (
     _alpha_unique,
     _dependency_code,
@@ -127,8 +118,9 @@ def decisions_to_json(
             record["fulls"] = sorted({code_of[f] for f in fulls})
         records.append(record)
     # Deterministic file content: order by the probe identity (already
-    # canonical strings — no dependency is rendered for sorting).
-    records.sort(key=_record_identity)
+    # canonical strings — no dependency is rendered for sorting), the
+    # same identity the artifact table deduplicates by.
+    records.sort(key=record_identity)
     return records
 
 
@@ -176,85 +168,15 @@ def seed_decisions(
     return seeded
 
 
-#: The probe a record answers (everything but the answer itself) — the
-#: dedup identity both store backends and the codec share.
-_record_identity = record_identity
-
-
-def _artifact_backend(
-    directory: pathlib.Path, backend: str, durable: bool
-) -> SqliteArtifactBackend | JsonlArtifactBackend:
-    if backend == "sqlite":
-        return SqliteArtifactBackend(
-            directory, ARTIFACT_SCHEMA, durable=durable
-        )
-    if backend == "jsonl":
-        return JsonlArtifactBackend(
-            directory, ARTIFACT_SCHEMA, durable=durable
-        )
-    raise ValueError(f"unknown store backend {backend!r}; known: {BACKENDS}")
-
-
-class ArtifactStore:
-    """Per-program decision records, fronted by the selected backend.
+class ArtifactStore(ArtifactTable):
+    """Per-program decision records in a cache directory's
+    ``store.sqlite`` — the sqlite artifact table under
+    :data:`ARTIFACT_SCHEMA`.
 
     Mirrors :class:`~repro.batch.cache.ResultCache`'s lifecycle (same
-    directory, same store file or a sibling log) but merges rather than
-    replaces: writes for the same program key accumulate decisions,
-    deduplicated by probe.
+    directory, same store file) but merges rather than replaces: writes
+    for the same program key accumulate decisions, deduplicated by probe.
     """
 
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        backend: str = "sqlite",
-        durable: bool = True,
-    ) -> None:
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.backend = backend
-        self._backend = _artifact_backend(self.directory, backend, durable)
-
-    @property
-    def path(self) -> pathlib.Path:
-        """The backend's on-disk file (``store.sqlite`` / ``artifacts.jsonl``)."""
-        return self._backend.path
-
-    @property
-    def schema_version(self) -> int:
-        return ARTIFACT_SCHEMA
-
-    @property
-    def imported(self) -> int:
-        return self._backend.imported
-
-    def __len__(self) -> int:
-        return self._backend.programs()
-
-    def get(self, key: str) -> list[dict]:
-        """Every stored decision record for the program ``key``."""
-        return self._backend.get(key)
-
-    def put(self, key: str, records: list[dict]) -> int:
-        """Store the records not already present; returns how many were new."""
-        return self._backend.put(key, records)
-
-    def entries(self) -> Iterator[tuple[str, list[dict]]]:
-        """Every program's merged records as ``(key, records)`` — the
-        export interface (:mod:`repro.store.port`)."""
-        return self._backend.entries()
-
-    def close(self) -> None:
-        self._backend.close()
-
-    def __enter__(self) -> "ArtifactStore":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"ArtifactStore({str(self.directory)!r}, {self.backend}, "
-            f"{len(self)} programs)"
-        )
+    def __init__(self, directory: str | os.PathLike) -> None:
+        super().__init__(directory, ARTIFACT_SCHEMA)

@@ -1,16 +1,12 @@
 """The on-disk, content-addressed result cache of the batch engine.
 
-One cache is one directory, persisted by a selectable
-:mod:`repro.store` backend:
-
-* ``sqlite`` (default) — the embedded ``store.sqlite`` (WAL,
-  ``synchronous=NORMAL``, ``busy_timeout``; DESIGN.md §7).  Opens in
-  O(1), serves point lookups and the filter/sort/paginate query surface
-  from indexes, and tolerates concurrent writer processes.  A legacy
-  JSONL directory migrates itself on first open.
-* ``jsonl`` — the original append-only ``results.jsonl`` log, replayed
-  in full on open.  The differential reference backend and the
-  import/export interchange format.
+One cache is one directory, persisted in the ``results`` table of its
+embedded ``store.sqlite`` (:mod:`repro.store`; WAL,
+``synchronous=NORMAL``, ``busy_timeout``; DESIGN.md §7).  It opens in
+O(1), serves point lookups and the filter/sort/paginate query surface
+from indexes, and tolerates concurrent writer processes.  A legacy JSONL
+directory migrates itself on first open; JSONL stays the export/import
+format (:mod:`repro.store.port`).
 
 Every entry carries three envelope fields next to the payload:
 
@@ -26,9 +22,8 @@ Every entry carries three envelope fields next to the payload:
   verdict obtained under the old one.
 
 Writes are acknowledged durably: ``put`` returns only after the record
-would survive a SIGKILL of the writer (a committed sqlite transaction, a
-flushed-and-fsynced JSONL line).  Duplicate keys resolve last-write-wins
-in both backends — "the log is the truth, later writes win".
+would survive a SIGKILL of the writer (a committed sqlite transaction).
+Duplicate keys resolve last-write-wins.
 """
 
 from __future__ import annotations
@@ -38,13 +33,7 @@ import pathlib
 from dataclasses import dataclass
 from typing import Any
 
-from ..store import (
-    BACKENDS,
-    JsonlResultBackend,
-    QueryPage,
-    ResultQuery,
-    SqliteResultBackend,
-)
+from ..store import QueryPage, ResultQuery, ResultTable
 
 #: Version of the cache record schema *and* of the evaluation semantics
 #: producing the payloads.  Any change to either must bump this.
@@ -56,7 +45,7 @@ class CacheStats:
     """What happened while loading and serving one cache."""
 
     loaded: int = 0          # live entries available after load
-    corrupted: int = 0       # unparseable lines skipped
+    corrupted: int = 0       # legacy JSONL lines skipped as torn/corrupt
     stale_schema: int = 0    # entries under another SCHEMA_VERSION
     imported: int = 0        # legacy JSONL entries migrated on open
     hits: int = 0
@@ -78,40 +67,24 @@ def _envelope(key: str, params: str, record: dict) -> dict:
     }
 
 
-def _result_backend(
-    directory: pathlib.Path, backend: str, durable: bool
-) -> SqliteResultBackend | JsonlResultBackend:
-    if backend == "sqlite":
-        return SqliteResultBackend(directory, SCHEMA_VERSION, durable=durable)
-    if backend == "jsonl":
-        return JsonlResultBackend(directory, SCHEMA_VERSION, durable=durable)
-    raise ValueError(f"unknown store backend {backend!r}; known: {BACKENDS}")
-
-
 class ResultCache:
-    """One cache directory, fronted by the selected store backend."""
+    """One cache directory: the serving counters and params check in
+    front of the directory's sqlite ``results`` table."""
 
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        backend: str = "sqlite",
-        durable: bool = True,
-    ) -> None:
+    def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.backend = backend
-        self._backend = _result_backend(self.directory, backend, durable)
+        self._table = ResultTable(self.directory, SCHEMA_VERSION)
         self.stats = CacheStats(
-            loaded=self._backend.loaded,
-            corrupted=self._backend.corrupted,
-            stale_schema=self._backend.stale_schema,
-            imported=self._backend.imported,
+            loaded=self._table.loaded,
+            corrupted=self._table.corrupted,
+            stale_schema=self._table.stale_schema,
+            imported=self._table.imported,
         )
 
     @property
     def path(self) -> pathlib.Path:
-        """The backend's on-disk file (``store.sqlite`` / ``results.jsonl``)."""
-        return self._backend.path
+        """The on-disk ``store.sqlite``."""
+        return self._table.path
 
     @property
     def schema_version(self) -> int:
@@ -120,14 +93,14 @@ class ResultCache:
     # -- access ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._backend.count()
+        return self._table.count()
 
     def __contains__(self, key: str) -> bool:
-        return self._backend.contains(key)
+        return self._table.contains(key)
 
     def get(self, key: str, params: str) -> dict | None:
         """The cached payload for ``(key, params)``, or None (a miss)."""
-        entry = self._backend.get(key)
+        entry = self._table.get(key)
         if entry is None:
             self.stats.misses += 1
             return None
@@ -146,23 +119,23 @@ class ResultCache:
         interrupted batch run resume exactly where it stopped, and what
         the crash-injection suite (``tests/test_store_crash.py``) pins.
         """
-        self._backend.put(_envelope(key, params, record))
+        self._table.put(_envelope(key, params, record))
 
     def put_many(self, items: list[tuple[str, str, dict]]) -> None:
         """Store a batch of ``(key, params, record)`` durably at once.
 
         Record-for-record equivalent to looping ``put`` — same
-        envelopes, same last-write-wins order — but the backend commits
-        the whole batch behind one transaction (sqlite) or one fsync
-        (jsonl).  This is what the batch engine's drain calls once per
-        completion round instead of once per finished program.
+        envelopes, same last-write-wins order — but the whole batch
+        commits in one transaction.  This is what the batch engine's
+        drain calls once per completion round instead of once per
+        finished program.
         """
-        self._backend.put_many(
+        self._table.put_many(
             [_envelope(key, params, record) for key, params, record in items]
         )
 
     def stats_snapshot(self) -> dict:
-        """One JSON-ready view of serving counters *and* backend state."""
+        """One JSON-ready view of serving counters *and* store state."""
         return {
             "hits": self.stats.hits,
             "misses": self.stats.misses,
@@ -173,7 +146,7 @@ class ResultCache:
             "stale_schema": self.stats.stale_schema,
             "imported": self.stats.imported,
             "entries": len(self),
-            "store": self._backend.stats(),
+            "store": self._table.stats(),
         }
 
     # -- the query surface ---------------------------------------------------
@@ -182,15 +155,15 @@ class ResultCache:
         """Filter/sort/paginate stored verdicts (see repro.store.query)."""
         if q is None:
             q = ResultQuery(**kwargs)
-        return self._backend.query(q)
+        return self._table.query(q)
 
     def entries(self) -> list[tuple[int, dict]]:
         """Every live entry as ``(seq, envelope)`` in write order — the
         export interface (:mod:`repro.store.port`)."""
-        return self._backend.entries()
+        return self._table.entries()
 
     def close(self) -> None:
-        self._backend.close()
+        self._table.close()
 
     def __enter__(self) -> "ResultCache":
         return self
@@ -199,7 +172,4 @@ class ResultCache:
         self.close()
 
     def __repr__(self) -> str:
-        return (
-            f"ResultCache({str(self.directory)!r}, {self.backend}, "
-            f"{len(self)} entries)"
-        )
+        return f"ResultCache({str(self.directory)!r}, {len(self)} entries)"

@@ -16,9 +16,9 @@ incremental evaluation service:
   ``n`` — the same deterministic key-space split on every machine, so
   ``n`` hosts can each take one shard and never duplicate work (against
   one locally-shared cache directory, or — on network filesystems,
-  where concurrent appends to one file are not atomic — against
-  per-host directories whose JSONL logs are concatenated afterwards:
-  last-write-wins loading makes concatenation a valid merge);
+  where SQLite's locking is not reliable — against per-host directories
+  merged afterwards by exporting each host's store to JSONL and
+  importing every export into one store);
 * **budgets and interruption** — the PR 2 :class:`~repro.budget.Budget`
   contract crosses the process boundary by value: each worker rebuilds a
   per-program budget from the config's limits, and a blown budget comes
@@ -75,11 +75,6 @@ class BatchConfig:
     mode: str = "evaluate"
     jobs: int = 1
     cache_dir: str | os.PathLike | None = None
-    #: Store backend behind the cache directory: "sqlite" (embedded
-    #: store.sqlite, the default) or "jsonl" (the append-only reference
-    #: logs).  Selects representation only — never record content — so it
-    #: deliberately stays out of params_key().
-    store: str = "sqlite"
     shard: tuple[int, int] | None = None
     resume: bool = True
     budget_steps: int | None = None
@@ -88,14 +83,8 @@ class BatchConfig:
     criteria: list[str] | None = None  # classify mode only
 
     def __post_init__(self) -> None:
-        from ..store import BACKENDS
-
         if self.mode not in MODES:
             raise ValueError(f"unknown batch mode {self.mode!r}; known: {MODES}")
-        if self.store not in BACKENDS:
-            raise ValueError(
-                f"unknown store backend {self.store!r}; known: {BACKENDS}"
-            )
         if self.shard is not None:
             index, count = self.shard
             if count < 1 or not 0 <= index < count:
@@ -395,14 +384,10 @@ def evaluate_corpus(
     params = config.params_key()
     report = BatchReport(mode=config.mode)
     # Workers never see these handles: the parent is the only writer, and
-    # the sqlite backend's connections are pid-guarded anyway (a handle
-    # inherited across the pool's fork reopens in the child rather than
-    # sharing the parent's connection).
-    cache = (
-        ResultCache(config.cache_dir, backend=config.store)
-        if config.cache_dir is not None
-        else None
-    )
+    # the store's connections are pid-guarded anyway (a handle inherited
+    # across the pool's fork reopens in the child rather than sharing the
+    # parent's connection).
+    cache = ResultCache(config.cache_dir) if config.cache_dir is not None else None
     # The artifact store rides next to the result cache: classify misses
     # (new programs, or old programs under new evaluation parameters)
     # warm-start their firing-decision layer from earlier runs.
@@ -410,7 +395,7 @@ def evaluate_corpus(
     if cache is not None and config.mode == "classify":
         from .artifacts import ArtifactStore
 
-        store = ArtifactStore(config.cache_dir, backend=config.store)
+        store = ArtifactStore(config.cache_dir)
 
     # Fingerprint everything up front (cheap, pure) and decide each
     # program's fate: other shard / cache hit / needs computing.

@@ -22,15 +22,16 @@ Commands
     Batch-evaluate many programs through the sharded, content-addressed
     result cache (``repro.batch``): ``--jobs`` fans out over processes,
     ``--cache-dir`` makes re-runs incremental and interrupted runs
-    resumable, ``--shard I/N`` splits the key space across machines,
-    ``--store sqlite|jsonl`` selects the cache's backend (DESIGN.md §7).
+    resumable, ``--shard I/N`` splits the key space across machines.
+    The cache directory holds one ``store.sqlite`` (DESIGN.md §7).
 
 ``batch query --cache-dir DIR``
     Filter/sort/paginate the verdicts stored in a cache directory
     (keyset cursors — the surface a result-serving API sits on).
 
 ``batch export-jsonl | batch import-jsonl``
-    Move a cache directory to/from the portable JSONL snapshot format.
+    Move a cache directory's store to/from the portable JSONL snapshot
+    format (backup, multi-host merge, recovery).
 
 (``batch FILE...`` is shorthand for ``batch run FILE...`` — the bare
 form stays the way it always was.)
@@ -46,9 +47,13 @@ Dependency files use the syntax of :mod:`repro.model.parser`; facts files
 contain atoms such as ``N("a") E("a","b")``.
 
 Every command exits with ``EXIT_INPUT_ERROR`` (3) when its input cannot be
-used — an unreadable or missing file, or a program or facts text the
-parser rejects — after printing one ``repro: error: ...`` line (with the
-parser's line and column) to stderr.
+used — an unreadable or missing file, a program or facts text the parser
+rejects (the message keeps the parser's line and column), a cache
+directory whose ``store.sqlite`` is damaged (the message names the
+``import-jsonl`` restore route), or a ``batch`` argument that cannot be
+honoured (a bad ``--shard``, files *and* ``--corpus``, a bad query, an
+import with nothing to import) — after printing one ``repro: error: ...``
+line to stderr.
 """
 
 from __future__ import annotations
@@ -69,9 +74,15 @@ from .model import (
     parse_dependencies,
     parse_facts,
 )
+from .store import StoreError
 
-#: Exit code for unusable input: an unreadable file or malformed text.
+#: Exit code for unusable input: an unreadable file, malformed text, a
+#: damaged store or a batch argument that cannot be honoured.
 EXIT_INPUT_ERROR = 3
+
+
+class InputError(Exception):
+    """A command-line argument the command cannot honour (exit 3)."""
 
 
 def _load_sigma(path: str) -> DependencySet:
@@ -188,9 +199,9 @@ def _parse_shard(spec: str | None) -> tuple[int, int] | None:
     try:
         index, count = (int(part) for part in spec.split("/", 1))
     except ValueError:
-        raise SystemExit(f"bad --shard {spec!r}: expected I/N, e.g. 0/4")
+        raise InputError(f"bad --shard {spec!r}: expected I/N, e.g. 0/4")
     if count < 1 or not 0 <= index < count:
-        raise SystemExit(f"bad --shard {spec!r}: need 0 <= I < N")
+        raise InputError(f"bad --shard {spec!r}: need 0 <= I < N")
     return (index, count)
 
 
@@ -207,7 +218,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     from .generators.corpus import GeneratedOntology, generate_corpus
 
     if bool(args.files) == bool(args.corpus):
-        raise SystemExit("batch needs dependency files or --corpus (not both)")
+        raise InputError("batch needs dependency files or --corpus (not both)")
     if args.corpus:
         classes = args.corpus_classes.split(",") if args.corpus_classes else None
         programs = generate_corpus(
@@ -230,7 +241,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         mode=args.mode,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        store=args.store,
         shard=_parse_shard(args.shard),
         resume=args.resume,
         budget_steps=args.budget_steps,
@@ -254,9 +264,7 @@ def _open_store(args) -> tuple:
     """The (ResultCache, ArtifactStore) pair of a cache directory."""
     from .batch import ArtifactStore, ResultCache
 
-    cache = ResultCache(args.cache_dir, backend=args.store)
-    store = ArtifactStore(args.cache_dir, backend=args.store)
-    return cache, store
+    return ResultCache(args.cache_dir), ArtifactStore(args.cache_dir)
 
 
 def cmd_batch_export(args: argparse.Namespace) -> int:
@@ -289,7 +297,7 @@ def cmd_batch_import(args: argparse.Namespace) -> int:
     results_path = source / "results.jsonl"
     artifacts_path = source / "artifacts.jsonl"
     if not results_path.exists() and not artifacts_path.exists():
-        raise SystemExit(f"nothing to import: no JSONL snapshot in {source}")
+        raise InputError(f"nothing to import: no JSONL snapshot in {source}")
     cache, store = _open_store(args)
     try:
         report = import_jsonl(
@@ -317,7 +325,7 @@ def cmd_batch_query(args: argparse.Namespace) -> int:
     from .io import jsonl_dumps
     from .store import QueryError, ResultQuery
 
-    cache = ResultCache(args.cache_dir, backend=args.store)
+    cache = ResultCache(args.cache_dir)
     if getattr(args, "stats", False):
         try:
             print(json.dumps(cache.stats_snapshot(), indent=2, sort_keys=True))
@@ -337,7 +345,7 @@ def cmd_batch_query(args: argparse.Namespace) -> int:
             )
         )
     except QueryError as exc:
-        raise SystemExit(f"bad query: {exc}")
+        raise InputError(f"bad query: {exc}") from exc
     finally:
         cache.close()
     if args.format == "jsonl":
@@ -480,10 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", metavar="DIR",
                    help="content-addressed result cache; re-runs only "
                         "evaluate new or changed programs")
-    p.add_argument("--store", default="sqlite", choices=["sqlite", "jsonl"],
-                   help="cache backend: the embedded sqlite store "
-                        "(default) or the append-only JSONL reference "
-                        "logs")
     p.add_argument("--shard", metavar="I/N",
                    help="evaluate only the programs in key-space shard I "
                         "of N (deterministic; for multi-machine runs)")
@@ -508,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="snapshot a cache directory as portable JSONL files",
     )
     p.add_argument("--cache-dir", required=True, metavar="DIR")
-    p.add_argument("--store", default="sqlite", choices=["sqlite", "jsonl"],
-                   help="backend to export from (default sqlite)")
     p.add_argument("--output", metavar="DIR",
                    help="write results.jsonl/artifacts.jsonl here "
                         "(default: results to stdout)")
@@ -520,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a JSONL snapshot into a cache directory's store",
     )
     p.add_argument("--cache-dir", required=True, metavar="DIR")
-    p.add_argument("--store", default="sqlite", choices=["sqlite", "jsonl"],
-                   help="backend to import into (default sqlite)")
     p.add_argument("--input", metavar="DIR",
                    help="directory holding results.jsonl/artifacts.jsonl "
                         "(default: the cache dir itself)")
@@ -532,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="filter/sort/paginate the verdicts stored in a cache",
     )
     p.add_argument("--cache-dir", required=True, metavar="DIR")
-    p.add_argument("--store", default="sqlite", choices=["sqlite", "jsonl"])
     p.add_argument("--verdict", metavar="V",
                    help="exact headline verdict, e.g. 'WA' or 'rejected'")
     p.add_argument("--criterion", metavar="C",
@@ -634,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_normalise_argv(argv))
     try:
         return args.func(args)
-    except (OSError, ParseError) as exc:
+    except (OSError, ParseError, StoreError, InputError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -1,30 +1,24 @@
 """repro.store — the embedded result/artifact store behind ``repro.batch``.
 
-One cache directory is one *store*.  Two interchangeable backends persist
-it (DESIGN.md §7):
+One cache directory is one *store*: a single ``store.sqlite`` file in
+WAL mode (``synchronous=NORMAL``, ``busy_timeout``) with an indexed
+schema keyed by the canonical program fingerprint (DESIGN.md §7).  It
+opens in O(1), serves point lookups and the query surface
+(:mod:`repro.store.query` — filter / sort / keyset-paginate over stored
+verdicts, compiled to SQL and pinned against the pure-python
+:func:`query_rows` oracle) from indexes, and tolerates concurrent
+writers from multiple processes (one writer at a time, readers never
+blocked).  Connections are per-process: a handle inherited across
+``fork`` lazily reopens in the child instead of sharing the parent's
+connection (sharing is undefined behaviour in SQLite).
 
-* ``sqlite`` (the default) — a single ``store.sqlite`` file in WAL mode
-  (``synchronous=NORMAL``, ``busy_timeout``), with an indexed schema keyed
-  by the canonical program fingerprint.  Opens in O(1), serves point
-  lookups and the query surface from indexes, and tolerates concurrent
-  writers from multiple processes (one writer at a time, readers never
-  blocked).  Connections are per-process: a handle inherited across
-  ``fork`` lazily reopens in the child instead of sharing the parent's
-  connection (sharing is undefined behaviour in SQLite).
-* ``jsonl`` — the original append-only ``results.jsonl``/
-  ``artifacts.jsonl`` logs, replayed in full on open.  Retained as the
-  differential reference backend and as the import/export interchange
-  format: ``repro batch export-jsonl`` / ``import-jsonl`` move a store
-  between the two representations, and a legacy JSONL directory opened
-  with the sqlite backend migrates itself automatically on first open.
-
-The query surface (:mod:`repro.store.query`) — filter / sort / keyset-
-paginate over stored verdicts — executes as SQL on the sqlite backend and
-through the pure-python reference implementation on the jsonl backend;
-property tests pin the two against each other.
+JSONL (``results.jsonl`` / ``artifacts.jsonl``) is the store's
+export/import/recovery *format* (:mod:`repro.store.port`):
+``repro batch export-jsonl`` / ``import-jsonl`` move a store through it,
+and a legacy JSONL directory migrates itself into ``store.sqlite`` on
+first open, read by the same parser as an import.
 """
 
-from .jsonl import JsonlArtifactBackend, JsonlResultBackend
 from .port import PortReport, export_jsonl, import_jsonl
 from .query import (
     QueryError,
@@ -38,28 +32,21 @@ from .query import (
 )
 from .sqlite import (
     BUSY_TIMEOUT_MS,
-    SqliteArtifactBackend,
-    SqliteResultBackend,
+    ArtifactTable,
+    ResultTable,
     StoreCorruptionError,
     StoreError,
     connect,
 )
 
-#: Names accepted everywhere a backend is selectable (``BatchConfig.store``,
-#: ``ResultCache(backend=...)``, the CLI ``--store`` flag).
-BACKENDS = ("sqlite", "jsonl")
-
 __all__ = [
-    "BACKENDS",
     "BUSY_TIMEOUT_MS",
-    "JsonlArtifactBackend",
-    "JsonlResultBackend",
+    "ArtifactTable",
     "PortReport",
     "QueryError",
     "QueryPage",
     "ResultQuery",
-    "SqliteArtifactBackend",
-    "SqliteResultBackend",
+    "ResultTable",
     "StoreCorruptionError",
     "StoreError",
     "connect",

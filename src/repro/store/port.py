@@ -1,22 +1,21 @@
-"""Import/export between a live store and the JSONL interchange format.
+"""The JSONL interchange format: export, import, and the one reader.
 
-The JSONL representation (``results.jsonl`` + ``artifacts.jsonl``, the
-formats of :mod:`repro.store.jsonl`) is the store's portability contract:
+``results.jsonl`` + ``artifacts.jsonl`` are the store's portability
+contract (DESIGN.md §7) — the format a store is backed up to, moved
+between hosts in, and restored from:
 
 * an **export** is a normalised snapshot — live entries only, one line
   per result key (last write wins has already been applied), artifact
-  records merged and sorted by probe identity.  Exporting a jsonl-backend
-  store therefore compacts it; exporting a sqlite store produces the file
-  a jsonl store would have converged to;
-* an **import** replays a JSONL snapshot through the ordinary ``put``
-  path of whatever backend the target store uses — entries under a
-  different schema version and torn/corrupt lines are counted and
-  skipped, exactly as the jsonl loader would.  Importing is idempotent
+  records merged and sorted by probe identity;
+* an **import** replays a JSONL snapshot through the store's ordinary
+  ``put_many`` path — entries under a different schema version and
+  torn/corrupt lines are counted and skipped, while every intact line
+  before *and after* the damage is kept.  Importing is idempotent
   (result puts are last-write-wins, artifact puts deduplicate by probe).
 
-These functions operate on the :class:`~repro.batch.cache.ResultCache` /
-:class:`~repro.batch.artifacts.ArtifactStore` facades, so they move data
-between *any* two backends.
+:func:`read_results` / :func:`read_artifacts` are the only JSONL parsers
+of the store: ``import_jsonl`` and the legacy-directory self-migration
+of :mod:`repro.store.sqlite` both read through them.
 """
 
 from __future__ import annotations
@@ -33,8 +32,13 @@ class PortReport:
 
     results: int = 0
     artifacts: int = 0       # individual decision records
-    programs: int = 0        # programs those records belong to
-    skipped: int = 0         # stale-schema or corrupt lines
+    programs: int = 0        # distinct programs those records belong to
+    stale: int = 0           # lines under another schema version
+    corrupted: int = 0       # torn or malformed lines
+
+    @property
+    def skipped(self) -> int:
+        return self.stale + self.corrupted
 
     def summary(self) -> str:
         bits = [f"{self.results} result records"]
@@ -48,12 +52,66 @@ class PortReport:
         return ", ".join(bits)
 
 
+def read_results(text: str, schema_version: int, report: PortReport) -> list[dict]:
+    """The result envelopes of a ``results.jsonl`` text, in file order.
+
+    Duplicated keys are all returned: writing them in order is what makes
+    the last write win.  Skipped lines are tallied on ``report``.
+    """
+    entries = []
+    for _, entry in iter_jsonl(text):
+        if entry is None:
+            report.corrupted += 1
+        elif entry.get("schema") != schema_version:
+            report.stale += 1
+        elif not isinstance(entry.get("key"), str) or not isinstance(
+            entry.get("record"), dict
+        ):
+            report.corrupted += 1
+        else:
+            entries.append(
+                {
+                    "schema": schema_version,
+                    "key": entry["key"],
+                    "params": entry.get("params", ""),
+                    "record": entry["record"],
+                }
+            )
+    report.results += len(entries)
+    return entries
+
+
+def read_artifacts(
+    text: str, schema_version: int, report: PortReport
+) -> list[tuple[str, list[dict]]]:
+    """The ``(key, records)`` lines of an ``artifacts.jsonl`` text.
+
+    An append-only log may carry several lines per program; they merge
+    on write (deduplicated by probe), so ``report.programs`` counts
+    distinct keys, not lines.
+    """
+    lines = []
+    for _, line in iter_jsonl(text):
+        if line is None:
+            report.corrupted += 1
+        elif line.get("schema") != schema_version:
+            report.stale += 1
+        elif not isinstance(line.get("key"), str) or not isinstance(
+            line.get("oracle"), list
+        ):
+            report.corrupted += 1
+        else:
+            lines.append((line["key"], line["oracle"]))
+    report.programs += len({key for key, _ in lines})
+    return lines
+
+
 def export_jsonl(cache: Any, store: Any = None) -> tuple[str, str, PortReport]:
     """Render a store as ``(results_text, artifacts_text, report)``.
 
-    ``cache`` is a result facade/backend exposing ``entries()`` and
-    ``schema_version``; ``store`` (optional) the artifact counterpart.
-    Either text is ``""`` when there is nothing to export.
+    ``cache`` is a :class:`~repro.batch.cache.ResultCache`; ``store``
+    (optional) an :class:`~repro.batch.artifacts.ArtifactStore`.  Either
+    text is ``""`` when there is nothing to export.
     """
     report = PortReport()
     result_lines = []
@@ -85,29 +143,11 @@ def import_jsonl(
     store: Any = None,
     artifacts_text: str = "",
 ) -> PortReport:
-    """Replay JSONL snapshots into a store through its ``put`` path."""
+    """Replay JSONL snapshots into a store, one transaction per table."""
     report = PortReport()
-    for _, entry in iter_jsonl(results_text):
-        if (
-            entry is None
-            or entry.get("schema") != cache.schema_version
-            or not isinstance(entry.get("key"), str)
-            or not isinstance(entry.get("record"), dict)
-        ):
-            report.skipped += 1
-            continue
-        cache.put(entry["key"], entry.get("params", ""), entry["record"])
-        report.results += 1
+    entries = read_results(results_text, cache.schema_version, report)
+    cache.put_many([(e["key"], e["params"], e["record"]) for e in entries])
     if store is not None:
-        for _, line in iter_jsonl(artifacts_text):
-            if line is None or line.get("schema") != store.schema_version:
-                report.skipped += 1
-                continue
-            key = line.get("key")
-            records = line.get("oracle")
-            if not isinstance(key, str) or not isinstance(records, list):
-                report.skipped += 1
-                continue
-            report.artifacts += store.put(key, records)
-            report.programs += 1
+        lines = read_artifacts(artifacts_text, store.schema_version, report)
+        report.artifacts += store.put_many(lines)
     return report

@@ -1,7 +1,7 @@
 """The store's query surface: filter / sort / paginate stored verdicts.
 
 This is the layer the future HTTP service will sit on, so its semantics
-are specified independently of any backend:
+are specified independently of the SQL that serves them:
 
 * **rows** are flat projections of stored result entries
   (:func:`index_row`): fingerprint ``key``, program ``name``, headline
@@ -18,7 +18,7 @@ are specified independently of any backend:
   service needs to paginate a store that is being written to.
 
 :func:`query_rows` is the pure-python reference implementation; the
-sqlite backend compiles the same query to SQL, and property tests pin the
+sqlite store compiles the same query to SQL, and property tests pin the
 two against each other (``tests/test_store_query.py``).
 """
 
@@ -98,8 +98,8 @@ def index_row(seq: int, entry: dict) -> dict:
 
     ``elapsed_ms`` is the one nullable sort field: a record that never
     measured wall-clock (e.g. imported from an external tool) keeps
-    ``None`` rather than being coerced to a fake ``0.0`` — backends store
-    it as SQL NULL and both query implementations order it NULLs-first
+    ``None`` rather than being coerced to a fake ``0.0`` — the results
+    table stores it as SQL NULL and both query implementations order it NULLs-first
     ascending / NULLs-last descending (SQLite's native NULL ordering).
     """
     record = entry.get("record") or {}
@@ -124,10 +124,9 @@ def index_row(seq: int, entry: dict) -> dict:
 def record_identity(record: dict) -> str:
     """The probe an artifact record answers (everything but the answer).
 
-    Both artifact backends deduplicate by this identity — jsonl when
-    merging lines on load, sqlite as part of the primary key — and the
-    codec in :mod:`repro.batch.artifacts` sorts by it for deterministic
-    file content.
+    The artifact table deduplicates by this identity (it is part of the
+    primary key) and the codec in :mod:`repro.batch.artifacts` sorts by
+    it for deterministic file content.
     """
     return json.dumps(
         {k: v for k, v in record.items() if k not in ("edge", "exact")},
@@ -197,7 +196,7 @@ def matches(row: dict, q: ResultQuery) -> bool:
 
 
 def query_rows(rows: list[dict], q: ResultQuery) -> QueryPage:
-    """Execute ``q`` over in-memory rows — the backend-independent oracle."""
+    """Execute ``q`` over in-memory rows — the SQL-independent oracle."""
     sort_field, descending = q.order()
     selected = [r for r in rows if matches(r, q)]
     selected.sort(

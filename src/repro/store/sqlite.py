@@ -1,4 +1,4 @@
-"""The embedded SQLite backend: one ``store.sqlite`` per cache directory.
+"""The embedded SQLite store: one ``store.sqlite`` per cache directory.
 
 Configuration follows the WAL recipe the ROADMAP names as the exemplar
 (Paper-Scanner's ``sqlite_ext.py``): ``journal_mode=WAL`` so readers
@@ -11,28 +11,27 @@ hygiene.
 
 Fork-safety: SQLite connections must not be used across ``fork`` (the
 batch engine's process pool forks workers while the parent holds the
-store open).  Every backend therefore reaches its connection through a
+store open).  Every table therefore reaches its connection through a
 pid-guarded handle: a handle inherited by a forked child *abandons* the
 parent's connection — without closing it, which would write to the
 parent's WAL from the child — and lazily opens its own.
 
 Schema (DESIGN.md §7): ``results`` holds one live row per
-``(schema, key)`` — ``INSERT OR REPLACE`` gives last-write-wins exactly
-like the JSONL log, and re-mints ``seq`` so a rewrite moves the row to
-the end of insertion order — with the queryable projection (name,
-verdict, accepting criteria, exhaustion, wall-clock) denormalised into
-indexed columns next to the full JSON ``entry``.  ``artifacts`` holds one
-row per ``(schema, key, probe identity)``; ``INSERT OR IGNORE`` gives the
-merge-not-replace semantics of the JSONL artifact log.  Rows written
-under another schema version simply stop matching the ``schema = ?``
-predicate every read carries — the same invalidation switch as the JSONL
-loader, without a rewrite.
+``(schema, key)`` — ``INSERT OR REPLACE`` gives last-write-wins, and
+re-mints ``seq`` so a rewrite moves the row to the end of insertion
+order — with the queryable projection (name, verdict, accepting
+criteria, exhaustion, wall-clock) denormalised into indexed columns next
+to the full JSON ``entry``.  ``artifacts`` holds one row per
+``(schema, key, probe identity)``; ``INSERT OR IGNORE`` merges decisions
+for one program instead of replacing them.  Rows written under another
+schema version simply stop matching the ``schema = ?`` predicate every
+read carries — the invalidation switch, without a rewrite.
 
-A legacy JSONL directory opened with this backend migrates itself: when
-the table is empty for the current schema version and the sibling
-``results.jsonl``/``artifacts.jsonl`` exists, its live entries are
-imported in one transaction.  The JSONL files are left untouched (they
-remain the export of record until the next explicit export).
+A legacy JSONL directory migrates itself: when a table is empty for the
+current schema version and the sibling ``results.jsonl`` /
+``artifacts.jsonl`` exists, the file is read through the one JSONL
+reader of :mod:`repro.store.port` and written in one transaction.  The
+JSONL files are left untouched.
 """
 
 from __future__ import annotations
@@ -41,9 +40,10 @@ import json
 import os
 import pathlib
 import sqlite3
+from contextlib import contextmanager
 from typing import Iterator
 
-from ..io import iter_jsonl
+from .port import PortReport, read_artifacts, read_results
 from .query import (
     NULLABLE_SORT_FIELDS,
     QueryPage,
@@ -193,8 +193,7 @@ def _relax_elapsed_ms(conn: sqlite3.Connection) -> None:
     # PRAGMA table_info columns: cid, name, type, notnull, dflt_value, pk
     if not any(col[1] == "elapsed_ms" and col[3] for col in info):
         return
-    conn.execute("BEGIN IMMEDIATE")
-    try:
+    with _transaction(conn):
         conn.execute("ALTER TABLE results RENAME TO results_legacy")
         conn.execute(_RESULTS_DDL)
         conn.execute("INSERT INTO results SELECT * FROM results_legacy")
@@ -203,6 +202,14 @@ def _relax_elapsed_ms(conn: sqlite3.Connection) -> None:
         conn.execute("DROP TABLE results_legacy")
         for ddl in _RESULTS_INDEX_DDL:
             conn.execute(ddl)
+
+
+@contextmanager
+def _transaction(conn: sqlite3.Connection) -> Iterator[None]:
+    """One ``BEGIN IMMEDIATE`` … ``COMMIT``; any failure rolls it all back."""
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        yield
         conn.execute("COMMIT")
     except BaseException:
         conn.execute("ROLLBACK")
@@ -226,55 +233,44 @@ def _decode_accepted(text: str) -> list[str]:
     return [c for c in text.split(",") if c] if text else []
 
 
-class SqliteResultBackend:
-    """Result entries in the ``results`` table of ``store.sqlite``."""
+class _Table:
+    """One table of a directory's ``store.sqlite``, behind its own handle."""
 
-    name = "sqlite"
-
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        schema_version: int,
-        durable: bool = True,  # sqlite commits are always durable
-    ) -> None:
+    def __init__(self, directory: str | os.PathLike, schema_version: int) -> None:
         self.directory = pathlib.Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
         self.schema_version = schema_version
         self.path = self.directory / STORE_NAME
         self._handle = _Handle(self.path)
-        self.corrupted = 0
-        self.stale_schema = 0
-        self.imported = 0
         _init_schema(self._handle)
-        self._migrate_legacy_jsonl()
-        conn = self._handle.conn()
+
+    def close(self) -> None:
+        self._handle.close()
+
+    def __enter__(self) -> "_Table":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+
+class ResultTable(_Table):
+    """Result entries in the ``results`` table of ``store.sqlite``."""
+
+    def __init__(self, directory: str | os.PathLike, schema_version: int) -> None:
+        super().__init__(directory, schema_version)
+        self.corrupted = 0
+        self.imported = 0
+        legacy = self.directory / "results.jsonl"
+        if legacy.exists() and not self.count():
+            report = PortReport()
+            self.put_many(read_results(legacy.read_text(), schema_version, report))
+            self.imported, self.corrupted = report.results, report.corrupted
         self.loaded = self.count()
-        (self.stale_schema,) = conn.execute(
+        (self.stale_schema,) = self._handle.conn().execute(
             "SELECT COUNT(*) FROM results WHERE schema != ?",
             (self.schema_version,),
         ).fetchone()
-
-    def _migrate_legacy_jsonl(self) -> None:
-        legacy = self.directory / "results.jsonl"
-        if self.count() or not legacy.exists():
-            return
-        conn = self._handle.conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            for _, entry in iter_jsonl(legacy.read_text()):
-                if entry is None:
-                    self.corrupted += 1
-                    continue
-                if entry.get("schema") != self.schema_version:
-                    continue  # stale rows are not worth migrating
-                if not isinstance(entry.get("key"), str):
-                    self.corrupted += 1
-                    continue
-                self._insert(conn, entry)
-                self.imported += 1
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
 
     _INSERT_SQL = (
         "INSERT OR REPLACE INTO results "
@@ -297,11 +293,6 @@ class SqliteResultBackend:
             row["elapsed_ms"],
             json.dumps(entry, sort_keys=True, separators=(",", ":")),
         )
-
-    def _insert(self, conn: sqlite3.Connection, entry: dict) -> None:
-        conn.execute(self._INSERT_SQL, self._insert_row(entry))
-
-    # -- the backend contract ----------------------------------------------
 
     def count(self) -> int:
         (n,) = self._handle.conn().execute(
@@ -329,7 +320,7 @@ class SqliteResultBackend:
         return json.loads(found[0]) if found else None
 
     def put(self, entry: dict) -> None:
-        self._insert(self._handle.conn(), entry)
+        self._handle.conn().execute(self._INSERT_SQL, self._insert_row(entry))
 
     def put_many(self, entries: list[dict]) -> None:
         """Store a batch of entries in ONE durable transaction.
@@ -338,24 +329,19 @@ class SqliteResultBackend:
         same ``INSERT OR REPLACE`` last-write-wins, same seq order from
         the executemany's input order) — but the write amplification of
         per-record commits (one WAL sync each) collapses into a single
-        ``BEGIN IMMEDIATE`` … ``COMMIT``.  All-or-nothing: a failure
-        mid-batch rolls every entry back.
+        transaction.  All-or-nothing: a failure mid-batch rolls every
+        entry back.
         """
         if not entries:
             return
         conn = self._handle.conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
+        with _transaction(conn):
             conn.executemany(
                 self._INSERT_SQL, [self._insert_row(e) for e in entries]
             )
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
 
     def stats(self) -> dict:
-        """Observable backend state for ``repro batch query --stats``."""
+        """Observable store state for ``repro batch query --stats``."""
         conn = self._handle.conn()
         tables: dict[str, int] = {}
         for table in ("results", "artifacts"):
@@ -372,7 +358,6 @@ class SqliteResultBackend:
             except OSError:
                 sizes[label] = 0
         return {
-            "backend": self.name,
             "tables": tables,
             **sizes,
             "corrupted": self.corrupted,
@@ -391,6 +376,8 @@ class SqliteResultBackend:
         ]
 
     def rows(self) -> list[dict]:
+        """Every live row's query projection — the input of the
+        :func:`~repro.store.query.query_rows` oracle."""
         return [
             self._row(raw)
             for raw in self._handle.conn().execute(
@@ -487,71 +474,22 @@ class SqliteResultBackend:
         ).fetchone()
         return verdict
 
-    def close(self) -> None:
-        self._handle.close()
 
+class ArtifactTable(_Table):
+    """Decision records in the ``artifacts`` table of ``store.sqlite``:
+    writes for one program key merge, deduplicated by probe."""
 
-class SqliteArtifactBackend:
-    """Decision records in the ``artifacts`` table of ``store.sqlite``."""
-
-    name = "sqlite"
-
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        schema_version: int,
-        durable: bool = True,
-    ) -> None:
-        self.directory = pathlib.Path(directory)
-        self.schema_version = schema_version
-        self.path = self.directory / STORE_NAME
-        self._handle = _Handle(self.path)
+    def __init__(self, directory: str | os.PathLike, schema_version: int) -> None:
+        super().__init__(directory, schema_version)
         self.imported = 0
-        _init_schema(self._handle)
-        self._migrate_legacy_jsonl()
-
-    def _migrate_legacy_jsonl(self) -> None:
         legacy = self.directory / "artifacts.jsonl"
-        if self.programs() or not legacy.exists():
-            return
-        conn = self._handle.conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            for _, line in iter_jsonl(legacy.read_text()):
-                if line is None or line.get("schema") != self.schema_version:
-                    continue
-                key = line.get("key")
-                records = line.get("oracle")
-                if not isinstance(key, str) or not isinstance(records, list):
-                    continue
-                self.imported += self._insert(conn, key, records)
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
+        if legacy.exists() and not len(self):
+            self.imported = self.put_many(
+                read_artifacts(legacy.read_text(), schema_version, PortReport())
+            )
 
-    def _insert(
-        self, conn: sqlite3.Connection, key: str, records: list[dict]
-    ) -> int:
-        before = conn.total_changes
-        conn.executemany(
-            "INSERT OR IGNORE INTO artifacts (schema, key, identity, record) "
-            "VALUES (?, ?, ?, ?)",
-            [
-                (
-                    self.schema_version,
-                    key,
-                    record_identity(record),
-                    json.dumps(record, sort_keys=True, separators=(",", ":")),
-                )
-                for record in records
-            ],
-        )
-        return conn.total_changes - before
-
-    # -- the backend contract ----------------------------------------------
-
-    def programs(self) -> int:
+    def __len__(self) -> int:
+        """How many programs have stored decisions."""
         (n,) = self._handle.conn().execute(
             "SELECT COUNT(DISTINCT key) FROM artifacts WHERE schema = ?",
             (self.schema_version,),
@@ -559,6 +497,7 @@ class SqliteArtifactBackend:
         return n
 
     def get(self, key: str) -> list[dict]:
+        """Every stored decision record for the program ``key``."""
         return [
             json.loads(text)
             for (text,) in self._handle.conn().execute(
@@ -569,15 +508,30 @@ class SqliteArtifactBackend:
         ]
 
     def put(self, key: str, records: list[dict]) -> int:
+        """Store the records not already present; returns how many were new."""
+        return self.put_many([(key, records)])
+
+    def put_many(self, items: list[tuple[str, list[dict]]]) -> int:
+        """Store every ``(key, records)`` item in ONE durable transaction;
+        returns how many records were new."""
         conn = self._handle.conn()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            fresh = self._insert(conn, key, records)
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        return fresh
+        with _transaction(conn):
+            before = conn.total_changes
+            conn.executemany(
+                "INSERT OR IGNORE INTO artifacts (schema, key, identity, record) "
+                "VALUES (?, ?, ?, ?)",
+                [
+                    (
+                        self.schema_version,
+                        key,
+                        record_identity(record),
+                        json.dumps(record, sort_keys=True, separators=(",", ":")),
+                    )
+                    for key, records in items
+                    for record in records
+                ],
+            )
+        return conn.total_changes - before
 
     def entries(self) -> Iterator[tuple[str, list[dict]]]:
         """Every program's merged records as ``(key, records)``."""
@@ -596,5 +550,8 @@ class SqliteArtifactBackend:
         if current is not None:
             yield current, bucket
 
-    def close(self) -> None:
-        self._handle.close()
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({str(self.directory)!r}, "
+            f"{len(self)} programs)"
+        )

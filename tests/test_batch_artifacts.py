@@ -8,8 +8,7 @@ probes.
 from __future__ import annotations
 
 import random
-
-import pytest
+import sqlite3
 
 from repro.analysis import classify
 from repro.batch import (
@@ -25,6 +24,7 @@ from repro.firing.relations import DecisionCache, shared_firing_cache
 from repro.generators import random_dependency_set
 from repro.generators.corpus import GeneratedOntology
 from repro.generators.metamorphic import rename_predicates, rename_variables
+from repro.io import jsonl_dumps
 
 
 def _classify_decisions(sigma) -> DecisionCache:
@@ -161,59 +161,40 @@ class TestCodec:
         assert len(cache) == 0
 
 
-class TestArtifactStore:
-    @pytest.fixture(params=["sqlite", "jsonl"])
-    def backend(self, request):
-        return request.param
+REC = {"kind": "precedes", "r1": "a", "r2": "b",
+       "variant": "standard", "budget": 1, "edge": True, "exact": True}
 
-    def test_put_get_and_merge_dedup(self, tmp_path, backend):
-        store = ArtifactStore(tmp_path, backend=backend)
-        rec = {"kind": "precedes", "r1": "a", "r2": "b",
-               "variant": "standard", "budget": 1, "edge": True, "exact": True}
-        assert store.put("k", [rec]) == 1
-        assert store.put("k", [rec]) == 0  # same probe: nothing appended
+
+class TestArtifactStore:
+    def test_put_get_and_merge_dedup(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        assert store.put("k", [REC]) == 1
+        assert store.put("k", [REC]) == 0  # same probe: nothing appended
         store.close()
-        reloaded = ArtifactStore(tmp_path, backend=backend)
-        assert reloaded.get("k") == [rec]
+        reloaded = ArtifactStore(tmp_path)
+        assert reloaded.get("k") == [REC]
         assert reloaded.get("other") == []
 
-    def test_schema_bump_invalidates(self, tmp_path, backend):
-        store = ArtifactStore(tmp_path, backend=backend)
-        store.put("k", [{"kind": "precedes", "r1": "a", "r2": "b",
-                         "variant": "standard", "budget": 1,
-                         "edge": True, "exact": True}])
+    def test_schema_bump_invalidates(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.put("k", [REC])
         store.close()
-        if backend == "jsonl":
-            import json
-
-            lines = []
-            for line in store.path.read_text().splitlines():
-                entry = json.loads(line)
-                entry["schema"] = ARTIFACT_SCHEMA + 1
-                lines.append(json.dumps(entry))
-            store.path.write_text("\n".join(lines) + "\n")
-        else:
-            import sqlite3
-
-            # repro-lint: disable=fork-safety -- test fixture rewrites schema versions directly; store handle is closed
-            with sqlite3.connect(store.path) as conn:
-                conn.execute(
-                    "UPDATE artifacts SET schema = ?", (ARTIFACT_SCHEMA + 1,)
-                )
-        assert ArtifactStore(tmp_path, backend=backend).get("k") == []
+        # repro-lint: disable=fork-safety -- test fixture rewrites schema versions directly; store handle is closed
+        with sqlite3.connect(store.path) as conn:
+            conn.execute("UPDATE artifacts SET schema = ?", (ARTIFACT_SCHEMA + 1,))
+        assert ArtifactStore(tmp_path).get("k") == []
 
     def test_corrupted_tail_is_skipped(self, tmp_path):
-        # JSONL-specific damage tolerance (sqlite equivalents live in
-        # tests/test_store_crash.py).
-        store = ArtifactStore(tmp_path, backend="jsonl")
-        rec = {"kind": "precedes", "r1": "a", "r2": "b",
-               "variant": "standard", "budget": 1, "edge": True, "exact": True}
-        store.put("k", [rec])
-        store.close()
-        with store.path.open("a") as fh:
-            fh.write('{"schema": 1, "key": "k2", "oracle": [tru')  # crash mid-line
-        reloaded = ArtifactStore(tmp_path, backend="jsonl")
-        assert reloaded.get("k") == [rec]
+        # A legacy artifacts.jsonl whose writer crashed mid-line migrates
+        # everything before the torn tail.
+        (tmp_path / "artifacts.jsonl").write_text(
+            jsonl_dumps({"schema": ARTIFACT_SCHEMA, "key": "k", "oracle": [REC]})
+            + "\n"
+            + '{"schema": 1, "key": "k2", "oracle": [tru'  # crash mid-line
+        )
+        reloaded = ArtifactStore(tmp_path)
+        assert reloaded.imported == 1
+        assert reloaded.get("k") == [REC]
         assert reloaded.get("k2") == []
 
 
@@ -258,4 +239,4 @@ class TestEngineWarmStart:
             programs, BatchConfig(mode="evaluate", cache_dir=tmp_path)
         )
         assert report.decisions_recorded == 0
-        assert not (tmp_path / "artifacts.jsonl").exists()
+        assert len(ArtifactStore(tmp_path)) == 0

@@ -4,7 +4,7 @@ and the cached-equals-fresh differential guarantee."""
 from __future__ import annotations
 
 import dataclasses
-import json
+import sqlite3
 
 import pytest
 
@@ -25,12 +25,6 @@ def small_corpus():
     return generate_corpus(scale=0.03, tests_scale=0.05, max_size=15)
 
 
-@pytest.fixture(params=["sqlite", "jsonl"])
-def backend(request):
-    """Cache semantics must hold on both store backends."""
-    return request.param
-
-
 def config(tmp_path, **kwargs) -> BatchConfig:
     kwargs.setdefault("cache_dir", tmp_path / "cache")
     kwargs.setdefault("chase_steps", 300)
@@ -39,94 +33,83 @@ def config(tmp_path, **kwargs) -> BatchConfig:
 
 def age_schema(cache: ResultCache) -> None:
     """Rewrite every stored entry as if an older engine wrote it."""
-    if cache.backend == "jsonl":
-        path = cache.path
-        aged = []
-        for line in path.read_text().splitlines():
-            entry = json.loads(line)
-            entry["schema"] = SCHEMA_VERSION - 1
-            aged.append(jsonl_dumps(entry))
-        path.write_text("\n".join(aged) + "\n")
-    else:
-        import sqlite3
+    # repro-lint: disable=fork-safety -- test fixture rewrites schema versions directly; cache handle is closed
+    with sqlite3.connect(cache.path) as conn:
+        conn.execute("UPDATE results SET schema = ?", (SCHEMA_VERSION - 1,))
 
-        # repro-lint: disable=fork-safety -- test fixture rewrites schema versions directly; cache handle is closed
-        with sqlite3.connect(cache.path) as conn:
-            conn.execute("UPDATE results SET schema = ?", (SCHEMA_VERSION - 1,))
+
+def legacy_line(key: str, answer: int) -> str:
+    """One ``results.jsonl`` line as an older, JSONL-backed engine wrote it."""
+    return jsonl_dumps(
+        {"schema": SCHEMA_VERSION, "key": key, "params": "p1",
+         "record": {"answer": answer}}
+    )
 
 
 class TestCacheBasics:
-    def test_hit_and_miss(self, tmp_path, backend):
-        cache = ResultCache(tmp_path, backend=backend)
+    def test_hit_and_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
         assert cache.get("k1", "p1") is None
         cache.put("k1", "p1", {"answer": 42})
         assert cache.get("k1", "p1") == {"answer": 42}
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         cache.close()
         # A fresh process sees the same entry.
-        reread = ResultCache(tmp_path, backend=backend)
+        reread = ResultCache(tmp_path)
         assert reread.stats.loaded == 1
         assert reread.get("k1", "p1") == {"answer": 42}
 
-    def test_params_mismatch_is_a_miss(self, tmp_path, backend):
-        cache = ResultCache(tmp_path, backend=backend)
+    def test_params_mismatch_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
         cache.put("k1", "p1", {"answer": 42})
         assert cache.get("k1", "other-params") is None
         assert cache.stats.params_misses == 1
 
-    def test_last_write_wins(self, tmp_path, backend):
-        cache = ResultCache(tmp_path, backend=backend)
+    def test_last_write_wins(self, tmp_path):
+        cache = ResultCache(tmp_path)
         cache.put("k1", "p1", {"answer": 1})
         cache.put("k1", "p1", {"answer": 2})
         cache.close()
-        reread = ResultCache(tmp_path, backend=backend)
+        reread = ResultCache(tmp_path)
         assert reread.get("k1", "p1") == {"answer": 2}
         assert len(reread) == 1
 
-    def test_schema_bump_invalidates(self, tmp_path, backend):
-        cache = ResultCache(tmp_path, backend=backend)
+    def test_schema_bump_invalidates(self, tmp_path):
+        cache = ResultCache(tmp_path)
         cache.put("k1", "p1", {"answer": 42})
         cache.close()
         age_schema(cache)
-        stale = ResultCache(tmp_path, backend=backend)
+        stale = ResultCache(tmp_path)
         assert stale.get("k1", "p1") is None
         assert stale.stats.stale_schema == 1
         assert len(stale) == 0
 
     def test_corrupted_line_recovery(self, tmp_path):
-        # JSONL-specific: line-level damage tolerance of the reference
-        # backend (the sqlite equivalents live in tests/test_store_crash.py).
-        cache = ResultCache(tmp_path, backend="jsonl")
-        cache.put("k1", "p1", {"answer": 1})
-        cache.close()
-        path = tmp_path / "results.jsonl"
-        good = path.read_text()
-        # Damage in the middle: garbage, a truncated record (a crashed
-        # writer's torn final line), a non-object line — then a good
-        # record *after* the damage, which must still load.
-        path.write_text(
-            good
+        # A legacy results.jsonl migrates line by line: damage in the
+        # middle — garbage, a truncated record (a crashed writer's torn
+        # final line), a non-object line — is counted and skipped, and a
+        # good record *after* the damage still loads.
+        good = legacy_line("k1", 1)
+        (tmp_path / "results.jsonl").write_text(
+            good + "\n"
             + "<<<not json>>>\n"
-            + good.strip()[: len(good) // 2] + "\n"
+            + good[: len(good) // 2] + "\n"
             + "[1, 2, 3]\n"
-            + jsonl_dumps(
-                {"schema": SCHEMA_VERSION, "key": "k2", "params": "p1",
-                 "record": {"answer": 2}}
-            )
-            + "\n"
+            + legacy_line("k2", 2) + "\n"
         )
-        recovered = ResultCache(tmp_path, backend="jsonl")
+        recovered = ResultCache(tmp_path)
         assert recovered.stats.corrupted == 3
+        assert recovered.stats.imported == 2
         assert recovered.get("k1", "p1") == {"answer": 1}
         assert recovered.get("k2", "p1") == {"answer": 2}
 
     def test_blank_lines_are_not_corruption(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="jsonl")
-        cache.put("k1", "p1", {"answer": 1})
-        cache.close()
-        path = tmp_path / "results.jsonl"
-        path.write_text("\n" + path.read_text() + "\n\n")
-        assert ResultCache(tmp_path, backend="jsonl").stats.corrupted == 0
+        (tmp_path / "results.jsonl").write_text(
+            "\n" + legacy_line("k1", 1) + "\n\n\n"
+        )
+        cache = ResultCache(tmp_path)
+        assert cache.stats.corrupted == 0
+        assert cache.stats.imported == 1
 
 
 class TestEngineCaching:

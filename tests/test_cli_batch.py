@@ -1,5 +1,6 @@
-"""CLI golden-file tests for ``repro batch``: both output formats and the
-0/1/2 exit-code contract.
+"""CLI golden-file tests for ``repro batch``: both output formats, the
+0/1/2 exit-code contract, exit 3 for unusable arguments and damaged
+stores, and the JSONL export/import round trip.
 
 Timings are the only nondeterminism in the output, so goldens are
 compared after masking them (table) or stripping them (jsonl); everything
@@ -18,7 +19,7 @@ import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_INPUT_ERROR, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -157,18 +158,36 @@ class TestExitCodes:
         assert "in other shards" in out
 
 
-class TestArgumentValidation:
-    def test_files_and_corpus_are_exclusive(self, deps_files):
-        with pytest.raises(SystemExit):
-            main(["batch", *deps_files, "--corpus"])
-        with pytest.raises(SystemExit):
-            main(["batch"])
+def assert_input_error(capsys, code: int, *fragments: str) -> None:
+    """Exit 3 after exactly one ``repro: error:`` line on stderr."""
+    assert code == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ")
+    assert err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
 
-    def test_bad_shard_spec(self, deps_files):
-        with pytest.raises(SystemExit):
-            main(["batch", *deps_files, "--shard", "3"])
-        with pytest.raises(SystemExit):
-            main(["batch", *deps_files, "--shard", "2/2"])  # index ∉ [0, 2)
+
+class TestArgumentValidation:
+    def test_files_and_corpus_are_exclusive(self, deps_files, capsys):
+        code = main(["batch", *deps_files, "--corpus"])
+        assert_input_error(capsys, code, "dependency files or --corpus")
+        assert_input_error(capsys, main(["batch"]), "dependency files or --corpus")
+
+    def test_bad_shard_spec(self, deps_files, capsys):
+        code = main(["batch", *deps_files, "--shard", "3"])
+        assert_input_error(capsys, code, "bad --shard '3'", "expected I/N")
+        code = main(["batch", *deps_files, "--shard", "2/2"])  # index ∉ [0, 2)
+        assert_input_error(capsys, code, "bad --shard '2/2'", "0 <= I < N")
+
+    def test_bad_query(self, tmp_path, capsys):
+        code = main(["batch", "query", "--cache-dir", str(tmp_path),
+                     "--sort", "bogus"])
+        assert_input_error(capsys, code, "bad query:", "bogus")
+
+    def test_nothing_to_import(self, tmp_path, capsys):
+        code = main(["batch", "import-jsonl", "--cache-dir", str(tmp_path)])
+        assert_input_error(capsys, code, "nothing to import")
 
     def test_corpus_flag_smoke(self, capsys):
         assert main([
@@ -177,3 +196,44 @@ class TestArgumentValidation:
             "--chase-steps", "300",
         ]) == 0
         assert "E1-10/G1-10#1" in capsys.readouterr().out
+
+
+class TestStoreCommands:
+    def test_export_import_round_trip(self, deps_files, tmp_path, capsys):
+        """export → import into a fresh dir → warm run evaluates nothing
+        → a second export is byte-identical to the first."""
+        src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
+        snap1, snap2 = tmp_path / "snap1", tmp_path / "snap2"
+        assert main(["batch", *deps_files, "--cache-dir", src]) == 0
+        assert main(["batch", "export-jsonl", "--cache-dir", src,
+                     "--output", str(snap1)]) == 0
+        assert main(["batch", "import-jsonl", "--cache-dir", dst,
+                     "--input", str(snap1)]) == 0
+        capsys.readouterr()
+        assert main(["batch", *deps_files, "--cache-dir", dst]) == 0
+        assert "0 evaluated" in capsys.readouterr().out
+        assert main(["batch", "export-jsonl", "--cache-dir", dst,
+                     "--output", str(snap2)]) == 0
+        for name in ("results.jsonl", "artifacts.jsonl"):
+            assert (snap2 / name).read_bytes() == (snap1 / name).read_bytes()
+
+
+class TestCorruptStore:
+    """A damaged ``store.sqlite`` is an input error, never a traceback."""
+
+    @pytest.fixture
+    def corrupt_dir(self, tmp_path):
+        (tmp_path / "store.sqlite").write_bytes(b"not a database " * 512)
+        return str(tmp_path)
+
+    def test_batch_run(self, deps_files, corrupt_dir, capsys):
+        code = main(["batch", *deps_files, "--cache-dir", corrupt_dir])
+        assert_input_error(capsys, code, "store.sqlite", "import-jsonl")
+
+    def test_query(self, corrupt_dir, capsys):
+        code = main(["batch", "query", "--cache-dir", corrupt_dir])
+        assert_input_error(capsys, code, "store.sqlite", "import-jsonl")
+
+    def test_export_jsonl(self, corrupt_dir, capsys):
+        code = main(["batch", "export-jsonl", "--cache-dir", corrupt_dir])
+        assert_input_error(capsys, code, "store.sqlite", "import-jsonl")

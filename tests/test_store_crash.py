@@ -3,8 +3,7 @@
 The contract under test is the acknowledged-write guarantee of
 ``ResultCache.put`` / ``ArtifactStore.put``: once ``put`` returns, the
 record survives a ``SIGKILL`` of the writer — a committed sqlite
-transaction under WAL + ``synchronous=NORMAL``, a flushed-and-fsynced
-JSONL line.  The harness runs real writer subprocesses that acknowledge
+transaction under WAL + ``synchronous=NORMAL``.  The harness runs real writer subprocesses that acknowledge
 each durable write into a separately fsynced ack file, kills them with
 ``SIGKILL`` at an arbitrary instant, and then reopens the store in this
 process: every acknowledged record must be readable, and the store must
@@ -12,9 +11,9 @@ not be corrupted.
 
 The torn-file tests go below the process-crash model and damage the
 files directly (a truncated ``-wal``, a truncated main database, a torn
-JSONL tail): sqlite must either recover a clean committed prefix or
-refuse the file with :class:`StoreCorruptionError` pointing at the
-documented JSONL-restore route — never serve garbage.
+tail on a legacy JSONL log): sqlite must either recover a clean
+committed prefix or refuse the file with :class:`StoreCorruptionError`
+pointing at the documented JSONL-restore route — never serve garbage.
 """
 
 from __future__ import annotations
@@ -38,11 +37,6 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 PAYLOAD = {"pad": "x" * 200}
 
 
-@pytest.fixture(params=["sqlite", "jsonl"])
-def backend(request):
-    return request.param
-
-
 # Writers acknowledge each put into an fsynced side file: a key listed
 # there was *returned from put* before the kill, so it must survive.
 RESULT_WRITER = textwrap.dedent(
@@ -50,8 +44,8 @@ RESULT_WRITER = textwrap.dedent(
     import os, sys
     sys.path.insert(0, sys.argv[1])
     from repro.batch.cache import ResultCache
-    cache_dir, ack_path, backend = sys.argv[2:5]
-    cache = ResultCache(cache_dir, backend=backend)
+    cache_dir, ack_path = sys.argv[2:4]
+    cache = ResultCache(cache_dir)
     ack = open(ack_path, "a", encoding="utf-8")
     i = 0
     while True:
@@ -69,8 +63,8 @@ ARTIFACT_WRITER = textwrap.dedent(
     import os, sys
     sys.path.insert(0, sys.argv[1])
     from repro.batch.artifacts import ArtifactStore
-    cache_dir, ack_path, backend = sys.argv[2:5]
-    store = ArtifactStore(cache_dir, backend=backend)
+    cache_dir, ack_path = sys.argv[2:4]
+    store = ArtifactStore(cache_dir)
     ack = open(ack_path, "a", encoding="utf-8")
     i = 0
     while True:
@@ -86,14 +80,14 @@ ARTIFACT_WRITER = textwrap.dedent(
 )
 
 
-def _kill_after_acks(script: str, tmp_path, backend: str,
+def _kill_after_acks(script: str, tmp_path,
                      want: int = 25, timeout: float = 60.0) -> list[str]:
     """Run a writer subprocess, SIGKILL it once ``want`` writes are
     acknowledged, and return the acknowledged keys."""
     ack = tmp_path / "acked.txt"
     ack.touch()
     proc = subprocess.Popen(
-        [sys.executable, "-c", script, SRC, str(tmp_path), str(ack), backend],
+        [sys.executable, "-c", script, SRC, str(tmp_path), str(ack)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
@@ -121,25 +115,21 @@ def _kill_after_acks(script: str, tmp_path, backend: str,
 
 
 class TestKilledWriter:
-    def test_acknowledged_results_survive(self, tmp_path, backend):
-        acked = _kill_after_acks(RESULT_WRITER, tmp_path, backend)
+    def test_acknowledged_results_survive(self, tmp_path):
+        acked = _kill_after_acks(RESULT_WRITER, tmp_path)
         assert len(acked) >= 25
-        cache = ResultCache(tmp_path, backend=backend)
+        cache = ResultCache(tmp_path)
         for key in acked:
             i = int(key[1:])
             assert cache.get(key, "params") == {"i": i, "pad": "x" * 200}, (
                 f"acknowledged record {key} lost after SIGKILL"
             )
-        if backend == "sqlite":
-            assert cache._backend.integrity() == "ok"
-        else:
-            # At most the one torn, *unacknowledged* tail line.
-            assert cache.stats.corrupted <= 1
+        assert cache._table.integrity() == "ok"
 
-    def test_acknowledged_artifacts_survive(self, tmp_path, backend):
-        acked = _kill_after_acks(ARTIFACT_WRITER, tmp_path, backend)
+    def test_acknowledged_artifacts_survive(self, tmp_path):
+        acked = _kill_after_acks(ARTIFACT_WRITER, tmp_path)
         assert len(acked) >= 25
-        store = ArtifactStore(tmp_path, backend=backend)
+        store = ArtifactStore(tmp_path)
         for key in acked:
             i = int(key[1:])
             assert store.get(key) == [
@@ -181,7 +171,7 @@ class TestTornFiles:
         if shm.exists():
             shm.unlink()
         cache = ResultCache(tmp_path)
-        assert cache._backend.integrity() == "ok"
+        assert cache._table.integrity() == "ok"
         n = cache.stats.loaded
         assert 0 < n < 120  # the torn tail was dropped, cleanly
         for i in range(n):
@@ -222,78 +212,21 @@ class TestTornFiles:
     def test_torn_jsonl_tail_loses_only_the_unacknowledged_record(
         self, tmp_path
     ):
-        cache = ResultCache(tmp_path, backend="jsonl")
+        # A legacy JSONL log whose writer crashed mid-write: the final
+        # line stops mid-token, no newline.  Migration keeps the rest.
+        cache = ResultCache(tmp_path / "src")
         for i in range(5):
             cache.put(f"k{i}", "params", {"i": i})
+        results_text, _, _ = export_jsonl(cache)
         cache.close()
-        path = tmp_path / "results.jsonl"
-        # A crash mid-write: the final line stops mid-token, no newline.
-        path.write_bytes(
-            path.read_bytes() + b'{"schema": 1, "key": "torn", "par'
+        (tmp_path / "results.jsonl").write_text(
+            results_text + '{"schema": 1, "key": "torn", "par'
         )
-        reopened = ResultCache(tmp_path, backend="jsonl")
+        reopened = ResultCache(tmp_path)
         assert reopened.stats.corrupted == 1
         assert reopened.stats.loaded == 5
         for i in range(5):
             assert reopened.get(f"k{i}", "params") == {"i": i}
-
-
-class TestDirectoryEntryDurability:
-    """Creating a JSONL log must fsync the parent directory.
-
-    ``fsync`` on the file makes its *contents* durable; the directory
-    entry naming the file lives in the directory's own metadata, and a
-    machine crash between file creation and the directory sync can
-    forget the file wholesale — acknowledged records and all.  A process
-    kill cannot reproduce that (the kernel keeps the dirent), so these
-    tests observe the syscalls instead: the first append to a *fresh*
-    log must fsync a directory fd, appends to an existing log must not.
-    """
-
-    @staticmethod
-    def _record_fsyncs(monkeypatch) -> list[bool]:
-        """Arrange for ``synced`` to collect one is-a-directory flag per
-        ``os.fsync`` call (the real sync still happens)."""
-        import stat
-
-        synced: list[bool] = []
-        real = os.fsync
-
-        def recording(fd):
-            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
-            real(fd)
-
-        monkeypatch.setattr(os, "fsync", recording)
-        return synced
-
-    def test_first_append_to_a_fresh_log_syncs_the_directory(
-        self, tmp_path, monkeypatch
-    ):
-        synced = self._record_fsyncs(monkeypatch)
-        cache = ResultCache(tmp_path, backend="jsonl")
-        cache.put("k", "params", {"i": 0})
-        cache.close()
-        assert any(synced), "parent directory never fsynced on file creation"
-        assert not all(synced)  # the line itself was fsynced too
-
-    def test_appends_to_an_existing_log_skip_the_directory(
-        self, tmp_path, monkeypatch
-    ):
-        cache = ResultCache(tmp_path, backend="jsonl")
-        cache.put("k0", "params", {"i": 0})
-        cache.close()
-        synced = self._record_fsyncs(monkeypatch)
-        reopened = ResultCache(tmp_path, backend="jsonl")
-        reopened.put("k1", "params", {"i": 1})
-        reopened.close()
-        assert synced and not any(synced)
-
-    def test_non_durable_mode_never_syncs(self, tmp_path, monkeypatch):
-        synced = self._record_fsyncs(monkeypatch)
-        cache = ResultCache(tmp_path, backend="jsonl", durable=False)
-        cache.put("k", "params", {"i": 0})
-        cache.close()
-        assert not synced
 
 
 # An engine run killed mid-batch: the resume must reuse every record the
@@ -308,8 +241,7 @@ ENGINE_RUN = textwrap.dedent(
     corpus = generate_corpus(scale=0.1, tests_scale=0.1, max_size=15)
     report = evaluate_corpus(
         corpus,
-        BatchConfig(cache_dir=sys.argv[2], chase_steps=300,
-                    store=sys.argv[3]),
+        BatchConfig(cache_dir=sys.argv[2], chase_steps=300),
     )
     print(json.dumps({
         "total": len(corpus),
@@ -322,33 +254,30 @@ ENGINE_RUN = textwrap.dedent(
 )
 
 
-def _stored_results(cache_dir: pathlib.Path, backend: str) -> int:
+def _stored_results(cache_dir: pathlib.Path) -> int:
     """Count stored result records without holding a cache open."""
-    if backend == "sqlite":
-        db = cache_dir / "store.sqlite"
-        if not db.exists():
-            return 0
-        try:
-            # repro-lint: disable=fork-safety -- crash-harness observer counts rows from the parent; never crosses a fork
-            with sqlite3.connect(db, timeout=1.0) as conn:
-                (n,) = conn.execute("SELECT COUNT(*) FROM results").fetchone()
-                return n
-        except sqlite3.Error:
-            return 0  # table not created yet, or writer holds the lock
-    log = cache_dir / "results.jsonl"
-    return len(log.read_text().splitlines()) if log.exists() else 0
+    db = cache_dir / "store.sqlite"
+    if not db.exists():
+        return 0
+    try:
+        # repro-lint: disable=fork-safety -- crash-harness observer counts rows from the parent; never crosses a fork
+        with sqlite3.connect(db, timeout=1.0) as conn:
+            (n,) = conn.execute("SELECT COUNT(*) FROM results").fetchone()
+            return n
+    except sqlite3.Error:
+        return 0  # table not created yet, or writer holds the lock
 
 
 class TestKilledBatch:
-    def test_resume_after_sigkill_mid_batch(self, tmp_path, backend):
+    def test_resume_after_sigkill_mid_batch(self, tmp_path):
         env = {**os.environ, "PYTHONHASHSEED": "0"}
-        cmd = [sys.executable, "-c", ENGINE_RUN, SRC, str(tmp_path), backend]
+        cmd = [sys.executable, "-c", ENGINE_RUN, SRC, str(tmp_path)]
         proc = subprocess.Popen(
             cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
         )
         deadline = time.monotonic() + 120.0
         try:
-            while _stored_results(tmp_path, backend) < 2:
+            while _stored_results(tmp_path) < 2:
                 if proc.poll() is not None:
                     raise AssertionError(
                         "batch finished before the kill: "
@@ -361,7 +290,7 @@ class TestKilledBatch:
             if proc.poll() is None:
                 proc.kill()
             proc.wait()
-        acked = _stored_results(tmp_path, backend)
+        acked = _stored_results(tmp_path)
         assert acked >= 2
         # The resume: a fresh process over the same corpus and store.
         done = subprocess.run(cmd, capture_output=True, env=env, timeout=300)

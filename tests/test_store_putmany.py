@@ -1,20 +1,15 @@
-"""put_many ≡ looped put, record for record, on both store backends.
+"""put_many ≡ looped put, record for record.
 
 The batched write path is a pure representation optimisation: one
-transaction (sqlite) or one fsync (jsonl) per batch instead of per
-record.  These tests pin that the two paths are indistinguishable to
-every reader — same entries, same last-write-wins resolution, same
-write order — and that the ``stats()`` hook reports the observable
-store state on both backends.
+transaction per batch instead of per record.  These tests pin that the
+two paths are indistinguishable to every reader — same entries, same
+last-write-wins resolution, same write order — and that the ``stats()``
+hook reports the observable store state.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.batch.cache import ResultCache
-
-BACKENDS = ("sqlite", "jsonl")
 
 
 def fill_looped(cache, items):
@@ -37,38 +32,37 @@ def sample_items(n=12):
     return items
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestPutManyEquivalence:
-    def test_entries_identical_to_looped_put(self, tmp_path, backend):
+    def test_entries_identical_to_looped_put(self, tmp_path):
         items = sample_items()
-        with ResultCache(tmp_path / "loop", backend=backend) as loop:
+        with ResultCache(tmp_path / "loop") as loop:
             fill_looped(loop, items)
             looped = loop.entries()
-        with ResultCache(tmp_path / "batch", backend=backend) as batch:
+        with ResultCache(tmp_path / "batch") as batch:
             fill_batched(batch, items)
             batched = batch.entries()
         assert [e for _, e in looped] == [e for _, e in batched]
         assert len(batched) == len(items) - 1  # the rewrite collapsed
 
-    def test_reload_sees_batched_writes(self, tmp_path, backend):
+    def test_reload_sees_batched_writes(self, tmp_path):
         items = sample_items()
-        with ResultCache(tmp_path, backend=backend) as cache:
+        with ResultCache(tmp_path) as cache:
             cache.put_many(items)
-        with ResultCache(tmp_path, backend=backend) as cache:
+        with ResultCache(tmp_path) as cache:
             assert len(cache) == len(items) - 1
             key, params, record = items[-1]
             assert cache.get(key, params) == record
             for key, params, record in items[1:-1]:
                 assert cache.get(key, params) == record
 
-    def test_empty_batch_is_a_noop(self, tmp_path, backend):
-        with ResultCache(tmp_path, backend=backend) as cache:
+    def test_empty_batch_is_a_noop(self, tmp_path):
+        with ResultCache(tmp_path) as cache:
             cache.put_many([])
             assert len(cache) == 0
 
-    def test_get_after_put_many_counts_hits(self, tmp_path, backend):
+    def test_get_after_put_many_counts_hits(self, tmp_path):
         items = sample_items(4)[:4]
-        with ResultCache(tmp_path, backend=backend) as cache:
+        with ResultCache(tmp_path) as cache:
             cache.put_many(items)
             for key, params, record in items:
                 assert cache.get(key, params) == record
@@ -77,11 +71,10 @@ class TestPutManyEquivalence:
             assert cache.stats.misses == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestStats:
-    def test_stats_snapshot_shape(self, tmp_path, backend):
+    def test_stats_snapshot_shape(self, tmp_path):
         items = sample_items(5)[:5]
-        with ResultCache(tmp_path, backend=backend) as cache:
+        with ResultCache(tmp_path) as cache:
             cache.put_many(items)
             cache.get(items[0][0], items[0][1])
             cache.get("absent" * 8, "p")
@@ -91,10 +84,6 @@ class TestStats:
         assert snap["misses"] == 1
         assert snap["hit_rate"] == 0.5
         store = snap["store"]
-        assert store["backend"] == backend
         assert store["tables"]["results"] == 5
         assert store["file_bytes"] > 0
-        if backend == "jsonl":
-            assert store["wal_bytes"] is None
-        else:
-            assert isinstance(store["wal_bytes"], int)
+        assert isinstance(store["wal_bytes"], int)

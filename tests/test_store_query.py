@@ -1,7 +1,7 @@
 """The query surface, property-tested against its reference.
 
 :func:`repro.store.query.query_rows` is the executable specification;
-the sqlite backend compiles the same ``ResultQuery`` to one SELECT.  A
+the sqlite store compiles the same ``ResultQuery`` to one SELECT.  A
 seeded fuzz population (both record shapes, duplicate sort values,
 shared key prefixes, overwrites) is pushed through hundreds of random
 queries and full pagination walks on both implementations — every page
@@ -60,7 +60,7 @@ def _populate(cache: ResultCache, rng: random.Random, n: int) -> None:
         key, params, record = _entry(rng, i)
         cache.put(key, params, record)
         keys.append(key)
-    # Overwrites re-mint seq identically on both backends.
+    # Overwrites re-mint seq, so the oracle must follow the rewrite.
     for key in rng.sample(keys, max(1, n // 10)):
         _, params, record = _entry(rng, -1)
         cache.put(key, params, record)
@@ -101,7 +101,7 @@ def _walk(run, q: ResultQuery) -> list[dict]:
 
 @pytest.fixture(scope="module")
 def populated(tmp_path_factory):
-    cache = ResultCache(tmp_path_factory.mktemp("query"), backend="sqlite")
+    cache = ResultCache(tmp_path_factory.mktemp("query"))
     _populate(cache, random.Random(7), 150)
     return cache
 
@@ -109,7 +109,7 @@ def populated(tmp_path_factory):
 class TestSqliteMatchesReference:
     def test_single_pages_agree(self, populated):
         rng = random.Random(11)
-        rows = populated._backend.rows()
+        rows = populated._table.rows()
         for _ in range(300):
             q = _random_query(rng)
             got = populated.query(q)
@@ -119,7 +119,7 @@ class TestSqliteMatchesReference:
 
     def test_full_walks_agree_and_cover_exactly(self, populated):
         rng = random.Random(13)
-        rows = populated._backend.rows()
+        rows = populated._table.rows()
         for _ in range(60):
             q = _random_query(rng)
             got = _walk(populated.query, q)
@@ -137,24 +137,12 @@ class TestSqliteMatchesReference:
         assert first.isdisjoint(r["seq"] for r in nxt.rows)
 
 
-class TestBackendsAgree:
-    def test_jsonl_and_sqlite_serve_identical_pages(self, tmp_path):
-        sq = ResultCache(tmp_path / "sq", backend="sqlite")
-        js = ResultCache(tmp_path / "js", backend="jsonl")
-        _populate(sq, random.Random(23), 80)
-        _populate(js, random.Random(23), 80)
-        rng = random.Random(29)
-        for _ in range(150):
-            q = _random_query(rng)
-            assert sq.query(q) == js.query(q), f"backends disagree on {q}"
-
-
 class TestKeysetStability:
     """Rows inserted behind an open cursor never shift, duplicate, or
     hide rows already emitted."""
 
     def test_inserts_behind_the_cursor_do_not_disturb_the_walk(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         rng = random.Random(31)
         _populate(cache, rng, 60)
         q = ResultQuery(sort="name", limit=5)
@@ -181,7 +169,7 @@ class TestKeysetStability:
         assert step > 0  # the interleaving actually happened
 
     def test_inserts_ahead_of_the_cursor_are_picked_up(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         for i in range(6):
             cache.put(f"k{i}", "params", {"name": f"m{i}", "data": {}})
         page = cache.query(sort="name", limit=3)
@@ -197,12 +185,11 @@ class TestNullSortValues:
     """NULL elapsed_ms rows paginate like any others (NULLs first
     ascending / last descending, ties by seq) instead of vanishing."""
 
-    @pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
     @pytest.mark.parametrize("sort", ["elapsed_ms", "-elapsed_ms"])
-    def test_walk_covers_null_rows_exactly_once(self, tmp_path, backend, sort):
-        cache = ResultCache(tmp_path / backend, backend=backend)
+    def test_walk_covers_null_rows_exactly_once(self, tmp_path, sort):
+        cache = ResultCache(tmp_path)
         _populate(cache, random.Random(37), 40)
-        rows = cache._backend.rows()
+        rows = cache._table.rows()
         nulls = [r["seq"] for r in rows if r["elapsed_ms"] is None]
         assert nulls, "population must include unmeasured records"
         emitted = _walk(cache.query, ResultQuery(sort=sort, limit=3))
@@ -211,7 +198,7 @@ class TestNullSortValues:
         assert set(seqs) == {r["seq"] for r in rows}
 
     def test_cursor_landing_on_a_null_row_round_trips(self, tmp_path):
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         for i in range(4):
             cache.put(f"n{i}", "params", {"name": f"u{i}", "data": {}})
         for i in range(4):
@@ -264,9 +251,9 @@ class TestLegacySchemaMigration:
             """
         )
         conn.close()
-        cache = ResultCache(tmp_path, backend="sqlite")
+        cache = ResultCache(tmp_path)
         cache.put("unmeasured", "params", {"name": "u", "data": {}})
-        (row,) = cache._backend.rows()
+        (row,) = cache._table.rows()
         assert row["elapsed_ms"] is None
         # repro-lint: disable=fork-safety -- single-process schema inspection; never crosses a fork
         info = sqlite3.connect(path).execute(
@@ -277,7 +264,6 @@ class TestLegacySchemaMigration:
 
 
 class TestMalformedQueries:
-    @pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -293,8 +279,8 @@ class TestMalformedQueries:
             {"cursor": "[null,2]", "sort": "name"},
         ],
     )
-    def test_query_error(self, tmp_path, backend, kwargs):
-        cache = ResultCache(tmp_path / backend, backend=backend)
+    def test_query_error(self, tmp_path, kwargs):
+        cache = ResultCache(tmp_path)
         cache.put("k", "p", {"name": "n", "data": {}})
         with pytest.raises(QueryError):
             cache.query(**kwargs)

@@ -1,7 +1,7 @@
 """Multi-process writer stress for the shared store (DESIGN.md §7).
 
 N real writer processes hammer one cache directory at once.  What must
-hold, per backend:
+hold:
 
 * no lost record — every acknowledged ``put`` from every writer is
   readable after all writers exit;
@@ -38,19 +38,14 @@ N_WRITERS = 6
 KEYS_PER_WRITER = 40
 
 
-@pytest.fixture(params=["sqlite", "jsonl"])
-def backend(request):
-    return request.param
-
-
 STRESS_WRITER = textwrap.dedent(
     """
     import sys
     sys.path.insert(0, sys.argv[1])
     from repro.batch.cache import ResultCache
-    cache_dir, backend, writer, keys = sys.argv[2:6]
+    cache_dir, writer, keys = sys.argv[2:5]
     w = int(writer)
-    cache = ResultCache(cache_dir, backend=backend)
+    cache = ResultCache(cache_dir)
     for i in range(int(keys)):
         cache.put("w%02d-k%04d" % (w, i), "params", {"w": w, "i": i})
         # Every writer also fights over one shared key: last write wins,
@@ -62,11 +57,11 @@ STRESS_WRITER = textwrap.dedent(
 
 
 class TestWriterStorm:
-    def test_no_lost_no_duplicate_no_lock_escape(self, tmp_path, backend):
+    def test_no_lost_no_duplicate_no_lock_escape(self, tmp_path):
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", STRESS_WRITER, SRC, str(tmp_path),
-                 backend, str(w), str(KEYS_PER_WRITER)],
+                 str(w), str(KEYS_PER_WRITER)],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
             )
@@ -79,7 +74,7 @@ class TestWriterStorm:
             assert "database is locked" not in text, (
                 f"a lock escaped busy_timeout in writer {w}:\n{text}"
             )
-        cache = ResultCache(tmp_path, backend=backend)
+        cache = ResultCache(tmp_path)
         # No lost, no duplicated: exactly one live row per distinct key.
         assert len(cache) == N_WRITERS * KEYS_PER_WRITER + 1
         assert cache.stats.corrupted == 0
@@ -92,8 +87,7 @@ class TestWriterStorm:
         final = cache.get("contested", "params")
         assert final is not None
         assert final["i"] == KEYS_PER_WRITER - 1
-        if backend == "sqlite":
-            assert cache._backend.integrity() == "ok"
+        assert cache._table.integrity() == "ok"
 
 
 ENGINE_SHARD = textwrap.dedent(
@@ -104,12 +98,11 @@ ENGINE_SHARD = textwrap.dedent(
     from repro.generators import generate_corpus
     corpus = generate_corpus(scale=0.1, tests_scale=0.1, max_size=15)
     shard = None
-    if sys.argv[4] != "full":
-        shard = (int(sys.argv[4]), int(sys.argv[5]))
+    if sys.argv[3] != "full":
+        shard = (int(sys.argv[3]), int(sys.argv[4]))
     report = evaluate_corpus(
         corpus,
-        BatchConfig(cache_dir=sys.argv[2], chase_steps=300,
-                    store=sys.argv[3], shard=shard),
+        BatchConfig(cache_dir=sys.argv[2], chase_steps=300, shard=shard),
     )
     assert report.complete
     print(json.dumps({
@@ -122,12 +115,11 @@ ENGINE_SHARD = textwrap.dedent(
 )
 
 
-def _run_engine(cache_dir, backend, *shard) -> dict:
+def _run_engine(cache_dir, *shard) -> dict:
     env = {**os.environ, "PYTHONHASHSEED": "0"}
     args = [str(s) for s in (shard or ("full",))]
     done = subprocess.run(
-        [sys.executable, "-c", ENGINE_SHARD, SRC, str(cache_dir), backend,
-         *args],
+        [sys.executable, "-c", ENGINE_SHARD, SRC, str(cache_dir), *args],
         capture_output=True,
         env=env,
         timeout=600,
@@ -138,7 +130,7 @@ def _run_engine(cache_dir, backend, *shard) -> dict:
 
 
 class TestConcurrentSharding:
-    def test_warm_rerun_matches_single_writer_baseline(self, tmp_path, backend):
+    def test_warm_rerun_matches_single_writer_baseline(self, tmp_path):
         n = 3
         shared = tmp_path / "shared"
         solo = tmp_path / "solo"
@@ -146,7 +138,7 @@ class TestConcurrentSharding:
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", ENGINE_SHARD, SRC, str(shared),
-                 backend, str(i), str(n)],
+                 str(i), str(n)],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 env=env,
@@ -159,11 +151,11 @@ class TestConcurrentSharding:
             assert proc.returncode == 0, f"shard {i} failed:\n{text}"
             assert "database is locked" not in text
         # Single-writer baseline over the same corpus, separate dir.
-        _run_engine(solo, backend)
-        warm_solo = _run_engine(solo, backend)
+        _run_engine(solo)
+        warm_solo = _run_engine(solo)
         # The concurrently populated cache must warm a full rerun exactly
         # as well as the single-writer one: nothing recomputed, identical
         # hit/dedup split.
-        warm_shared = _run_engine(shared, backend)
+        warm_shared = _run_engine(shared)
         assert warm_shared["computed"] == 0
         assert warm_shared == warm_solo
