@@ -245,6 +245,7 @@ class ClassificationReport:
             lines.append(
                 f"firing decisions: {decisions['entries']} decided, "
                 f"{decisions['prefiltered']} prefiltered / "
+                f"{decisions['shape_hits']} shape hits / "
                 f"{decisions['hits']} hits / {decisions['misses']} misses "
                 f"(hit rate {decisions['hit_rate']:.0%}, "
                 f"{decisions['waits']} single-flight waits, "

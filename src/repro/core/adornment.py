@@ -39,10 +39,30 @@ Outputs mirror the paper's ``Adn∃(Σ) = ⟨Σµ, Acyc⟩``: :class:`AdnResult`
 carries the adorned set (bridge dependencies ``R(x̄) → R^{b…b}(x̄)``
 included, as in Algorithm 1 line 2), the boolean, the definitions, and
 run statistics.
+
+The driver keeps indexes over its records instead of rescanning them on
+every iteration.  Records are only appended between two θ/τ
+substitutions, so :meth:`AdornmentAlgorithm._add_record` updates each
+index in place, and a substitution (which rewrites every record)
+rebuilds them all:
+
+* the ``(dep, src)`` pairs present, for the duplicate check;
+* the records of each source, in record order, for tracking a record
+  through rewrites and for the θ search;
+* the body keys (adorned predicate names) of each source, for skipping
+  bodies already adorned;
+* the adorned-predicate pool, base predicate → adornments, re-sorted
+  only for the bases that gained one;
+* Σµ's dependencies and its full dependencies, for fireability.
+
+:func:`decode_predicate` and :func:`encode_predicate` are memoised, and
+candidate bodies are enumerated as tuples of predicate names, so an
+adorned body becomes atoms only once it is new.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import time
@@ -71,13 +91,19 @@ def symbol_str(sym: Symbol) -> str:
     return "b" if sym == BOUND else f"f{sym}"
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def encode_predicate(base: str, adornment: Adornment) -> str:
     """``R`` + adornment → ``R^bf1`` (the adorned predicate's name)."""
     return base + "^" + "".join(symbol_str(s) for s in adornment)
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def decode_predicate(name: str) -> tuple[str, Adornment] | None:
-    """Inverse of :func:`encode_predicate`; None for unadorned predicates."""
+    """Inverse of :func:`encode_predicate`; None for unadorned predicates.
+
+    Memoised: the driver decodes the same few hundred names millions of
+    times, and the result is an immutable tuple.
+    """
     if "^" not in name:
         return None
     base, _, suffix = name.partition("^")
@@ -293,6 +319,7 @@ class AdornmentAlgorithm:
         self._chain_cache: dict[tuple, bool] = {}
         self._src_index = {d: i for i, d in enumerate(sigma)}
         self._charge_backlog = 0
+        self._reindex()
 
     # -- driver ---------------------------------------------------------------
 
@@ -452,43 +479,89 @@ class AdornmentAlgorithm:
             )
             self._add_record(AdornedRecord(bridge, None))
 
+    # -- record indexes ----------------------------------------------------------
+
+    def _reindex(self) -> None:
+        """Rebuild every record index from ``self.records``.
+
+        Records are only ever appended, except by a θ/τ substitution,
+        which rewrites them all; the substitution calls this, and
+        :meth:`_add_record` keeps the indexes current in between.
+        """
+        self._record_keys: set[tuple] = set()
+        self._by_src: dict = {}
+        self._body_keys_by_src: dict = {}
+        self._pool: dict[str, set[Adornment]] = {}
+        self._pool_sorted: dict[str, list[Adornment]] = {}
+        self._pool_dirty: set[str] = set()
+        self._mu_deps: list[AnyDependency] = []
+        self._mu_fulls: list[AnyDependency] = []
+        self._last_atom_symbol: int | None = None
+        for rec in self.records:
+            self._index_record(rec)
+
+    def _index_record(self, rec: AdornedRecord) -> None:
+        self._record_keys.add((rec.dep, rec.src))
+        self._by_src.setdefault(rec.src, []).append(rec)
+        self._body_keys_by_src.setdefault(rec.src, set()).add(rec.body_key())
+        self._mu_deps.append(rec.dep)
+        if rec.dep.is_full:
+            self._mu_fulls.append(rec.dep)
+        atoms: tuple[Atom, ...] = rec.dep.body
+        if isinstance(rec.dep, TGD):
+            atoms = atoms + rec.dep.head
+        for a in atoms:
+            decoded = decode_predicate(a.predicate)
+            if decoded is None:
+                continue
+            base, adn = decoded
+            adns = self._pool.get(base)
+            if adns is None:
+                adns = self._pool[base] = set()
+                self._pool_sorted[base] = []
+            if adn not in adns:
+                adns.add(adn)
+                self._pool_dirty.add(base)
+            free = [s for s in adn if isinstance(s, int)]
+            if free:
+                self._last_atom_symbol = max(free)
+
     def _add_record(self, rec: AdornedRecord) -> bool:
-        if any(r.dep == rec.dep and r.src == rec.src for r in self.records):
+        if (rec.dep, rec.src) in self._record_keys:
             return False
         self.records.append(rec)
+        self._index_record(rec)
         return True
 
     def _current_version(self, rec: AdornedRecord) -> AdornedRecord:
         """Track a record through τ-rewrites (same src, latest dep)."""
-        for r in reversed(self.records):
-            if r.src == rec.src and r.dep == rec.dep:
+        same_src = self._by_src.get(rec.src, ())
+        for r in reversed(same_src):
+            if r.dep == rec.dep:
                 return r
         # The dep got rewritten; the most recent record of the same source
         # is the rewritten form.
-        for r in reversed(self.records):
-            if r.src == rec.src:
-                return r
+        if same_src:
+            return same_src[-1]
         return rec
 
     # -- adorned predicate pool ----------------------------------------------------
 
     def _adorned_predicates(self) -> dict[str, list[Adornment]]:
-        pool: dict[str, set[Adornment]] = {}
-        for rec in self.records:
-            atoms: tuple[Atom, ...] = rec.dep.body
-            if isinstance(rec.dep, TGD):
-                atoms = atoms + rec.dep.head
-            for a in atoms:
-                decoded = decode_predicate(a.predicate)
-                if decoded is not None:
-                    pool.setdefault(decoded[0], set()).add(decoded[1])
-        return {
-            base: sorted(adns, key=lambda adn: tuple(_sym_key(s) for s in adn))
-            for base, adns in pool.items()
-        }
+        """Base predicate → its adornments in Σµ, in symbol order.
+
+        The returned dict is the live pool: read it before the next
+        record is added.
+        """
+        for base in self._pool_dirty:
+            self._pool_sorted[base] = sorted(
+                self._pool[base], key=lambda adn: tuple(_sym_key(s) for s in adn)
+            )
+        self._pool_dirty.clear()
+        return self._pool_sorted
 
     def _body_keys(self, src: AnyDependency) -> set[tuple]:
-        return {r.body_key() for r in self.records if r.src == src}
+        return self._body_keys_by_src.get(src, set())
 
     # -- Function 2: adorn -------------------------------------------------------------
 
@@ -506,10 +579,10 @@ class AdornmentAlgorithm:
         self, r: AnyDependency, pool: dict[str, list[Adornment]]
     ) -> tuple[AdornedRecord, list[AdornmentDefinition]] | None:
         seen_bodies = self._body_keys(r)
-        for bodyµ, var_syms in self._coherent_bodies(r, pool):
-            key = tuple(a.predicate for a in bodyµ)
+        for key, var_syms in self._coherent_bodies(r, pool):
             if key in seen_bodies:
                 continue
+            bodyµ = [Atom(name, a.args) for name, a in zip(key, r.body)]
             new_defs: list[AdornmentDefinition] = []
             headµ = self._head_adorn(r, var_syms, new_defs)
             dep = self._build_adorned(r, bodyµ, headµ)
@@ -524,15 +597,19 @@ class AdornmentAlgorithm:
 
     def _coherent_bodies(
         self, r: AnyDependency, pool: dict[str, list[Adornment]]
-    ) -> Iterator[tuple[list[Atom], dict[Variable, Symbol]]]:
-        """All coherent adorned versions of Body(r), deterministic order."""
-        atoms = list(r.body)
+    ) -> Iterator[tuple[tuple[str, ...], dict[Variable, Symbol]]]:
+        """All coherent adorned versions of Body(r), deterministic order.
+
+        Each is the tuple of adorned predicate names (the record's body
+        key; the arguments are Body(r)'s) and the variables' symbols.
+        """
+        atoms = r.body
 
         def rec(
-            idx: int, acc: list[Atom], binding: dict[Variable, Symbol]
-        ) -> Iterator[tuple[list[Atom], dict[Variable, Symbol]]]:
+            idx: int, acc: list[str], binding: dict[Variable, Symbol]
+        ) -> Iterator[tuple[tuple[str, ...], dict[Variable, Symbol]]]:
             if idx == len(atoms):
-                yield list(acc), dict(binding)
+                yield tuple(acc), binding
                 return
             atom = atoms[idx]
             for adn in pool.get(atom.predicate, []):
@@ -554,7 +631,7 @@ class AdornmentAlgorithm:
                             break
                 if not ok:
                     continue
-                acc.append(Atom(encode_predicate(atom.predicate, adn), atom.args))
+                acc.append(encode_predicate(atom.predicate, adn))
                 yield from rec(idx + 1, acc, new_binding)
                 acc.pop()
 
@@ -605,23 +682,15 @@ class AdornmentAlgorithm:
         return nxt
 
     def _next_symbol(self, pending: list[AdornmentDefinition]) -> int:
-        highest = 0
-        for d in itertools.chain(self.definitions, pending):
-            highest = max(highest, d.symbol)
-            highest = max(
-                (a for a in d.args if isinstance(a, int)), default=highest
-            )
-        for rec in self.records:
-            atoms: tuple[Atom, ...] = rec.dep.body
-            if isinstance(rec.dep, TGD):
-                atoms = atoms + rec.dep.head
-            for a in atoms:
-                decoded = decode_predicate(a.predicate)
-                if decoded:
-                    highest = max(
-                        (s for s in decoded[1] if isinstance(s, int)),
-                        default=highest,
-                    )
+        if self._last_atom_symbol is not None:
+            highest = self._last_atom_symbol
+        else:
+            highest = 0
+            for d in itertools.chain(self.definitions, pending):
+                highest = max(highest, d.symbol)
+                highest = max(
+                    (a for a in d.args if isinstance(a, int)), default=highest
+                )
         if highest + 1 > self.max_symbol:
             self.stopped = "max_symbol"  # run() breaks at the next iteration
         return highest + 1
@@ -637,11 +706,10 @@ class AdornmentAlgorithm:
     # -- fireability (Definition 2 via the witness engine) -----------------------------
 
     def _fireable(self, dep: AnyDependency) -> bool:
-        mu_deps = [rec.dep for rec in self.records]
-        fulls = [d for d in mu_deps if d.is_full]
+        fulls = self._mu_fulls
         if dep.is_full:
             fulls = fulls + [dep]
-        return self._mu_oracle.fireable(dep, candidates=mu_deps, fulls=fulls)
+        return self._mu_oracle.fireable(dep, candidates=self._mu_deps, fulls=fulls)
 
     # -- lines 8-10: EGD chase step over Dµ(Σµ) ------------------------------------------
 
@@ -693,15 +761,14 @@ class AdornmentAlgorithm:
         self, mapping: dict[int, Symbol], drop_defs_of: int | None = None
     ) -> None:
         new_records: list[AdornedRecord] = []
+        keys: set[tuple] = set()
         for rec in self.records:
             dep = _apply_symbols_to_dep(rec.dep, mapping)
-            candidate = AdornedRecord(dep, rec.src)
-            if not any(
-                r.dep == candidate.dep and r.src == candidate.src
-                for r in new_records
-            ):
-                new_records.append(candidate)
+            if (dep, rec.src) not in keys:
+                keys.add((dep, rec.src))
+                new_records.append(AdornedRecord(dep, rec.src))
         self.records = new_records
+        self._reindex()
         new_defs: list[AdornmentDefinition] = []
         for d in self.definitions:
             if drop_defs_of is not None and d.symbol == drop_defs_of:
@@ -735,8 +802,8 @@ class AdornmentAlgorithm:
 
     def _find_valid_theta(self, rec: AdornedRecord) -> dict[int, int] | None:
         my_adns = self._dep_adornments(rec.dep)
-        for other in self.records:
-            if other is rec or other.src != rec.src:
+        for other in self._by_src.get(rec.src, ()):
+            if other is rec:
                 continue
             theta = self._match_adornments(my_adns, self._dep_adornments(other.dep))
             if theta is None or not theta:

@@ -35,7 +35,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from ..budget import coerce_budget
 from ..concurrency import SingleFlightCache
-from ..model.dependencies import AnyDependency, DependencySet
+from ..model.atoms import Atom
+from ..model.dependencies import TGD, AnyDependency, DependencySet
 from .witness import (
     DEFAULT_BUDGET,
     FiringDecision,
@@ -63,6 +64,31 @@ def _deterministic(decision: FiringDecision, engine: WitnessEngine) -> bool:
     return parent is None or parent.exhausted is None
 
 
+def pair_shape(r1: AnyDependency, r2: AnyDependency) -> tuple:
+    """The pair ``(r1, r2)`` up to an injective renaming of predicates.
+
+    Predicates are numbered by first occurrence across r1's body and
+    head, then r2's body and head.  Everything else is kept as it is:
+    the variables, the constants, the dependency kind, the order of the
+    existential variables and an EGD's two sides.  Labels are left out,
+    as ``Dependency.__eq__`` leaves them out.
+    """
+    numbers: dict[str, int] = {}
+
+    def atoms(seq: tuple[Atom, ...]) -> tuple:
+        return tuple(
+            (numbers.setdefault(a.predicate, len(numbers)), a.args) for a in seq
+        )
+
+    def shape(d: AnyDependency) -> tuple:
+        body = atoms(d.body)
+        if isinstance(d, TGD):
+            return (True, body, atoms(d.head), d.existential)
+        return (False, body, d.lhs, d.rhs)
+
+    return shape(r1), shape(r2)
+
+
 class DecisionCache(SingleFlightCache):
     """A thread-safe, single-flight store of deterministic firing decisions.
 
@@ -79,9 +105,12 @@ class DecisionCache(SingleFlightCache):
     Stats (``hits``/``misses``/``waits``) are updated under the lock and
     surfaced through :meth:`stats` for the ``--stats`` report and the CI
     bench summary.  ``prefiltered`` counts the pairs oracles wired to the
-    cache ruled out with :func:`~repro.firing.witness.may_fire` alone;
-    those never reach the cache, so prefiltered + hits + misses splits
-    every pair asked about into "prefiltered / cache hit / probed".
+    cache ruled out with :func:`~repro.firing.witness.may_fire` alone,
+    and ``shape_hits`` the ``≺`` pairs they answered from an earlier
+    decision on a pair of the same :func:`pair_shape`; neither reaches
+    the cache, so prefiltered + shape hits + hits + misses splits every
+    pair asked about into "prefiltered / shape twin / cache hit /
+    probed".
     """
 
     def __init__(self) -> None:
@@ -91,6 +120,7 @@ class DecisionCache(SingleFlightCache):
         self.waits = 0
         self.preloaded = 0
         self.prefiltered = 0
+        self.shape_hits = 0
 
     def _on_hit(self) -> None:
         self.hits += 1
@@ -129,6 +159,11 @@ class DecisionCache(SingleFlightCache):
         with self._lock:
             self.prefiltered += n
 
+    def note_shape_hit(self) -> None:
+        """Count one pair an oracle answered from its shape twin."""
+        with self._lock:
+            self.shape_hits += 1
+
     def snapshot(self) -> dict[tuple, FiringDecision]:
         """A point-in-time copy of the decided edges (for persistence)."""
         with self._lock:
@@ -144,6 +179,7 @@ class DecisionCache(SingleFlightCache):
                 "waits": self.waits,
                 "preloaded": self.preloaded,
                 "prefiltered": self.prefiltered,
+                "shape_hits": self.shape_hits,
                 "hit_rate": self.hits / total if total else 0.0,
             }
 
@@ -197,6 +233,15 @@ class FiringOracle:
     per-oracle so one consumer's truncated probes never flag another's
     verdict.
 
+    The ``≺`` memo is keyed by :func:`pair_shape`, so a pair whose shape
+    was decided before reuses that decision without an engine.  That is
+    sound: whether a witness exists does not change under an injective
+    renaming of predicates, and a budget-truncated decision (``edge=True,
+    exact=False``) over-approximates for every pair of its shape.  Only
+    the first pair of each shape reaches the shared cache.  ``<`` keeps a
+    per-pair memo, because its key holds the full dependencies, which
+    would have to be renamed along.
+
     Every query passes :func:`~repro.firing.witness.may_fire` first: a
     pair it rules out is answered "no edge" (exactly) without an engine,
     a shared-cache entry or a frozenset of the full dependencies.  Pairs
@@ -217,7 +262,8 @@ class FiringOracle:
         self.step_variant = step_variant
         self.budget = budget
         self._decisions = decisions
-        self._precedes_cache: dict[tuple, FiringDecision] = {}
+        # shape -> (the pair that was probed, its decision)
+        self._precedes_cache: dict[tuple, tuple[tuple, FiringDecision]] = {}
         self._fires_cache: dict[tuple, FiringDecision] = {}
         self._prefiltered: set[tuple] = set()
         # (dependency, label, suffix) -> renamed copy.  The label is part
@@ -299,14 +345,20 @@ class FiringOracle:
         """``r1 ≺ r2``."""
         if not may_fire(r1, r2):
             return self._rule_out(r1, r2)
-        key = (r1, r2)
-        decision = self._precedes_cache.get(key)
-        if decision is None:
+        shape = pair_shape(r1, r2)
+        memo = self._precedes_cache.get(shape)
+        if memo is None:
             shared_key = ("precedes", r1, r2, self.step_variant, self.budget)
             decision = self._probe(
                 shared_key, lambda: self._engine(r1, r2, ()), "precedes"
             )
-            self._precedes_cache[key] = decision
+            self._precedes_cache[shape] = ((r1, r2), decision)
+        else:
+            pair, decision = memo
+            if pair != (r1, r2):
+                shared = self._shared()
+                if shared is not None:
+                    shared.note_shape_hit()
         return self._note(decision)
 
     def fires(
@@ -314,12 +366,18 @@ class FiringOracle:
         r1: AnyDependency,
         r2: AnyDependency,
         fulls: Iterable[AnyDependency] | None = None,
+        full_set: frozenset | None = None,
     ) -> bool:
-        """``r1 < r2`` w.r.t. the full dependencies (defaults to Σ∀)."""
+        """``r1 < r2`` w.r.t. the full dependencies (defaults to Σ∀).
+
+        ``full_set`` is ``frozenset(fulls)``, for a caller asking about
+        many pairs with the same ``fulls``.
+        """
         if not may_fire(r1, r2):
             return self._rule_out(r1, r2)
         fulls = tuple(fulls) if fulls is not None else tuple(self.fulls)
-        full_set = frozenset(fulls)
+        if full_set is None:
+            full_set = frozenset(fulls)
         key = (r1, r2, full_set)
         decision = self._fires_cache.get(key)
         if decision is None:
@@ -341,4 +399,7 @@ class FiringOracle:
         """Definition 2: r is fireable w.r.t. Σ iff some r2 ∈ Σ has r2 < r."""
         pool = list(candidates) if candidates is not None else self.deps
         fulls = tuple(fulls) if fulls is not None else tuple(self.fulls)
-        return any(self.fires(r2, r, fulls=fulls) for r2 in pool)
+        full_set = frozenset(fulls)
+        return any(
+            self.fires(r2, r, fulls=fulls, full_set=full_set) for r2 in pool
+        )

@@ -27,7 +27,7 @@ class TestCoherentBodies:
         bodies = list(algo._coherent_bodies(r2, algo._adorned_predicates()))
         assert bodies, "the bridge's E^bb must be available"
         first_body, binding = bodies[0]
-        assert first_body[0].predicate == encode_predicate("E", (BOUND, BOUND))
+        assert first_body[0] == encode_predicate("E", (BOUND, BOUND))
         assert binding == {x: BOUND, y: BOUND}
 
     def test_incoherent_rejected(self):
@@ -54,7 +54,7 @@ class TestCoherentBodies:
         r2 = algo.sigma[1]
         for body, _ in algo._coherent_bodies(r2, pool):
             # The constant position must be adorned b.
-            assert body[0].predicate.endswith("b")
+            assert body[0].endswith("b")
 
 
 class TestHeadAdorn:

@@ -1,10 +1,13 @@
 """CLI tests: every command end-to-end via main()."""
 
+import os
 import pathlib
 
 import pytest
 
 from repro.cli import main
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 SIGMA1 = """
 r1: N(x) -> exists y. E(x, y)
@@ -57,6 +60,26 @@ class TestClassify:
         out = capsys.readouterr().out
         assert "backend: shared" in out
         assert "artifacts:" in out and "firing decisions:" in out
+
+    def test_stats_golden(self, tmp_path, capsys):
+        """The ``--stats`` block of a corpus program whose adorned Σα has
+        shape twins: firing decisions split into prefiltered / shape hits
+        / hits / misses.  Regenerate with ``REPRO_REGEN_GOLDEN=1``."""
+        from repro.generators.corpus import generate_corpus
+        from repro.model.parser import to_text
+
+        corpus = generate_corpus(seed=20160396, tests_scale=0.05, max_size=30)
+        program = next(o for o in corpus if o.name == "E1-10/G1-10#2")
+        p = tmp_path / "program.deps"
+        p.write_text(to_text(program.sigma))
+        assert main(["classify", str(p), "--stats"]) == 1
+        out = capsys.readouterr().out
+        stats = out[out.index("backend:"):]
+        golden = GOLDEN_DIR / "classify_stats.txt"
+        if os.environ.get("REPRO_REGEN_GOLDEN"):
+            golden.write_text(stats)
+        assert stats == golden.read_text()
+        assert " shape hits / " in stats
 
     def test_backend_flag(self, sigma3_file, capsys):
         # The CLI always runs the shared context; the isolated recompute
