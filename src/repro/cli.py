@@ -290,7 +290,14 @@ def cmd_batch_export(args: argparse.Namespace) -> int:
 
 
 def cmd_batch_import(args: argparse.Namespace) -> int:
-    """Replay JSONL snapshots into a cache directory's store."""
+    """Replay JSONL snapshots into a cache directory's store.
+
+    Without ``--input`` the snapshot is the cache directory's own legacy
+    ``results.jsonl``/``artifacts.jsonl``.  Opening the store already
+    migrates such a log into its table when the table is empty; a log
+    migrated that way is not replayed again, which would write every
+    entry twice and re-mint its ``seq``.
+    """
     from .store import import_jsonl
 
     source = pathlib.Path(args.input if args.input else args.cache_dir)
@@ -299,13 +306,25 @@ def cmd_batch_import(args: argparse.Namespace) -> int:
     if not results_path.exists() and not artifacts_path.exists():
         raise InputError(f"nothing to import: no JSONL snapshot in {source}")
     cache, store = _open_store(args)
+    own_logs = source.resolve() == pathlib.Path(args.cache_dir).resolve()
+
+    def replayed(path: pathlib.Path, migrated: int) -> str:
+        if not path.exists() or (own_logs and migrated):
+            return ""
+        return path.read_text()
+
     try:
         report = import_jsonl(
             cache,
-            results_path.read_text() if results_path.exists() else "",
+            replayed(results_path, cache.stats.imported),
             store,
-            artifacts_path.read_text() if artifacts_path.exists() else "",
+            replayed(artifacts_path, store.imported),
         )
+        if own_logs:
+            report.results += cache.stats.imported
+            report.artifacts += store.imported
+            if store.imported:
+                report.programs += len(store)
     finally:
         cache.close()
         store.close()

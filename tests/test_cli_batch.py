@@ -218,6 +218,36 @@ class TestStoreCommands:
             assert (snap2 / name).read_bytes() == (snap1 / name).read_bytes()
 
 
+    def test_import_of_own_legacy_logs_writes_each_entry_once(
+        self, tmp_path, capsys
+    ):
+        """Without ``--input`` the legacy logs of the cache directory are
+        the snapshot.  Opening the store has already migrated them, so
+        the import must not replay them: a second write would re-mint
+        every ``seq``."""
+        files = []
+        for i in range(1, 6):  # five arities: five distinct fingerprints
+            args = ", ".join(f"x{j}" for j in range(i))
+            path = tmp_path / f"p{i}.deps"
+            path.write_text(f"r1: P({args}) -> exists y. E(x0, y)\n")
+            files.append(str(path))
+        src, snap = tmp_path / "src", tmp_path / "snap"
+        assert main(["batch", *files, "--cache-dir", str(src)]) == 0
+        assert main(["batch", "export-jsonl", "--cache-dir", str(src),
+                     "--output", str(snap)]) == 0
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        for name in ("results.jsonl", "artifacts.jsonl"):
+            (legacy / name).write_bytes((snap / name).read_bytes())
+        capsys.readouterr()
+        assert main(["batch", "import-jsonl", "--cache-dir", str(legacy)]) == 0
+        assert "imported 5 result records" in capsys.readouterr().out
+        assert main(["batch", "query", "--cache-dir", str(legacy),
+                     "--format", "jsonl"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert sorted(row["seq"] for row in rows) == [1, 2, 3, 4, 5]
+
+
 class TestCorruptStore:
     """A damaged ``store.sqlite`` is an input error, never a traceback."""
 
