@@ -496,7 +496,7 @@ class AdornmentAlgorithm:
         self._pool_dirty: set[str] = set()
         self._mu_deps: list[AnyDependency] = []
         self._mu_fulls: list[AnyDependency] = []
-        self._last_atom_symbol: int | None = None
+        self._max_record_symbol = 0
         for rec in self.records:
             self._index_record(rec)
 
@@ -522,9 +522,9 @@ class AdornmentAlgorithm:
             if adn not in adns:
                 adns.add(adn)
                 self._pool_dirty.add(base)
-            free = [s for s in adn if isinstance(s, int)]
-            if free:
-                self._last_atom_symbol = max(free)
+            for sym in adn:
+                if isinstance(sym, int) and sym > self._max_record_symbol:
+                    self._max_record_symbol = sym
 
     def _add_record(self, rec: AdornedRecord) -> bool:
         if (rec.dep, rec.src) in self._record_keys:
@@ -682,15 +682,14 @@ class AdornmentAlgorithm:
         return nxt
 
     def _next_symbol(self, pending: list[AdornmentDefinition]) -> int:
-        if self._last_atom_symbol is not None:
-            highest = self._last_atom_symbol
-        else:
-            highest = 0
-            for d in itertools.chain(self.definitions, pending):
-                highest = max(highest, d.symbol)
-                highest = max(
-                    (a for a in d.args if isinstance(a, int)), default=highest
-                )
+        """One more than the largest free symbol in use: in a record's
+        adorned predicates, or in a definition (committed or pending) as
+        its symbol or an argument."""
+        highest = self._max_record_symbol
+        for d in itertools.chain(self.definitions, pending):
+            highest = max(
+                highest, d.symbol, *(a for a in d.args if isinstance(a, int))
+            )
         if highest + 1 > self.max_symbol:
             self.stopped = "max_symbol"  # run() breaks at the next iteration
         return highest + 1

@@ -3,12 +3,17 @@ matching, Ω(AD) cyclicity, and the EGD chase step over Dµ."""
 
 from repro.core.adornment import (
     BOUND,
+    AdornedRecord,
     AdornmentAlgorithm,
     AdornmentDefinition,
+    ac_rewriting,
+    adn_exists,
     encode_predicate,
 )
 from repro.data import sigma_1
-from repro.model import Variable, parse_dependencies
+from repro.generators.corpus import generate_corpus
+from repro.model import TGD, Atom, Variable, parse_dependencies
+from repro.simulation.substitution_free import substitution_free_simulation
 
 x, y = Variable("x"), Variable("y")
 
@@ -18,6 +23,48 @@ def fresh_algo(text=None):
     algo = AdornmentAlgorithm(sigma)
     algo._init_bridges()
     return algo
+
+
+class TestNextSymbol:
+    def test_fresh_symbol_exceeds_every_live_symbol(self):
+        # The largest symbol sits in an earlier record than the last one
+        # carrying a free symbol: a fresh symbol must still exceed it.
+        algo = fresh_algo(
+            """
+            r1: N(x) -> exists y. E(x, y)
+            r2: E(x, y) -> N(y)
+            """
+        )
+        r1, r2 = algo.sigma
+        big = TGD(
+            [Atom(encode_predicate("N", (BOUND,)), [x])],
+            [Atom(encode_predicate("E", (BOUND, 5)), [x, y])],
+            label="r1",
+        )
+        small = TGD(
+            [Atom(encode_predicate("E", (BOUND, 1)), [x, y])],
+            [Atom(encode_predicate("N", (1,)), [y])],
+            label="r2",
+        )
+        algo._add_record(AdornedRecord(big, r1))
+        algo._add_record(AdornedRecord(small, r2))
+        assert algo._next_symbol([]) == 6
+        pending = [AdornmentDefinition(7, r1, r1.existential[0], (BOUND,))]
+        assert algo._next_symbol(pending) == 8
+        algo.definitions = [AdornmentDefinition(2, r1, r1.existential[0], (9,))]
+        assert algo._next_symbol([]) == 10
+
+    def test_symbols_defined_by_one_skolem_function_each(self):
+        # Before the fix, AC on this corpus program minted f2 three times,
+        # for r3, r4 and r6: a reused number merges what θ never merged.
+        corpus = generate_corpus(seed=7, scale=0.06, tests_scale=0.05, max_size=25)
+        sigma = next(o for o in corpus if o.name == "E101-1000/G1-10#3").sigma
+        simulated = substitution_free_simulation(sigma) if sigma.egds else sigma
+        for result in (adn_exists(sigma), ac_rewriting(simulated)):
+            functions: dict[int, set] = {}
+            for d in result.definitions:
+                functions.setdefault(d.symbol, set()).add((d.rule, d.z))
+            assert all(len(f) == 1 for f in functions.values()), functions
 
 
 class TestCoherentBodies:

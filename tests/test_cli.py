@@ -68,7 +68,9 @@ class TestClassify:
         from repro.generators.corpus import generate_corpus
         from repro.model.parser import to_text
 
-        corpus = generate_corpus(seed=20160396, tests_scale=0.05, max_size=30)
+        corpus = generate_corpus(
+            seed=20160396, scale=0.06, tests_scale=0.05, max_size=30
+        )
         program = next(o for o in corpus if o.name == "E1-10/G1-10#2")
         p = tmp_path / "program.deps"
         p.write_text(to_text(program.sigma))

@@ -187,6 +187,33 @@ class TestVerdictInvariance:
             # symbol *names* would poison cached records.
             assert a.exact == b.exact, (name, seed)
 
+    def test_adn_exists_ignores_dependency_order(self):
+        """Adn∃ on the Table 2 draw the ``table2_batch`` benchmark
+        evaluates, in listing order and under six reorderings: the
+        verdict, its exactness and the adorned size must agree, because
+        the result cache serves one ordering's verdict to all of them.
+        Before fresh adornment symbols were fixed to exceed every live
+        symbol, ``E101-1000/G1-10#4`` came out acyclic under
+        ``random.Random(4)`` only."""
+        from repro.core.adornment import adn_exists
+
+        corpus = generate_corpus(
+            seed=20160396, scale=0.06, tests_scale=0.1, max_size=20
+        )
+        assert len(corpus) == 19
+        for ont in corpus:
+            orderings = [ont.sigma] + [
+                reorder_dependencies(ont.sigma, random.Random(seed))
+                for seed in range(6)
+            ]
+            outcomes = set()
+            for sigma in orderings:
+                result = adn_exists(sigma)
+                outcomes.add(
+                    (result.acyclic, result.exact, result.stats["size_adorned"])
+                )
+            assert len(outcomes) == 1, (ont.name, outcomes)
+
     def test_corpus_ontologies(self):
         """The real workload: corpus ontologies survive the transforms."""
         corpus = generate_corpus(scale=0.03, tests_scale=0.05, max_size=15)

@@ -30,7 +30,9 @@ from repro.generators.random_deps import random_dependency_set
 from repro.model import DependencySet, parse_dependencies
 from repro.simulation.substitution_free import substitution_free_simulation
 
-CLASSIFY_CORPUS = {"seed": 20160396, "tests_scale": 0.05, "max_size": 30}
+CLASSIFY_CORPUS = {
+    "seed": 20160396, "scale": 0.06, "tests_scale": 0.05, "max_size": 30,
+}
 CLASSIFY_PROGRAMS = (
     "E1-10/G1-10#1",
     "E1-10/G1-10#2",
