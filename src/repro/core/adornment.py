@@ -40,8 +40,8 @@ carries the adorned set (bridge dependencies ``R(x̄) → R^{b…b}(x̄)``
 included, as in Algorithm 1 line 2), the boolean, the definitions, and
 run statistics.
 
-The driver keeps indexes over its records instead of rescanning them on
-every iteration.  Records are only appended between two θ/τ
+The algorithm keeps indexes over its records instead of rescanning them
+on every iteration.  Records are only appended between two θ/τ
 substitutions, so :meth:`AdornmentAlgorithm._add_record` updates each
 index in place, and a substitution (which rewrites every record)
 rebuilds them all:
@@ -101,7 +101,7 @@ def encode_predicate(base: str, adornment: Adornment) -> str:
 def decode_predicate(name: str) -> tuple[str, Adornment] | None:
     """Inverse of :func:`encode_predicate`; None for unadorned predicates.
 
-    Memoised: the driver decodes the same few hundred names millions of
+    Memoised: Adn∃ decodes the same few hundred names millions of
     times, and the result is an immutable tuple.
     """
     if "^" not in name:

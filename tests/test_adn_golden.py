@@ -3,11 +3,11 @@
 ``tests/golden/adn_results.json`` pins, per program and mode, the
 adorned records, the adornment definitions and the run statistics of
 :class:`~repro.core.adornment.AdornmentAlgorithm`: the verdict, the
-exactness flag, the sizes, the driver's iteration count and budget
+exactness flag, the sizes, the main loop's iteration count and budget
 steps, and one sha256 each over the records (in order, with their
-sources) and the definitions (in order).  A driver change that alters
-any record, any symbol number or the order in which they appear — not
-just the verdict — fails here.
+sources) and the definitions (in order).  A change to the algorithm
+that alters any record, any symbol number or the order in which they
+appear — not just the verdict — fails here.
 
 The programs are the Table 2 draw the ``table2_batch`` benchmark
 evaluates, the five ``classify_portfolio`` programs, the Table 1
@@ -72,7 +72,7 @@ def _sha(lines) -> str:
 
 
 def result_record(result) -> dict:
-    """Verdict, sizes, driver statistics and digests of one run."""
+    """Verdict, sizes, run statistics and digests of one run."""
     return {
         "acyclic": result.acyclic,
         "exact": result.exact,

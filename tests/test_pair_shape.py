@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.context import AnalysisContext
 from repro.core.adornment import ac_rewriting
 from repro.data.witnesses import witness_cases
 from repro.firing import relations
@@ -120,12 +119,6 @@ def test_shared_cache_counts_shape_hits(classify_adorned):
     assert stats["misses"] == len(shapes) == len(cache)
     assert stats["shape_hits"] == len(pairs) - len(shapes) > 0
     assert stats["prefiltered"] == len(sigma) ** 2 - len(pairs)
-
-
-def test_context_reports_shape_hits():
-    sigma = generate_corpus(**CLASSIFY_CORPUS)[0].sigma
-    ctx = AnalysisContext(sigma)
-    assert "shape_hits" in ctx.stats()["decisions"]
 
 
 class TestShapeKeepsWhatTheDecisionReads:
