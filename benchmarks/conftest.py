@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import pathlib
 import signal
+import time
 
 import pytest
 
@@ -49,6 +50,25 @@ def _per_bench_timeout():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def best_of_alternating(repeats: int, *arms):
+    """Run the single-threaded ``arms`` in turn, ``repeats`` rounds, and
+    return each arm's ``(best seconds, last value)``.
+
+    Time is process CPU time: it leaves out the time other processes
+    hold the core, and alternating the arms spreads any slow spell over
+    all of them, so the ratio of two bests follows the code, not the
+    machine's load.
+    """
+    best = [float("inf")] * len(arms)
+    values = [None] * len(arms)
+    for _ in range(repeats):
+        for i, arm in enumerate(arms):
+            t0 = time.process_time()
+            values[i] = arm()
+            best[i] = min(best[i], time.process_time() - t0)
+    return list(zip(best, values))
 
 
 def write_result(name: str, text: str) -> None:

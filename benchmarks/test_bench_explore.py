@@ -25,18 +25,19 @@ import os
 import pathlib
 import subprocess
 import sys
-import time
 
-from conftest import write_result
+from conftest import best_of_alternating, write_result
 
 from repro.chase.explorer import explore_chase
 from repro.data.witnesses import witness_cases
 from repro.model import Atom, Instance
 from repro.model.terms import Constant
 
-#: delta / full aggregate floor.  Seven runs on a 2-core x86-64 host
-#: (Python 3.11, numpy kernels) read 2.17–2.50x; the floor sits below
-#: their minimum.
+#: delta / full aggregate floor.  Seven wall-clock runs on a 2-core
+#: x86-64 host (Python 3.11, numpy kernels) read 2.17–2.50x; the floor
+#: sits below their minimum.  Each arm is timed as the best of
+#: ``REPEATS`` alternating runs on the process CPU clock (the explorer is
+#: single-threaded), so load from other processes does not move it.
 SPEEDUP_FLOOR = 2.0
 
 #: Deep-chain scaling table: the two-rule divergent program explored to
@@ -46,7 +47,7 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 #: Replication factor for the witness databases (fact count scales with it).
 SCALE = int(os.environ.get("REPRO_EXPLORE_SCALE", "200"))
-REPEATS = 3
+REPEATS = 5
 
 #: The branchy corpus: (witness case, chase variant, depth, state cap).
 #: mirror_pair gets a larger share of scale — its database is a single
@@ -72,17 +73,6 @@ def _grown(db: Instance, copies: int) -> Instance:
     return out
 
 
-def _best_of(repeats, fn):
-    best, value = None, None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        value = fn()
-        dt = time.perf_counter() - t0
-        if best is None or dt < best:
-            best = dt
-    return best, value
-
-
 #: Both explore.txt sections, assembled in definition order so a full
 #: module run commits one file with the explore arm and the deep table.
 _SECTIONS: dict[str, str] = {}
@@ -104,15 +94,12 @@ def test_bench_explore():
     for name, variant, copies, depth, states in WORKLOADS:
         case = cases[name]
         db = _grown(case.database, copies)
-        t_delta, r_delta = _best_of(
+        (t_delta, r_delta), (t_full, r_full) = best_of_alternating(
             REPEATS,
             lambda: explore_chase(
                 db, case.sigma, variant=variant,
                 max_depth=depth, max_states=states, discovery="delta",
             ),
-        )
-        t_full, r_full = _best_of(
-            REPEATS,
             lambda: explore_chase(
                 db, case.sigma, variant=variant,
                 max_depth=depth, max_states=states, discovery="full",
@@ -135,7 +122,8 @@ def test_bench_explore():
         [
             "Explore micro-bench — semi-naive (delta) vs full-rediscovery "
             "DFS, both on savepoints, columnar backend, on grown Table 1 "
-            f"witness programs (scale {SCALE}), best of {REPEATS}",
+            f"witness programs (scale {SCALE}), best of {REPEATS} "
+            "alternating runs, process CPU time",
             "",
             header,
             "-" * len(header),

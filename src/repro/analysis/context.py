@@ -51,7 +51,6 @@ from typing import Any, Callable
 from ..budget import current_budget
 from ..concurrency import SingleFlightCache
 from ..firing.relations import DecisionCache, FiringOracle, current_firing_cache
-from ..firing.witness import DEFAULT_BUDGET
 from ..model.dependencies import DependencySet
 
 
@@ -166,9 +165,7 @@ class AnalysisContext(SingleFlightCache):
 
     # -- firing-level artifacts -------------------------------------------------
 
-    def oracle(
-        self, step_variant: str = "standard", budget: int = DEFAULT_BUDGET
-    ) -> FiringOracle:
+    def oracle(self, step_variant: str) -> FiringOracle:
         """A fresh oracle wired to the shared decision cache.
 
         Oracles are deliberately *not* memoized: they are cheap shells
@@ -179,8 +176,7 @@ class AnalysisContext(SingleFlightCache):
         approximate.
         """
         return FiringOracle(
-            self.sigma, step_variant=step_variant, budget=budget,
-            decisions=self.decisions,
+            self.sigma, step_variant=step_variant, decisions=self.decisions
         )
 
     def chase_graph(self, step_variant: str = "standard"):
@@ -256,16 +252,16 @@ class AnalysisContext(SingleFlightCache):
 
         return self._get(("simulated",), build)
 
-    def skolem_rules(self, variant: str = "semi_oblivious") -> tuple:
-        """The Skolemised rules of the (simulated) TGD set — MFA and MSA
-        both saturate over them."""
+    def skolem_rules(self) -> tuple:
+        """The semi-oblivious Skolemised rules of the (simulated) TGD set —
+        MFA and MSA both saturate over them."""
 
         def build() -> tuple:
             from ..chase.skolem import skolemise
 
-            return tuple(skolemise(self.simulated(), variant=variant))
+            return tuple(skolemise(self.simulated(), variant="semi_oblivious"))
 
-        return self._get(("skolem_rules", variant), build)
+        return self._get(("skolem_rules",), build)
 
     def critical_instance(self):
         """A fresh copy of the critical instance of the (simulated) set.

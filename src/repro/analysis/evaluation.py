@@ -109,14 +109,11 @@ def chase_ground_truth(
 
 
 def evaluate_ontology(
-    ont: GeneratedOntology,
-    chase_steps: int = 4_000,
-    adn_kwargs: dict | None = None,
+    ont: GeneratedOntology, chase_steps: int = 4_000
 ) -> OntologyEvaluation:
     """Adn∃ + chase ground truth for one ontology."""
-    adn_kwargs = adn_kwargs or {}
     start = time.perf_counter()
-    result = adn_exists(ont.sigma, **adn_kwargs)
+    result = adn_exists(ont.sigma)
     adn_ms = (time.perf_counter() - start) * 1000.0
     halted, strategy = chase_ground_truth(ont.sigma, max_steps=chase_steps)
     return OntologyEvaluation(

@@ -52,8 +52,9 @@ rejects (the message keeps the parser's line and column), a cache
 directory whose ``store.sqlite`` is damaged (the message names the
 ``import-jsonl`` restore route), or a ``batch`` argument that cannot be
 honoured (a bad ``--shard``, files *and* ``--corpus``, a bad query, an
-import with nothing to import) — after printing one ``repro: error: ...``
-line to stderr.
+import with nothing to import), or an unknown ``--criteria`` or
+``--strategy`` name — after printing one ``repro: error: ...`` line to
+stderr.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ import sys
 
 from .analysis import classify
 from .chase import explore_chase, run_chase
+from .chase.strategies import NAMED_STRATEGIES
 from .core import adn_exists
+from .criteria import registry
 from .firing import chase_graph, firing_graph, render_graph
 from .firing.graphs import to_dot
 from .model import (
@@ -95,6 +98,22 @@ def _load_facts(spec: str) -> ColumnarInstance:
     return parse_facts(text)
 
 
+def _criteria(spec: str | None) -> list[str] | None:
+    """The ``--criteria`` names (None: every criterion), each checked
+    against the registry."""
+    if not spec:
+        return None
+    names = spec.split(",")
+    known = registry()
+    for name in names:
+        if name not in known:
+            raise InputError(
+                f"unknown criterion {name!r} in --criteria; "
+                f"known: {', '.join(sorted(known))}"
+            )
+    return names
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     """Run the criterion portfolio.
 
@@ -103,8 +122,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     acceptance and some criterion exhausted its budget, so the rejection
     cannot be trusted.
     """
+    criteria = _criteria(args.criteria)
     sigma = _load_sigma(args.file)
-    criteria = args.criteria.split(",") if args.criteria else None
     report = classify(
         sigma,
         criteria=criteria,
@@ -125,6 +144,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_chase(args: argparse.Namespace) -> int:
     """Run one chase sequence; exit 0 on termination, 2 on budget."""
+    if args.strategy not in NAMED_STRATEGIES:
+        raise InputError(
+            f"unknown --strategy {args.strategy!r}; "
+            f"known: {', '.join(sorted(NAMED_STRATEGIES))}"
+        )
     sigma = _load_sigma(args.file)
     db = _load_facts(args.data)
     result = run_chase(
@@ -219,6 +243,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
     if bool(args.files) == bool(args.corpus):
         raise InputError("batch needs dependency files or --corpus (not both)")
+    criteria = _criteria(args.criteria)
     if args.corpus:
         classes = args.corpus_classes.split(",") if args.corpus_classes else None
         programs = generate_corpus(
@@ -246,7 +271,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         budget_steps=args.budget_steps,
         budget_ms=args.budget_ms,
         chase_steps=args.chase_steps,
-        criteria=args.criteria.split(",") if args.criteria else None,
+        criteria=criteria,
     )
     report = evaluate_corpus(programs, config)
     if args.format == "jsonl":

@@ -19,7 +19,6 @@ from ..criteria.base import (
     get_criterion,
 )
 from ..model.dependencies import DependencySet
-from .adornment import AdnResult, adn_exists
 
 
 class AdnCombined(TerminationCriterion):
@@ -27,22 +26,14 @@ class AdnCombined(TerminationCriterion):
 
     guarantee = Guarantee.CT_EXISTS
 
-    def __init__(self, inner: TerminationCriterion | str, **adn_kwargs) -> None:
+    def __init__(self, inner: TerminationCriterion | str) -> None:
         if isinstance(inner, str):
             inner = get_criterion(inner)
         self.inner = inner
         self.name = f"Adn-{inner.name}"
-        self._adn_kwargs = adn_kwargs
-        self.last_result: AdnResult | None = None
 
     def _accepts(self, sigma: DependencySet, ctx) -> tuple[bool, bool, dict]:
-        # As in SemiAcyclicity: only the default-knob Adn∃ run is the
-        # context's memoized artifact.
-        if self._adn_kwargs:
-            result = adn_exists(sigma, **self._adn_kwargs)
-        else:
-            result = ctx.adn_result()
-        self.last_result = result
+        result = ctx.adn_result()
         details: dict = {
             "size_adorned": result.stats["size_adorned"],
             "adn_exact": result.exact,
@@ -58,7 +49,7 @@ class AdnCombined(TerminationCriterion):
 
 
 def adn_combined_check(
-    sigma: DependencySet, criterion: TerminationCriterion | str, **adn_kwargs
+    sigma: DependencySet, criterion: TerminationCriterion | str
 ) -> CriterionResult:
     """One-shot Adn∃-C check."""
-    return AdnCombined(criterion, **adn_kwargs).check(sigma)
+    return AdnCombined(criterion).check(sigma)

@@ -10,14 +10,13 @@ a terminating standard chase sequence of length polynomial in ``|D|``
 
 from __future__ import annotations
 
-from ..criteria.base import Guarantee, TerminationCriterion, register
+from ..criteria.base import Guarantee, TerminationCriterion, register, verdict
 from ..model.dependencies import DependencySet
-from .adornment import AdnResult, adn_exists
 
 
-def is_semi_acyclic(sigma: DependencySet, **kwargs) -> bool:
+def is_semi_acyclic(sigma: DependencySet) -> bool:
     """Definition 4: the boolean returned by Adn∃."""
-    return adn_exists(sigma, **kwargs).acyclic
+    return verdict("SAC", sigma)[0]
 
 
 @register
@@ -27,18 +26,8 @@ class SemiAcyclicity(TerminationCriterion):
     name = "SAC"
     guarantee = Guarantee.CT_EXISTS
 
-    def __init__(self, **adn_kwargs) -> None:
-        self._adn_kwargs = adn_kwargs
-        self.last_result: AdnResult | None = None
-
     def _accepts(self, sigma: DependencySet, ctx) -> tuple[bool, bool, dict]:
-        # Non-default Adn∃ knobs produce a different artifact than the
-        # context's memoized default-knob run, so they bypass it.
-        if self._adn_kwargs:
-            result = adn_exists(sigma, **self._adn_kwargs)
-        else:
-            result = ctx.adn_result()
-        self.last_result = result
+        result = ctx.adn_result()
         details = dict(result.stats)
         details["adorned_ratio"] = (
             result.stats["size_adorned"] / max(1, len(sigma))

@@ -12,16 +12,17 @@ Guarantees (Theorem 3): for every semi-stratified Σ and every database D
 there is a terminating standard chase sequence, of length polynomial in
 ``|D|`` — i.e. S-Str ⊆ CTstd∃.  Str ⊊ S-Str and S-Str is incomparable
 with SC, AC and MFA (Theorem 5).
+
+The criterion class is the one implementation: it reads Gf(Σ) and its
+SCCs off the analysis context, and :func:`is_semi_stratified` runs it.
 """
 
 from __future__ import annotations
 
 import networkx as nx
 
-from ..criteria.base import Guarantee, TerminationCriterion, register
+from ..criteria.base import Guarantee, TerminationCriterion, register, verdict
 from ..criteria.weak_acyclicity import is_weakly_acyclic
-from ..firing.graphs import firing_graph
-from ..firing.relations import FiringOracle
 from ..model.dependencies import DependencySet
 
 
@@ -40,13 +41,15 @@ def _is_cyclic_component(graph: nx.DiGraph, scc: set) -> bool:
 
 
 def semi_stratification_components(
-    sigma: DependencySet, oracle: FiringOracle | None = None
+    sigma: DependencySet,
 ) -> list[tuple[DependencySet, bool, bool]]:
     """The SCCs of Gf(Σ) as (component, contains-cycle, weakly-acyclic)."""
-    oracle = oracle or FiringOracle(sigma)
-    graph = firing_graph(sigma, oracle)
+    from ..analysis.context import AnalysisContext
+
+    ctx = AnalysisContext(sigma)
+    graph, _ = ctx.firing_graph()
     out = []
-    for scc in nx.strongly_connected_components(graph):
+    for scc in ctx.firing_sccs():
         component = sigma.restricted_to(scc)
         cyclic = _is_cyclic_component(graph, scc)
         out.append((component, cyclic, is_weakly_acyclic(component)))
@@ -55,9 +58,7 @@ def semi_stratification_components(
 
 def is_semi_stratified(sigma: DependencySet) -> bool:
     """Definition 3 (cycle-containing components must be weakly acyclic)."""
-    return all(
-        ok for _, cyclic, ok in semi_stratification_components(sigma) if cyclic
-    )
+    return verdict("S-Str", sigma)[0]
 
 
 @register

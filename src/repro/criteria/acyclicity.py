@@ -13,15 +13,13 @@ Theorem 9: AC ⊊ SAC.
 
 from __future__ import annotations
 
-from ..core.adornment import ac_rewriting
 from ..model.dependencies import DependencySet
-from .base import Guarantee, TerminationCriterion, register
+from .base import Guarantee, TerminationCriterion, register, verdict
 
 
 def is_acyclic_rewriting(sigma: DependencySet) -> tuple[bool, bool]:
     """(accepted, exact) of the AC rewriting on a TGD-only set."""
-    result = ac_rewriting(sigma)
-    return result.acyclic, result.exact
+    return verdict("AC", sigma, tgd_only=True)
 
 
 @register

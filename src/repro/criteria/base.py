@@ -17,9 +17,11 @@ chase/firing graphs, adornment rewritings, Skolemisations) themselves:
 they consult the :class:`~repro.analysis.context.AnalysisContext` passed
 to :meth:`TerminationCriterion.check`.  When no context is given, the
 check creates a private one — memoization then degenerates to the scope
-of that single check, which is the historical standalone behaviour; the
-classification portfolio passes one shared context so every artifact is
-computed once per program.
+of that single check; the classification portfolio passes one shared
+context so every artifact is computed once per program.
+
+Each criterion class is the one implementation of its test: the
+module-level ``is_*`` predicates are :func:`verdict` calls.
 """
 
 from __future__ import annotations
@@ -169,3 +171,19 @@ def get_criterion(name: str) -> TerminationCriterion:
         raise ValueError(
             f"unknown criterion {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
+
+
+def verdict(
+    name: str, sigma: DependencySet, tgd_only: bool = False
+) -> tuple[bool, bool]:
+    """``(accepted, exact)`` of the registered criterion ``name`` on Σ —
+    the body of every module-level ``is_*`` predicate.
+
+    ``tgd_only`` keeps the plain-predicate contract of the criteria the
+    paper defines for TGDs only: EGD input is refused rather than lifted
+    through the simulation (which the criterion class does).
+    """
+    if tgd_only and sigma.egds:
+        raise ValueError(f"{name} is defined for TGDs only; simulate EGDs first")
+    result = get_criterion(name).check(sigma)
+    return result.accepted, result.exact

@@ -10,49 +10,25 @@ still neglects EGDs — which is exactly the gap Adn∃ fills.
 
 Implementation: the AC adornment rewriting (TGD-only mode of Algorithm 1,
 without the EGD execution and fireability filter) produces the adorned
-set Σα; Σα is accepted if it is c-stratified.  EGD inputs are lifted
-through the substitution-free simulation, per the paper's convention for
-TGD-only criteria.  Documented approximation of [26]'s definition; the
-tests pin LS ⊇ {SwA-recognised, IR-recognised} on the witness families.
+set Σα; Σα is accepted if the CStr criterion accepts it.  EGD inputs are
+lifted through the substitution-free simulation, per the paper's
+convention for TGD-only criteria.  Documented approximation of [26]'s
+definition; the tests pin LS ⊇ {SwA-recognised, IR-recognised} on the
+witness families.
+
+The criterion class is the one implementation: it reads the rewriting off
+the analysis context, and :func:`is_locally_stratified` runs it.
 """
 
 from __future__ import annotations
 
 from ..model.dependencies import DependencySet
-from .base import Guarantee, TerminationCriterion, register
-from .stratification import c_stratified_exact
+from .base import Guarantee, TerminationCriterion, get_criterion, register, verdict
 
 
-def is_locally_stratified(
-    sigma: DependencySet, rewriting=None
-) -> tuple[bool, bool]:
-    """(accepted, exact) for a TGD-only set.
-
-    ``rewriting`` lets a caller holding the shared analysis context pass
-    the memoized AC rewriting of ``sigma`` instead of recomputing it.
-    """
-    if sigma.egds:
-        raise ValueError("LS is defined for TGDs only; simulate EGDs first")
-    if rewriting is None:
-        from ..core.adornment import ac_rewriting
-
-        rewriting = ac_rewriting(sigma)
-    if rewriting.acyclic:
-        # No cyclic adornment at all: already terminating per AC.
-        return True, rewriting.exact
-    if not rewriting.exact:
-        # The rewriting was truncated (budget/livelock): Σα is incomplete
-        # and c-stratifying a truncation proves nothing — reject.
-        return False, False
-    # Keep the adorned dependencies (bridges excluded — they are artifacts
-    # of the rewriting, not part of the analysed program).
-    adorned = DependencySet(
-        rec.dep for rec in rewriting.records if not rec.is_bridge
-    )
-    if not len(adorned):
-        return True, rewriting.exact
-    accepted, cstr_exact = c_stratified_exact(adorned)
-    return accepted, rewriting.exact and cstr_exact
+def is_locally_stratified(sigma: DependencySet) -> tuple[bool, bool]:
+    """(accepted, exact) for a TGD-only set."""
+    return verdict("LS", sigma, tgd_only=True)
 
 
 @register
@@ -64,9 +40,20 @@ class LocalStratification(TerminationCriterion):
 
     def _accepts(self, sigma: DependencySet, ctx) -> tuple[bool, bool, dict]:
         details: dict = {}
-        if sigma.egds:
+        if ctx.simulated() is not sigma:
             details["simulated"] = True
-        accepted, exact = is_locally_stratified(
-            ctx.simulated(), rewriting=ctx.ac_rewriting()
+        rewriting = ctx.ac_rewriting()
+        if rewriting.acyclic:
+            # No cyclic adornment at all: already terminating per AC.
+            return True, rewriting.exact, details
+        if not rewriting.exact:
+            # The rewriting was truncated (budget/livelock): Σα is
+            # incomplete and c-stratifying a truncation proves nothing.
+            return False, False, details
+        # The adorned dependencies (bridges excluded — they are artifacts
+        # of the rewriting, not part of the analysed program).
+        adorned = DependencySet(
+            rec.dep for rec in rewriting.records if not rec.is_bridge
         )
-        return accepted, exact, details
+        cstr = get_criterion("CStr").check(adorned)
+        return cstr.accepted, cstr.exact, details

@@ -17,21 +17,18 @@ critical instance and raise an alarm on evidence of cyclic computation.
 
 Per the paper's Section 4 both are defined for TGDs only; EGD sets are
 lifted through the substitution-free simulation.
+
+The criterion classes are the one implementation: their saturation loops
+run over the Skolem rules and critical instance of the analysis context,
+and :func:`is_mfa` / :func:`is_msa` run the classes.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import networkx as nx
 
-from ..budget import Budget, coerce_budget
-from ..chase.skolem import (
-    SkolemTerm,
-    critical_instance,
-    saturate,
-    skolemise,
-)
+from ..budget import coerce_budget
+from ..chase.skolem import saturate
 from ..homomorphism.finder import find_homomorphisms
 from ..matching import (
     body_atom_index,
@@ -43,33 +40,35 @@ from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.dependencies import DependencySet
 from ..model.terms import Constant, Term
-from .base import Guarantee, TerminationCriterion, register
+from .base import Guarantee, TerminationCriterion, register, verdict
+
+#: MFA's saturation caps: past either the run is cut short (rejected,
+#: flagged approximate).
+MFA_MAX_FACTS = 100_000
+MFA_MAX_ROUNDS = 500
+#: MSA's round cap (the summarised chase always saturates; the cap only
+#: bounds pathological sizes).
+MSA_MAX_ROUNDS = 2_000
 
 
-def is_mfa(
-    sigma: DependencySet,
-    max_facts: int = 100_000,
-    max_rounds: int = 500,
-    budget: Budget | None = None,
-    rules: Sequence | None = None,
-    base: ColumnarInstance | None = None,
-) -> tuple[bool, bool]:
-    """(accepted, exact) — exact is False when budgets cut the run short.
+def is_mfa(sigma: DependencySet) -> tuple[bool, bool]:
+    """(accepted, exact) for a TGD-only set — exact is False when the
+    caps or a budget cut the run short."""
+    return verdict("MFA", sigma, tgd_only=True)
 
-    ``rules``/``base`` let a caller holding the shared analysis context
-    reuse the memoized Skolemisation and critical instance (``base`` is
-    mutated by the saturation — pass a copy you own).
-    """
-    if sigma.egds:
-        raise ValueError("MFA is defined for TGDs only; simulate EGDs first")
-    budget = coerce_budget(budget)  # links the ambient analysis budget
-    if rules is None:
-        rules = skolemise(sigma, variant="semi_oblivious")
-    if base is None:
-        base = critical_instance(sigma)
+
+def is_msa(sigma: DependencySet) -> tuple[bool, bool]:
+    """(accepted, exact) for a TGD-only set — MSA via the summarised
+    Skolem chase."""
+    return verdict("MSA", sigma, tgd_only=True)
+
+
+def _mfa(rules: tuple, base: ColumnarInstance) -> tuple[bool, bool]:
+    """Saturate ``base`` (mutated) with the Skolem ``rules``; alarm on a
+    cyclic term."""
     result = saturate(
-        base, rules, stop_on_cyclic=True, max_facts=max_facts,
-        max_rounds=max_rounds, budget=budget,
+        base, rules, stop_on_cyclic=True, max_facts=MFA_MAX_FACTS,
+        max_rounds=MFA_MAX_ROUNDS, budget=coerce_budget(None),
     )
     if result.alarmed:
         return False, True
@@ -78,23 +77,10 @@ def is_mfa(
     return False, False  # budget exceeded: reject, flagged approximate
 
 
-def is_msa(
-    sigma: DependencySet,
-    max_rounds: int = 2_000,
-    budget: Budget | None = None,
-    rules: Sequence | None = None,
-    base: ColumnarInstance | None = None,
-) -> tuple[bool, bool]:
-    """(accepted, exact) — MSA via the summarised Skolem chase.
-
-    ``rules``/``base`` as in :func:`is_mfa`.
-    """
-    if sigma.egds:
-        raise ValueError("MSA is defined for TGDs only; simulate EGDs first")
-    budget = coerce_budget(budget)
-    if rules is None:
-        rules = skolemise(sigma, variant="semi_oblivious")
-    instance = base if base is not None else critical_instance(sigma)
+def _msa(rules: tuple, instance: ColumnarInstance) -> tuple[bool, bool]:
+    """Run the summarised Skolem chase on ``instance`` (mutated); alarm on
+    a cycle of the contribution relation."""
+    budget = coerce_budget(None)  # links the ambient analysis budget
     summary_const = {
         functor: Constant(f"@{functor}")
         for rule in rules
@@ -112,7 +98,7 @@ def is_msa(
     naive = get_backend() == "naive"
     tick = instance.tick
     first_round = True
-    for _ in range(max_rounds):
+    for _ in range(MSA_MAX_ROUNDS):
         if first_round:
             homs = (
                 (rule, h)
@@ -170,12 +156,8 @@ class MFA(TerminationCriterion):
     guarantee = Guarantee.CT_ALL
 
     def _accepts(self, sigma: DependencySet, ctx) -> tuple[bool, bool, dict]:
-        simulated = bool(sigma.egds)
-        accepted, exact = is_mfa(
-            ctx.simulated(),
-            rules=ctx.skolem_rules(),
-            base=ctx.critical_instance(),
-        )
+        simulated = ctx.simulated() is not sigma
+        accepted, exact = _mfa(ctx.skolem_rules(), ctx.critical_instance())
         return accepted, exact, {"simulated": simulated}
 
 
@@ -187,10 +169,6 @@ class MSA(TerminationCriterion):
     guarantee = Guarantee.CT_ALL
 
     def _accepts(self, sigma: DependencySet, ctx) -> tuple[bool, bool, dict]:
-        simulated = bool(sigma.egds)
-        accepted, exact = is_msa(
-            ctx.simulated(),
-            rules=ctx.skolem_rules(),
-            base=ctx.critical_instance(),
-        )
+        simulated = ctx.simulated() is not sigma
+        accepted, exact = _msa(ctx.skolem_rules(), ctx.critical_instance())
         return accepted, exact, {"simulated": simulated}

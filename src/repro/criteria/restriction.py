@@ -22,6 +22,11 @@ approximations on top of our exact firing machinery:
 
 CStr ⊆ SR ⊆ IR holds by construction (safety subsumes weak acyclicity and
 recursion only accepts more).  Both guarantee CTstd∀.
+
+The criterion classes are the one implementation: both read the
+restriction graph off the analysis context (IR's recursion rebuilds it
+only for the smaller components it decomposes into), and
+:func:`is_safely_restricted` / :func:`is_inductively_restricted` run them.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import networkx as nx
 from ..firing.graphs import oblivious_chase_graph
 from ..firing.relations import FiringOracle
 from ..model.dependencies import AnyDependency, DependencySet
-from .base import Guarantee, TerminationCriterion, register
+from .base import Guarantee, TerminationCriterion, register, verdict
 from .safety import affected_positions, is_safe
 
 MAX_SIMPLE_CYCLES = 2_000
@@ -87,23 +92,8 @@ def _cycles_safe(sigma: DependencySet, graph: nx.DiGraph) -> tuple[bool, bool]:
     return True, True
 
 
-def is_safely_restricted(sigma: DependencySet) -> tuple[bool, bool]:
-    """(accepted, exact) for SR.
-
-    ``exact`` also reflects the firing oracle: a precedence edge decided
-    on a blown witness budget is an over-approximation, so the verdict is
-    flagged approximate rather than silently trusted.
-    """
-    oracle = FiringOracle(sigma, step_variant="oblivious")
-    graph = null_propagating_subgraph(
-        sigma, oblivious_chase_graph(sigma, oracle=oracle)
-    )
-    accepted, exact = _cycles_safe(sigma, graph)
-    return accepted, exact and not oracle.ever_inexact
-
-
 def _ir_component(
-    sigma: DependencySet, graph: nx.DiGraph, depth: int, decisions=None
+    sigma: DependencySet, graph: nx.DiGraph, depth: int, decisions
 ) -> tuple[bool, bool]:
     ok, exact = _cycles_safe(sigma, graph)
     if ok or depth >= MAX_RECURSION:
@@ -111,9 +101,9 @@ def _ir_component(
     # Decompose: re-run on each cyclic SCC's induced sub-structure with
     # the precedence graph recomputed on the smaller dependency set (fewer
     # dependencies ⇒ fewer firing edges ⇒ possibly safe components).
-    # ``decisions`` (the shared firing-decision cache, when a context owns
-    # one) flows down: a component's pairs are pairs of Σ, so the top-level
-    # probes answer the recursion's questions for free.
+    # ``decisions`` (the context's firing-decision cache) flows down: a
+    # component's pairs are pairs of Σ, so the top-level probes answer the
+    # recursion's questions for free.
     for scc in nx.strongly_connected_components(graph):
         if len(scc) == 1 and not graph.has_edge(next(iter(scc)), next(iter(scc))):
             continue
@@ -126,9 +116,7 @@ def _ir_component(
         sub_graph = null_propagating_subgraph(
             component, oblivious_chase_graph(component, oracle=sub_oracle)
         )
-        ok, sub_exact = _ir_component(
-            component, sub_graph, depth + 1, decisions=decisions
-        )
+        ok, sub_exact = _ir_component(component, sub_graph, depth + 1, decisions)
         exact = exact and not sub_oracle.ever_inexact
         exact = exact and sub_exact
         if not ok:
@@ -136,14 +124,15 @@ def _ir_component(
     return True, exact
 
 
+def is_safely_restricted(sigma: DependencySet) -> tuple[bool, bool]:
+    """(accepted, exact) for SR; ``exact`` also reflects the firing
+    oracle, so an edge decided on a blown witness budget flags it."""
+    return verdict("SR", sigma)
+
+
 def is_inductively_restricted(sigma: DependencySet) -> tuple[bool, bool]:
     """(accepted, exact) for IR (oracle inexactness included, as in SR)."""
-    oracle = FiringOracle(sigma, step_variant="oblivious")
-    graph = null_propagating_subgraph(
-        sigma, oblivious_chase_graph(sigma, oracle=oracle)
-    )
-    accepted, exact = _ir_component(sigma, graph, 0)
-    return accepted, exact and not oracle.ever_inexact
+    return verdict("IR", sigma)
 
 
 @register
@@ -168,7 +157,5 @@ class InductiveRestriction(TerminationCriterion):
 
     def _accepts(self, sigma: DependencySet, ctx) -> tuple[bool, bool, dict]:
         graph, oracle_exact = ctx.restriction_graph()
-        accepted, exact = _ir_component(
-            sigma, graph, 0, decisions=ctx.decisions
-        )
+        accepted, exact = _ir_component(sigma, graph, 0, ctx.decisions)
         return accepted, exact and oracle_exact, {}

@@ -14,6 +14,10 @@ Cycle enumeration is exponential in the worst case; past
 ``MAX_SIMPLE_CYCLES`` we fall back to the SCC-level check (every SCC weakly
 acyclic), which is a stronger condition — still a sound sufficient
 criterion, flagged as approximate in the result.
+
+The criterion classes are the one implementation: they read the chase
+graph off the analysis context, and :func:`is_stratified` /
+:func:`is_c_stratified` run them.
 """
 
 from __future__ import annotations
@@ -22,10 +26,8 @@ from itertools import islice
 
 import networkx as nx
 
-from ..firing.graphs import chase_graph, oblivious_chase_graph
-from ..firing.relations import FiringOracle
 from ..model.dependencies import DependencySet
-from .base import Guarantee, TerminationCriterion, register
+from .base import Guarantee, TerminationCriterion, register, verdict
 from .weak_acyclicity import is_weakly_acyclic
 
 MAX_SIMPLE_CYCLES = 10_000
@@ -51,23 +53,12 @@ def _cycles_weakly_acyclic(
 
 def is_stratified(sigma: DependencySet) -> bool:
     """Str: every cycle of G(Σ) is weakly acyclic."""
-    graph = chase_graph(sigma, FiringOracle(sigma))
-    ok, _ = _cycles_weakly_acyclic(sigma, graph)
-    return ok
-
-
-def c_stratified_exact(sigma: DependencySet) -> tuple[bool, bool]:
-    """(accepted, exact) for CStr — exact also covers the firing oracle,
-    so an edge decided on a blown witness budget flags the verdict."""
-    oracle = FiringOracle(sigma, step_variant="oblivious")
-    graph = oblivious_chase_graph(sigma, oracle=oracle)
-    ok, exact = _cycles_weakly_acyclic(sigma, graph)
-    return ok, exact and not oracle.ever_inexact
+    return verdict("Str", sigma)[0]
 
 
 def is_c_stratified(sigma: DependencySet) -> bool:
     """CStr: Str over the oblivious-step chase graph."""
-    return c_stratified_exact(sigma)[0]
+    return verdict("CStr", sigma)[0]
 
 
 @register
@@ -76,23 +67,19 @@ class Stratification(TerminationCriterion):
 
     name = "Str"
     guarantee = Guarantee.CT_EXISTS
+    step_variant = "standard"
 
     def _accepts(self, sigma: DependencySet, ctx) -> tuple[bool, bool, dict]:
-        graph, oracle_exact = ctx.chase_graph("standard")
+        graph, oracle_exact = ctx.chase_graph(self.step_variant)
         ok, exact = _cycles_weakly_acyclic(sigma, graph)
         exact = exact and oracle_exact
         return ok, exact, {"chase_graph_edges": graph.number_of_edges()}
 
 
 @register
-class CStratification(TerminationCriterion):
+class CStratification(Stratification):
     """CStr: stratification over the oblivious-step chase graph."""
 
     name = "CStr"
     guarantee = Guarantee.CT_ALL
-
-    def _accepts(self, sigma: DependencySet, ctx) -> tuple[bool, bool, dict]:
-        graph, oracle_exact = ctx.chase_graph("oblivious")
-        ok, exact = _cycles_weakly_acyclic(sigma, graph)
-        exact = exact and oracle_exact
-        return ok, exact, {"chase_graph_edges": graph.number_of_edges()}
+    step_variant = "oblivious"

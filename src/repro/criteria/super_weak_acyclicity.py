@@ -35,10 +35,10 @@ from dataclasses import dataclass
 import networkx as nx
 
 from ..model.atoms import Atom
-from ..model.dependencies import TGD, DependencySet
+from ..model.dependencies import DependencySet
 from ..model.terms import Constant, Term, Variable
 from ..chase.skolem import SkolemTerm, skolemise
-from .base import Guarantee, TerminationCriterion, register
+from .base import Guarantee, TerminationCriterion, register, verdict
 
 
 @dataclass(frozen=True)
@@ -240,15 +240,7 @@ class SwAAnalysis:
 
 def is_super_weakly_acyclic(sigma: DependencySet) -> bool:
     """SwA test for a TGD-only set."""
-    if sigma.egds:
-        raise ValueError("SwA is defined for TGDs only; simulate EGDs first")
-    analysis = SwAAnalysis(sigma)
-    g = analysis.trigger_graph()
-    try:
-        nx.find_cycle(g)
-        return False
-    except nx.NetworkXNoCycle:
-        return True
+    return verdict("SwA", sigma, tgd_only=True)[0]
 
 
 @register
@@ -262,5 +254,5 @@ class SuperWeakAcyclicity(TerminationCriterion):
         details: dict = {}
         if sigma.egds:
             details["simulated"] = True
-        accepted = is_super_weakly_acyclic(ctx.simulated())
-        return (accepted, True, details)
+        trigger_graph = SwAAnalysis(ctx.simulated()).trigger_graph()
+        return nx.is_directed_acyclic_graph(trigger_graph), True, details

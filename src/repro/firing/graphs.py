@@ -80,16 +80,13 @@ def firing_graph(
 
 
 def oblivious_chase_graph(
-    sigma: DependencySet,
-    budget: int | None = None,
-    oracle: FiringOracle | None = None,
+    sigma: DependencySet, oracle: FiringOracle | None = None
 ) -> nx.DiGraph:
     """The chase graph computed with oblivious chase steps (used by
     c-stratification).  Pass (and keep) an ``oracle`` to observe whether
     any edge decision was inexact (``oracle.ever_inexact``)."""
     if oracle is None:
-        kwargs = {"budget": budget} if budget is not None else {}
-        oracle = FiringOracle(sigma, step_variant="oblivious", **kwargs)
+        oracle = FiringOracle(sigma, step_variant="oblivious")
     return chase_graph(sigma, oracle)
 
 

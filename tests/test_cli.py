@@ -274,3 +274,23 @@ class TestInputErrors:
         assert main(["chase", sigma1_file, "--data", 'N("a"']) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("repro: error:") and "(line 1, column" in err
+
+    @pytest.mark.parametrize("spec", ["WA,BOGUS", ","])
+    def test_unknown_criterion(self, sigma1_file, capsys, spec):
+        """A bad name is an input error, not exit 1 ("every criterion
+        rejects") or a traceback."""
+        from repro.cli import EXIT_INPUT_ERROR
+
+        assert main(["classify", sigma1_file, "--criteria", spec]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unknown criterion")
+        assert err.count("\n") == 1 and "known: " in err
+
+    def test_unknown_strategy(self, sigma1_file, capsys):
+        from repro.cli import EXIT_INPUT_ERROR
+
+        code = main(["chase", sigma1_file, "--data", 'N("a")', "--strategy", "nope"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unknown --strategy 'nope'")
+        assert err.count("\n") == 1 and "full_first" in err

@@ -189,6 +189,11 @@ class TestArgumentValidation:
         code = main(["batch", "import-jsonl", "--cache-dir", str(tmp_path)])
         assert_input_error(capsys, code, "nothing to import")
 
+    def test_unknown_criterion(self, deps_files, capsys):
+        code = main(["batch", *deps_files, "--mode", "classify",
+                     "--criteria", "BOGUS"])
+        assert_input_error(capsys, code, "unknown criterion 'BOGUS'", "known: ")
+
     def test_corpus_flag_smoke(self, capsys):
         assert main([
             "batch", "--corpus", "--corpus-scale", "0.03",
