@@ -42,12 +42,11 @@ from ..model.dependencies import DependencySet
 from ..model.terms import Constant, Term
 from .base import Guarantee, TerminationCriterion, register, verdict
 
-#: MFA's saturation caps: past either the run is cut short (rejected,
-#: flagged approximate).
+#: Saturation caps.  A run cut short by a cap (or a budget) is rejected
+#: and flagged approximate; the summarised MSA chase always saturates in
+#: principle, so only its rounds are capped.
 MFA_MAX_FACTS = 100_000
 MFA_MAX_ROUNDS = 500
-#: MSA's round cap (the summarised chase always saturates; the cap only
-#: bounds pathological sizes).
 MSA_MAX_ROUNDS = 2_000
 
 
@@ -64,11 +63,12 @@ def is_msa(sigma: DependencySet) -> tuple[bool, bool]:
 
 
 def _mfa(rules: tuple, base: ColumnarInstance) -> tuple[bool, bool]:
-    """Saturate ``base`` (mutated) with the Skolem ``rules``; alarm on a
-    cyclic term."""
+    """Saturate ``base`` with the Skolem ``rules``; alarm on a cyclic
+    term."""
     result = saturate(
         base, rules, stop_on_cyclic=True, max_facts=MFA_MAX_FACTS,
-        max_rounds=MFA_MAX_ROUNDS, budget=coerce_budget(None),
+        max_rounds=MFA_MAX_ROUNDS,
+        budget=coerce_budget(None),  # links the ambient analysis budget
     )
     if result.alarmed:
         return False, True
