@@ -1,4 +1,4 @@
-"""Sequential-vs-portfolio classification micro-benchmark.
+"""Full-vs-short-circuit classification micro-benchmark.
 
 The workload is the random-program corpus the property tests draw from
 (``random_dependency_set``, 3 dependencies, 30% EGDs) — the same family
@@ -7,19 +7,19 @@ boundable.  Two arms classify every program:
 
 * **sequential** — the seed's path: ``classify(sigma)``, every criterion
   to completion in cost order;
-* **portfolio**  — ``classify(sigma, jobs=4, short_circuit=True,
-  budget_ms=250, budget_steps=2_000_000)``: criteria run concurrently
-  under per-criterion budgets, and criteria that can no longer change
-  the headline verdict are cancelled.  On most programs the cheap static
-  criteria (WA/SC, microseconds) decide "all sequences terminate" before
-  the witness-engine-heavy ones (LS/S-Str/SAC, up to ~1s) even warm up;
-  on the heavy tail the budgets bound the stragglers.
+* **short-circuit** — ``classify(sigma, short_circuit=True,
+  budget_ms=250, budget_steps=2_000_000)``: criteria run in the same
+  order under per-criterion budgets, and criteria that can no longer
+  change the headline verdict are not run.  On most programs the cheap
+  static criteria (WA/SC, microseconds) decide "all sequences terminate"
+  before the witness-engine-heavy ones (LS/S-Str/SAC, up to ~1s) would
+  start; on the heavy tail the budgets bound the stragglers.
 
-The bench asserts the portfolio's headline verdict matches the full
-sequential one on every program **except** where the portfolio visibly
+The bench asserts the short-circuit arm's headline verdict matches the
+full sequential one on every program **except** where it visibly
 exhausted a budget (the designed trade: boundedness for flagged
-exactness — never a silent downgrade), and that the portfolio beats the
-sequential arm by ≥ ``SPEEDUP_FLOOR`` overall.
+exactness — never a silent downgrade), and that it beats the sequential
+arm by ≥ ``SPEEDUP_FLOOR`` overall.
 
 A second comparison measures the shared analysis substrate (DESIGN.md
 §6): ``backend="shared"`` (one memoized ``AnalysisContext`` + one
@@ -49,7 +49,7 @@ from repro.analysis import classify
 from repro.generators import random_dependency_set
 
 N_PROGRAMS = int(os.environ.get("REPRO_PORTFOLIO_PROGRAMS", "60"))
-#: Conservative CI floor; standalone runs measure ~3x (see results/).
+#: Conservative CI floor; standalone runs measure ~2x (see results/).
 SPEEDUP_FLOOR = 1.5
 #: Floor for one shared context vs full isolated recomputation.  Both
 #: arms run single-threaded, so each is timed as the best of
@@ -60,7 +60,6 @@ SHARED_REPEATS = 5
 #: The substrate workload: the static criteria plus the restriction
 #: chain that shares the oblivious pair matrix and affected positions.
 SHARED_CRITERIA = ["WA", "SC", "CStr", "SR", "IR"]
-JOBS = 4
 BUDGET_MS = 250.0
 BUDGET_STEPS = 2_000_000
 
@@ -76,57 +75,55 @@ def test_portfolio_beats_sequential_classify():
     seq_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    portfolio = [
+    short = [
         classify(
             sigma,
-            jobs=JOBS,
             short_circuit=True,
             budget_ms=BUDGET_MS,
             budget_steps=BUDGET_STEPS,
         )
         for sigma in sigmas
     ]
-    par_s = time.perf_counter() - t0
+    sc_s = time.perf_counter() - t0
 
     mismatches = []
     exhausted_downgrades = 0
-    for seed, (seq, par) in enumerate(zip(sequential, portfolio)):
-        if seq.verdict == par.verdict:
+    for seed, (seq, sc) in enumerate(zip(sequential, short)):
+        if seq.verdict == sc.verdict:
             continue
-        if par.any_exhausted:
+        if sc.any_exhausted:
             exhausted_downgrades += 1  # flagged, hence trustworthy
             continue
         mismatches.append(seed)
     assert not mismatches, (
-        f"portfolio changed headline verdicts without flagging a blown "
+        f"short-circuit changed headline verdicts without flagging a blown "
         f"budget on seeds {mismatches}"
     )
 
-    speedup = seq_s / par_s
+    speedup = seq_s / sc_s
     ran = sum(
-        1 for r in portfolio for res in r.results.values() if not res.skipped
+        1 for r in short for res in r.results.values() if not res.skipped
     )
-    total = sum(len(r.results) for r in portfolio)
+    total = sum(len(r.results) for r in short)
     lines = [
-        "Portfolio classification bench — "
+        "Short-circuit classification bench — "
         f"{N_PROGRAMS} random programs (n_deps=3, egd_fraction=0.3), "
         "headline-verdict-preserving modulo flagged budget exhaustion",
         "",
         f"sequential classify (full, in cost order):  {seq_s * 1000:8.1f} ms",
-        f"portfolio (jobs={JOBS}, short-circuit, "
-        f"{BUDGET_MS:.0f} ms/{BUDGET_STEPS} steps per criterion): "
-        f"{par_s * 1000:8.1f} ms",
+        f"short-circuit ({BUDGET_MS:.0f} ms/{BUDGET_STEPS} steps "
+        f"per criterion): {sc_s * 1000:8.1f} ms",
         "",
         f"speedup: {speedup:.1f}x   "
         f"criteria actually run: {ran}/{total}   "
         f"flagged budget downgrades: {exhausted_downgrades}/{N_PROGRAMS}",
         "",
-        f"floor: portfolio ≥ {SPEEDUP_FLOOR}x sequential "
+        f"floor: short-circuit ≥ {SPEEDUP_FLOOR}x sequential "
         f"(measured {speedup:.1f}x)",
     ]
     write_result("portfolio", "\n".join(lines))
     assert speedup >= SPEEDUP_FLOOR, (
-        f"portfolio speedup {speedup:.2f}x below the {SPEEDUP_FLOOR}x floor"
+        f"short-circuit speedup {speedup:.2f}x below the {SPEEDUP_FLOOR}x floor"
     )
 
 

@@ -7,23 +7,22 @@ This is the top-level entry point a downstream user reaches for first::
     report = classify(parse_dependencies(text))
     print(report)
 
-The portfolio can run the criteria **concurrently** (``jobs=N``), under
-**per-criterion budgets** (``budget_steps`` / ``budget_ms``), and with
-**short-circuiting**: cheap static criteria (WA, SC — microseconds)
-usually decide the strongest possible headline verdict ("all standard
-chase sequences terminate") long before the expensive semantic ones (LS,
-S-Str, SAC — the witness engine and adornment saturation behind them)
-would finish, so once the headline can no longer improve the remaining
-criteria are cancelled cooperatively through their budgets'
-:class:`~repro.budget.Cancellation` tokens.
+The portfolio runs the criteria one after another on the calling thread
+(``repro batch --jobs`` is where programs run in parallel, one process
+each), under **per-criterion budgets** (``budget_steps`` /
+``budget_ms``), and with **short-circuiting**: cheap static criteria
+(WA, SC — microseconds) usually decide the strongest possible headline
+verdict ("all standard chase sequences terminate") long before the
+expensive semantic ones (LS, S-Str, SAC — the witness engine and
+adornment saturation behind them) would finish, so once the headline can
+no longer improve the remaining criteria are not run.
 
 Semantics:
 
 * with short-circuiting **off** (the default), every selected criterion
-  runs to completion and the report is verdict-identical whether
-  ``jobs=1`` or ``jobs=N`` — criteria are independent and each pair
-  decision is deterministic (the shared firing-decision cache only ever
-  stores deterministic decisions, see :mod:`repro.firing.relations`);
+  runs to completion — criteria are independent and each pair decision
+  is deterministic (the shared firing-decision cache only ever stores
+  deterministic decisions, see :mod:`repro.firing.relations`);
 * with short-circuiting **on**, the *headline* verdict (the ``⇒`` line)
   is always identical to the full portfolio's, but criteria whose result
   could no longer change it are reported as short-circuited instead of
@@ -35,10 +34,9 @@ Semantics:
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from ..budget import Budget, Cancellation
+from ..budget import Budget
 from ..criteria.base import CriterionResult, Guarantee, get_criterion, registry
 from ..firing.relations import (
     no_firing_cache,
@@ -107,19 +105,16 @@ class ClassifyConfig:
     """Tuning knobs of one portfolio run.
 
     ``budget_steps``/``budget_ms`` are *per criterion*: each criterion
-    gets a fresh :class:`~repro.budget.Budget` with these limits, all
-    sharing one :class:`~repro.budget.Cancellation` token so the
-    portfolio can revoke stragglers.  ``jobs`` sizes the thread pool
-    (1 = run inline, sequentially).  ``short_circuit`` cancels criteria
-    that can no longer change the headline verdict.  ``backend`` picks
-    the artifact-sharing strategy (:data:`BACKENDS`); ``hierarchy``
-    enables containment-aware scheduling: a criterion whose verdict is
-    already implied (or refuted) by an exact verdict of another criterion
-    via :data:`HIERARCHY_IMPLIES` is filled in without running.
+    gets a fresh :class:`~repro.budget.Budget` with these limits.
+    ``short_circuit`` skips criteria that can no longer change the
+    headline verdict.  ``backend`` picks the artifact-sharing strategy
+    (:data:`BACKENDS`); ``hierarchy`` enables containment-aware
+    scheduling: a criterion whose verdict is already implied (or refuted)
+    by an exact verdict of another criterion via
+    :data:`HIERARCHY_IMPLIES` is filled in without running.
     """
 
     criteria: list[str] | None = None
-    jobs: int = 1
     budget_steps: int | None = None
     budget_ms: float | None = None
     short_circuit: bool = False
@@ -138,19 +133,10 @@ class ClassifyConfig:
             return list(self.criteria)
         return [n for n in DEFAULT_ORDER if n in registry()]
 
-    def make_budget(self, cancellation: Cancellation) -> Budget | None:
-        if (
-            self.budget_steps is None
-            and self.budget_ms is None
-            and not self.short_circuit
-            and not self.stop_on_first
-        ):
-            return None  # nothing to bound, nothing to cancel
-        return Budget(
-            max_steps=self.budget_steps,
-            max_ms=self.budget_ms,
-            cancellation=cancellation,
-        )
+    def make_budget(self) -> Budget | None:
+        if self.budget_steps is None and self.budget_ms is None:
+            return None  # nothing to bound
+        return Budget(max_steps=self.budget_steps, max_ms=self.budget_ms)
 
 
 @dataclass
@@ -189,14 +175,10 @@ class ClassificationReport:
     def any_exhausted(self) -> bool:
         """Did some criterion blow its resource budget?
 
-        Criteria the portfolio *chose* not to finish (short-circuited
-        once the headline verdict was decided) do not count: only genuine
-        budget trouble, where a rejection cannot be trusted.
+        Short-circuited criteria never ran, so they never count: only
+        genuine budget trouble, where a rejection cannot be trusted.
         """
-        return any(
-            r.exhausted is not None and not r.skipped
-            for r in self.results.values()
-        )
+        return any(r.exhausted is not None for r in self.results.values())
 
     @property
     def verdict(self) -> str:
@@ -248,7 +230,6 @@ class ClassificationReport:
                 f"{decisions['shape_hits']} shape hits / "
                 f"{decisions['hits']} hits / {decisions['misses']} misses "
                 f"(hit rate {decisions['hit_rate']:.0%}, "
-                f"{decisions['waits']} single-flight waits, "
                 f"{decisions['preloaded']} preloaded)"
             )
         return "\n".join(lines)
@@ -280,31 +261,6 @@ def _short_circuited(name: str, guarantee: Guarantee) -> CriterionResult:
         exact=False,
         details={"short_circuited": True},
     )
-
-
-def _reclassify_cancelled(
-    result: CriterionResult, token_cancelled: bool = False
-) -> CriterionResult:
-    """A run cancelled by the portfolio is a short-circuit, not trouble.
-
-    The cancellation may surface in the result itself (``exhausted``
-    says "cancelled") or only in a *nested* budget that absorbed it —
-    which the result cannot show, so the caller passes the token state;
-    a nested absorption always leaves ``exact=False``, which is how a
-    cancelled-mid-run result is told apart from one that genuinely
-    completed just as the cancel landed (the latter keeps its trusted
-    verdict).  A criterion that *accepted* always keeps its result:
-    acceptance is sound no matter when the cancel landed.
-    """
-    cancelled = (
-        result.exhausted is not None
-        and result.exhausted.dimension == "cancelled"
-    ) or (token_cancelled and not result.accepted and not result.exact)
-    if cancelled:
-        details = dict(result.details)
-        details["short_circuited"] = True
-        return replace(result, details=details, exhausted=None, exact=False)
-    return result
 
 
 def _implication_sound(result: CriterionResult) -> bool:
@@ -367,13 +323,20 @@ def classify(
     ``criteria`` defaults to every registered criterion in rough cost
     order.  ``stop_on_first`` stops at the first acceptance — useful when
     only the verdict matters.  The remaining knobs (or an explicit
-    ``config``) select the parallel portfolio and the artifact-sharing
-    backend: see :class:`ClassifyConfig`.
+    ``config``) select budgets, short-circuiting and the artifact-sharing
+    backend: see :class:`ClassifyConfig`.  ``jobs`` is kept for
+    compatibility with callers that pass ``jobs=1``; criteria always run
+    on the calling thread, and ``repro batch --jobs`` runs programs in
+    parallel processes.
     """
+    if jobs != 1:
+        raise ValueError(
+            f"classify runs on one thread (jobs={jobs!r}); "
+            "run programs in parallel with `repro batch --jobs`"
+        )
     if config is None:
         config = ClassifyConfig(
             criteria=criteria,
-            jobs=jobs,
             budget_steps=budget_steps,
             budget_ms=budget_ms,
             short_circuit=short_circuit,
@@ -385,12 +348,6 @@ def classify(
     report = ClassificationReport(sigma)
     report.details["backend"] = config.backend
 
-    def run(context: AnalysisContext | None) -> None:
-        if config.jobs <= 1:
-            _run_sequential(sigma, names, config, report, context)
-        else:
-            _run_parallel(sigma, names, config, report, context)
-
     if config.backend == "shared":
         # One artifact store for the whole program; it adopts an
         # enclosing scope cache (the batch engine's warm-started one)
@@ -399,11 +356,11 @@ def classify(
         # IR's recursion) share it too.
         context = AnalysisContext(sigma)
         with shared_firing_cache(context.decisions):
-            run(context)
+            _run(sigma, names, config, report, context)
         report.details["context"] = context.stats()
     else:  # isolated
         with no_firing_cache():
-            run(None)
+            _run(sigma, names, config, report, None)
     implied = sum(
         1
         for r in report.results.values()
@@ -411,25 +368,24 @@ def classify(
     )
     if implied:
         report.details["implied"] = implied
-    # Present results in portfolio order regardless of completion order.
+    # Present results in portfolio order, implied verdicts included.
     report.results = {n: report.results[n] for n in names if n in report.results}
     return report
 
 
-def _run_sequential(
+def _run(
     sigma: DependencySet,
     names: list[str],
     config: ClassifyConfig,
     report: ClassificationReport,
     context: AnalysisContext | None,
 ) -> None:
-    cancellation = Cancellation()
     pending = list(names)
     while pending:
         name = pending.pop(0)
         criterion = get_criterion(name)
         result = criterion.check(
-            sigma, budget=config.make_budget(cancellation), context=context
+            sigma, budget=config.make_budget(), context=context
         )
         report.results[name] = result
         if config.stop_on_first and result.accepted:
@@ -444,78 +400,3 @@ def _run_sequential(
                 report.results[skipped] = _short_circuited(
                     skipped, get_criterion(skipped).guarantee
                 )
-
-
-def _run_parallel(
-    sigma: DependencySet,
-    names: list[str],
-    config: ClassifyConfig,
-    report: ClassificationReport,
-    context: AnalysisContext | None,
-) -> None:
-    import contextvars
-
-    tokens = {name: Cancellation() for name in names}
-
-    def worker(name: str) -> CriterionResult:
-        return get_criterion(name).check(
-            sigma, budget=config.make_budget(tokens[name]), context=context
-        )
-
-    # Submission is *lazy*: at most ``jobs`` criteria are in flight, so
-    # the short-circuit decision taken after each completion can spare
-    # the expensive criteria from ever starting.  (Submitting everything
-    # upfront would let idle workers race into LS/S-Str/SAC while the
-    # cheap acceptances that make them irrelevant are still being
-    # collected.)
-    queue = list(names)
-    running: dict = {}
-
-    def drop_queued(name: str) -> None:
-        queue.remove(name)
-        report.results[name] = _short_circuited(
-            name, get_criterion(name).guarantee
-        )
-
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        while queue or running:
-            while queue and len(running) < config.jobs:
-                name = queue.pop(0)
-                # Each task gets its own context copy so the shared
-                # firing cache (a contextvar) installed by classify() is
-                # visible in the worker thread.
-                ctx = contextvars.copy_context()
-                running[pool.submit(ctx.run, worker, name)] = name
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            accepted = False
-            for fut in done:
-                name = running.pop(fut)
-                result = _reclassify_cancelled(
-                    fut.result(), tokens[name].cancelled
-                )
-                report.results[name] = result
-                accepted = accepted or result.accepted
-                if config.hierarchy:
-                    # Containment fills in still-queued criteria; lazy
-                    # submission makes this spare them from ever starting
-                    # (in-flight ones are left to finish: their real
-                    # verdict is at most as informative, never wrong).
-                    for other, implied in _hierarchy_decided(result, queue):
-                        queue.remove(other)
-                        report.results[other] = _implied_result(
-                            other, result, implied
-                        )
-            if config.stop_on_first and accepted:
-                for name in list(queue):
-                    drop_queued(name)
-                for token in tokens.values():
-                    token.cancel()
-            elif config.short_circuit:
-                pending = list(queue) + list(running.values())
-                for name in _headline_decided(report, pending):
-                    if name in queue:
-                        drop_queued(name)
-                    else:
-                        tokens[name].cancel()  # collected on completion
-        # Cancelled runs are reclassified as short-circuited by
-        # _reclassify_cancelled when their futures complete above.

@@ -9,7 +9,7 @@ chase graph; Safety, SR and IR each recomputed the affected positions;
 AC and LS each ran the full adornment rewriting).
 
 :class:`AnalysisContext` computes each artifact **once per program** and
-shares it everywhere: a lazy, memoized, thread-safe store that every
+shares it everywhere: a lazy, memoized store that every
 :meth:`~repro.criteria.base.TerminationCriterion.check` receives and
 consults instead of rebuilding its own.  The classification portfolio
 creates one context per program and passes it to every criterion
@@ -18,16 +18,8 @@ context, which degenerates to per-criterion memoization.  The
 ``"isolated"`` portfolio backend, which shares nothing at all, is the
 recompute oracle the differential suite pins the shared path against.
 
-Thread-safety contract
-----------------------
-
-Artifacts are built **single-flight**: concurrent requests for the same
-artifact elect one leader; the rest block until the leader finishes and
-then read the memoized value.  The artifact dependency graph (propagation
-→ affected, AC-rewriting → simulation, …) is acyclic, so leaders never
-wait on each other.  A follower may therefore wait longer than its own
-budget would have allowed it to compute — the trade is deliberate: the
-artifact arrives complete and *exact* instead of truncated.
+A context is confined to the thread that made it; the portfolio makes
+one per classify call.
 
 Budgets and memoization
 -----------------------
@@ -49,8 +41,12 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..budget import current_budget
-from ..concurrency import SingleFlightCache
-from ..firing.relations import DecisionCache, FiringOracle, current_firing_cache
+from ..firing.relations import (
+    DecisionCache,
+    FiringOracle,
+    Memo,
+    current_firing_cache,
+)
 from ..model.dependencies import DependencySet
 
 
@@ -66,16 +62,15 @@ def _ambient_ok() -> bool:
     return budget is None or budget.exhausted is None
 
 
-class AnalysisContext(SingleFlightCache):
+class AnalysisContext(Memo):
     """Lazy, memoized, cancellation-aware artifact store for one program.
 
     Artifact accessors either return the memoized value (a *hit*) or
     build it (a *miss*), memoizing only deterministic builds — see the
-    module docstring.  The memoization core is the shared
-    :class:`~repro.concurrency.SingleFlightCache`.  ``decisions`` is the
-    firing-edge :class:`~repro.firing.relations.DecisionCache` every
-    oracle handed out by :meth:`oracle` shares; when not given, the
-    context adopts the cache installed by the enclosing
+    module docstring.  ``decisions`` is the firing-edge
+    :class:`~repro.firing.relations.DecisionCache` every oracle handed
+    out by :meth:`oracle` shares; when not given, the context adopts the
+    cache installed by the enclosing
     :func:`~repro.firing.relations.shared_firing_cache` scope (so a
     private per-criterion context inside a classify run still shares
     edge decisions with its siblings, exactly as the pre-context code
@@ -92,18 +87,6 @@ class AnalysisContext(SingleFlightCache):
         if decisions is None:
             decisions = current_firing_cache()
         self.decisions = decisions if decisions is not None else DecisionCache()
-        self.hits = 0
-        self.misses = 0
-        self.uncached_builds = 0
-
-    def _on_hit(self) -> None:
-        self.hits += 1
-
-    def _on_miss(self) -> None:
-        self.misses += 1
-
-    def _on_uncached(self) -> None:
-        self.uncached_builds += 1
 
     # -- the memoization core ------------------------------------------------
 
@@ -113,7 +96,7 @@ class AnalysisContext(SingleFlightCache):
         build: Callable[[], Any],
         deterministic: Callable[[Any], bool] | None = None,
     ) -> Any:
-        """Memoized single-flight build of one artifact.
+        """Memoized build of one artifact.
 
         ``deterministic`` vetoes memoization for values whose own
         exhaustion markers show truncation (on top of the ambient-budget
@@ -306,15 +289,14 @@ class AnalysisContext(SingleFlightCache):
 
     def stats(self) -> dict:
         """Artifact and firing-decision cache statistics (``--stats``)."""
-        with self._lock:
-            total = self.hits + self.misses
-            artifacts = {
-                "entries": len(self._values),
-                "hits": self.hits,
-                "misses": self.misses,
-                "uncached_builds": self.uncached_builds,
-                "hit_rate": self.hits / total if total else 0.0,
-            }
+        total = self.hits + self.misses
+        artifacts = {
+            "entries": len(self._values),
+            "hits": self.hits,
+            "misses": self.misses,
+            "uncached_builds": self.uncached_builds,
+            "hit_rate": self.hits / total if total else 0.0,
+        }
         return {"artifacts": artifacts, "decisions": self.decisions.stats()}
 
     def __repr__(self) -> str:

@@ -9,16 +9,15 @@ incremental evaluation service:
   parameters changed, everything else is served from the
   :class:`~repro.batch.cache.ResultCache`;
 * **process-pool sharding** — classification is CPU-bound pure-Python
-  work, so ``jobs=N`` fans the misses out over *processes* (the thread
-  portfolio inside :mod:`repro.analysis.classify` parallelises one
-  program; this layer parallelises the corpus).  ``shard=(i, n)``
-  restricts a run to the programs whose key lands in shard ``i`` of
-  ``n`` — the same deterministic key-space split on every machine, so
-  ``n`` hosts can each take one shard and never duplicate work (against
-  one locally-shared cache directory, or — on network filesystems,
-  where SQLite's locking is not reliable — against per-host directories
-  merged afterwards by exporting each host's store to JSONL and
-  importing every export into one store);
+  work, so ``jobs=N`` fans the misses out over *processes* (one program
+  is classified on one thread; this layer parallelises the corpus).
+  ``shard=(i, n)`` restricts a run to the programs whose key lands in
+  shard ``i`` of ``n`` — the same deterministic key-space split on every
+  machine, so ``n`` hosts can each take one shard and never duplicate
+  work (against one locally-shared cache directory, or — on network
+  filesystems, where SQLite's locking is not reliable — against
+  per-host directories merged afterwards by exporting each host's store
+  to JSONL and importing every export into one store);
 * **budgets and interruption** — the PR 2 :class:`~repro.budget.Budget`
   contract crosses the process boundary by value: each worker rebuilds a
   per-program budget from the config's limits, and a blown budget comes
@@ -316,7 +315,6 @@ def _classify_record(sigma: DependencySet, payload: dict) -> dict:
             sigma,
             config=ClassifyConfig(
                 criteria=payload["criteria"],
-                jobs=1,  # corpus-level parallelism happens at this layer
                 budget_steps=payload["budget_steps"],
                 budget_ms=payload["budget_ms"],
             ),
@@ -325,7 +323,7 @@ def _classify_record(sigma: DependencySet, payload: dict) -> dict:
     decision_stats = decisions.stats()
     exhausted = None
     for r in report.results.values():
-        if r.exhausted is not None and not r.skipped:
+        if r.exhausted is not None:
             exhausted = {
                 "dimension": r.exhausted.dimension,
                 "spent": r.exhausted.spent,

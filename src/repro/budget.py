@@ -20,9 +20,9 @@ the :class:`BudgetExhausted` record saying which dimension blew.  No
 analysis raises to report exhaustion — see DESIGN.md §2 for why.
 
 A :class:`Cancellation` token provides cooperative early termination:
-sharing one token across several budgets (e.g. the per-criterion budgets
-of a classification portfolio) lets a controller revoke all of them at
-once; the workers observe it at their next ``charge``.
+sharing one token across several budgets (a budget's
+:meth:`~Budget.child` budgets share its token) lets a controller revoke
+all of them at once; the workers observe it at their next ``charge``.
 
 Budgets nest: a child budget created with :meth:`Budget.child` has its
 own limits but also charges its parent, so a per-call allowance (say, one

@@ -52,16 +52,20 @@ rejects (the message keeps the parser's line and column), a cache
 directory whose ``store.sqlite`` is damaged (the message names the
 ``import-jsonl`` restore route), or a ``batch`` argument that cannot be
 honoured (a bad ``--shard``, files *and* ``--corpus``, a bad query, an
-import with nothing to import), or an unknown ``--criteria`` or
-``--strategy`` name — after printing one ``repro: error: ...`` line to
-stderr.
+import with nothing to import), an unknown ``--criteria`` or
+``--strategy`` name, or a command line the argument parser rejects (an
+unknown flag, a missing argument, a number that is malformed or out of
+range) — after printing one ``repro: error: ...`` line to stderr.
+``--help`` exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import sys
+from typing import NoReturn
 
 from .analysis import classify
 from .chase import explore_chase, run_chase
@@ -86,6 +90,35 @@ EXIT_INPUT_ERROR = 3
 
 class InputError(Exception):
     """A command-line argument the command cannot honour (exit 3)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as an :class:`InputError` (exit
+    3) instead of argparse's exit 2, which ``classify``, ``chase`` and
+    ``batch`` use for "budget exhausted"."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(message)
+
+
+def _bounded(convert, minimum: int, what: str):
+    """An argparse type: ``convert(text)``, finite and at least ``minimum``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value) or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_non_negative_int = _bounded(int, 0, "an integer >= 0")
+_positive_int = _bounded(int, 1, "an integer >= 1")
+_non_negative_float = _bounded(float, 0, "a finite number >= 0")
 
 
 def _load_sigma(path: str) -> DependencySet:
@@ -127,7 +160,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     report = classify(
         sigma,
         criteria=criteria,
-        jobs=args.jobs,
         budget_steps=args.budget_steps,
         budget_ms=args.budget_ms,
         short_circuit=args.short_circuit,
@@ -471,7 +503,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree for the repro CLI."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Chase termination analysis "
         "(Calautti et al., PVLDB 9(5), 2016 — reproduction)",
@@ -481,15 +513,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="run the termination criteria portfolio")
     p.add_argument("file")
     p.add_argument("--criteria", help="comma-separated subset, e.g. WA,SAC")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="run criteria concurrently on N threads (default 1)")
-    p.add_argument("--budget-steps", type=int, default=None, metavar="N",
+    p.add_argument("--budget-steps", type=_non_negative_int, default=None,
+                   metavar="N",
                    help="per-criterion work budget in abstract steps; "
                         "exhaustion is reported, never an error")
-    p.add_argument("--budget-ms", type=float, default=None, metavar="MS",
+    p.add_argument("--budget-ms", type=_non_negative_float, default=None,
+                   metavar="MS",
                    help="per-criterion wall-clock budget in milliseconds")
     p.add_argument("--short-circuit", action="store_true",
-                   help="cancel criteria that can no longer change the "
+                   help="skip criteria that can no longer change the "
                         "overall verdict (cheap static criteria usually "
                         "decide it first)")
     p.add_argument("--hierarchy", action="store_true",
@@ -527,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["evaluate", "classify"],
                    help="evaluate: Adn∃ + chase ground truth (Table 2); "
                         "classify: the full criterion portfolio")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                    help="evaluate programs on N worker processes")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="content-addressed result cache; re-runs only "
@@ -541,11 +573,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "everything but still refreshes the cache)")
     p.add_argument("--format", default="table", choices=["jsonl", "table"],
                    help="stdout format (jsonl prints one record per line)")
-    p.add_argument("--budget-steps", type=int, default=None, metavar="N",
+    p.add_argument("--budget-steps", type=_non_negative_int, default=None,
+                   metavar="N",
                    help="per-program work budget in abstract steps")
-    p.add_argument("--budget-ms", type=float, default=None, metavar="MS",
+    p.add_argument("--budget-ms", type=_non_negative_float, default=None,
+                   metavar="MS",
                    help="per-program wall-clock budget in milliseconds")
-    p.add_argument("--chase-steps", type=int, default=1_200, metavar="N",
+    p.add_argument("--chase-steps", type=_non_negative_int, default=1_200,
+                   metavar="N",
                    help="chase ground-truth step bound (evaluate mode)")
     p.add_argument("--criteria", metavar="A,B",
                    help="criterion subset (classify mode)")
@@ -630,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="standard",
                    choices=["standard", "oblivious", "semi_oblivious"])
     p.add_argument("--strategy", default="full_first")
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=_non_negative_int, default=10_000)
     p.set_defaults(func=cmd_chase)
 
     p = sub.add_parser("adorn", help="run the Adn∃ adornment algorithm")
@@ -647,8 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--variant", default="standard",
                    choices=["standard", "oblivious", "semi_oblivious"])
-    p.add_argument("--max-depth", type=int, default=12)
-    p.add_argument("--max-states", type=int, default=20_000)
+    p.add_argument("--max-depth", type=_non_negative_int, default=12)
+    p.add_argument("--max-states", type=_non_negative_int, default=20_000)
     p.set_defaults(func=cmd_explore)
 
     return parser
@@ -674,8 +709,8 @@ def _normalise_argv(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(_normalise_argv(argv))
     try:
+        args = build_parser().parse_args(_normalise_argv(argv))
         return args.func(args)
     except (OSError, ParseError, StoreError, InputError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)

@@ -18,23 +18,19 @@ oblivious-step chase graph).  A :class:`DecisionCache` — owned by an
 :class:`~repro.analysis.context.AnalysisContext`, or installed for a
 dynamic scope with :func:`shared_firing_cache` as the classification
 portfolio does — lets every oracle wired to it reuse decisions across
-criteria.  The cache is **thread-safe and single-flight**: when two
-criteria of a parallel portfolio race to the same undecided edge, one
-runs the witness engine and the other blocks until the decision lands,
-so a chase probe is never duplicated.  Only deterministic decisions are
-stored: a decision truncated by a wall-clock deadline or a cancellation
-is kept out so one criterion's exhaustion can never leak approximation
-into another criterion's verdict.
+criteria, so a chase probe is never duplicated.  Only deterministic
+decisions are stored: a decision truncated by a wall-clock deadline or a
+cancellation is kept out so one criterion's exhaustion can never leak
+approximation into another criterion's verdict.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..budget import coerce_budget
-from ..concurrency import SingleFlightCache
 from ..model.atoms import Atom
 from ..model.dependencies import TGD, AnyDependency, DependencySet
 from .witness import (
@@ -89,54 +85,75 @@ def pair_shape(r1: AnyDependency, r2: AnyDependency) -> tuple:
     return shape(r1), shape(r2)
 
 
-class DecisionCache(SingleFlightCache):
-    """A thread-safe, single-flight store of deterministic firing decisions.
+class Memo:
+    """Memoises cacheable builds and counts hits, misses and uncached builds.
 
-    ``decide(key, compute)`` returns the cached decision for ``key`` or
-    elects exactly one caller per key as the *leader* that runs
-    ``compute`` (the witness-engine probe); concurrent callers for the
-    same key block until the leader finishes (the
-    :class:`~repro.concurrency.SingleFlightCache` protocol).  ``compute``
-    returns ``(decision, deterministic)`` — only deterministic decisions
-    enter the cache, so a leader whose enclosing budget blew mid-probe
-    leaves the key undecided and the next caller re-elects a leader under
-    its own budget.
-
-    Stats (``hits``/``misses``/``waits``) are updated under the lock and
-    surfaced through :meth:`stats` for the ``--stats`` report and the CI
-    bench summary.  ``prefiltered`` counts the pairs oracles wired to the
-    cache ruled out with :func:`~repro.firing.witness.may_fire` alone,
-    and ``shape_hits`` the ``≺`` pairs they answered from an earlier
-    decision on a pair of the same :func:`pair_shape`; neither reaches
-    the cache, so prefiltered + shape hits + hits + misses splits every
-    pair asked about into "prefiltered / shape twin / cache hit /
-    probed".
+    The core of both levels of the shared analysis substrate (DESIGN.md
+    §6): the :class:`~repro.analysis.context.AnalysisContext` artifact
+    store and the :class:`DecisionCache` of firing-edge decisions.  A
+    build returns ``(value, cacheable)``; an uncacheable value (a
+    budget-truncated, non-reproducible one) goes back to its own caller
+    only, and the next request builds again under its own budget.  A memo
+    is confined to the thread that made it.
     """
 
     def __init__(self) -> None:
-        super().__init__()
+        self._values: dict = {}
         self.hits = 0
         self.misses = 0
-        self.waits = 0
-        self.preloaded = 0
-        self.prefiltered = 0
-        self.shape_hits = 0
+        self.uncached_builds = 0
 
     def _on_hit(self) -> None:
         self.hits += 1
 
-    def _on_miss(self) -> None:
+    def _get_or_build(
+        self, key: tuple, build: Callable[[], tuple[Any, bool]]
+    ) -> Any:
+        if key in self._values:
+            self._on_hit()
+            return self._values[key]
         self.misses += 1
+        value, cacheable = build()
+        if cacheable:
+            self._values[key] = value
+        else:
+            self.uncached_builds += 1
+        return value
 
-    def _on_wait(self) -> None:
-        self.waits += 1
+
+class DecisionCache(Memo):
+    """A store of deterministic firing decisions.
+
+    ``decide(key, compute)`` returns the cached decision for ``key`` or
+    runs ``compute`` (the witness-engine probe), which returns
+    ``(decision, deterministic)``; only deterministic decisions enter the
+    cache, so a probe whose enclosing budget blew leaves the key
+    undecided and the next caller probes again under its own budget.
+
+    ``hits``/``misses`` are surfaced through :meth:`stats` for the
+    ``--stats`` report and the CI bench summary.  ``prefiltered`` counts
+    the pairs oracles wired to the cache ruled out with
+    :func:`~repro.firing.witness.may_fire` alone, and ``shape_hits`` the
+    ``≺`` pairs they answered from an earlier decision on a pair of the
+    same :func:`pair_shape`; neither reaches the cache, so prefiltered +
+    shape hits + hits + misses splits every pair asked about into
+    "prefiltered / shape twin / cache hit / probed".
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.preloaded = 0
+        self.prefiltered = 0
+        self.shape_hits = 0
+
+    # Defined here, not only on Memo, so perfbench's tracer can patch it.
+    _on_hit = Memo._on_hit
 
     def __len__(self) -> int:
         return len(self._values)
 
     def __contains__(self, key: tuple) -> bool:
-        with self._lock:
-            return key in self._values
+        return key in self._values
 
     def decide(
         self,
@@ -149,39 +166,33 @@ class DecisionCache(SingleFlightCache):
         """Install a decision computed elsewhere (the batch artifact
         store's warm-start path).  Seeded decisions must be deterministic
         — the caller vouches, the cache cannot re-check."""
-        with self._lock:
-            if key not in self._values:
-                self._values[key] = decision
-                self.preloaded += 1
+        if key not in self._values:
+            self._values[key] = decision
+            self.preloaded += 1
 
     def note_prefiltered(self, n: int = 1) -> None:
         """Count ``n`` pairs an oracle decided by the prefilter alone."""
-        with self._lock:
-            self.prefiltered += n
+        self.prefiltered += n
 
     def note_shape_hit(self) -> None:
         """Count one pair an oracle answered from its shape twin."""
-        with self._lock:
-            self.shape_hits += 1
+        self.shape_hits += 1
 
     def snapshot(self) -> dict[tuple, FiringDecision]:
-        """A point-in-time copy of the decided edges (for persistence)."""
-        with self._lock:
-            return dict(self._values)
+        """A copy of the decided edges (for persistence)."""
+        return dict(self._values)
 
     def stats(self) -> dict:
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "entries": len(self._values),
-                "hits": self.hits,
-                "misses": self.misses,
-                "waits": self.waits,
-                "preloaded": self.preloaded,
-                "prefiltered": self.prefiltered,
-                "shape_hits": self.shape_hits,
-                "hit_rate": self.hits / total if total else 0.0,
-            }
+        total = self.hits + self.misses
+        return {
+            "entries": len(self._values),
+            "hits": self.hits,
+            "misses": self.misses,
+            "preloaded": self.preloaded,
+            "prefiltered": self.prefiltered,
+            "shape_hits": self.shape_hits,
+            "hit_rate": self.hits / total if total else 0.0,
+        }
 
 
 _SHARED_CACHE: ContextVar[DecisionCache | None] = ContextVar(
@@ -229,7 +240,7 @@ class FiringOracle:
     (the shared-context path); without one the oracle falls back to the
     scope cache installed by :func:`shared_firing_cache`, and without
     that it probes uncached.  The per-oracle dicts stay in front of the
-    shared cache as a lock-free fast path, and ``ever_inexact`` is
+    shared cache as a fast path, and ``ever_inexact`` is
     per-oracle so one consumer's truncated probes never flag another's
     verdict.
 

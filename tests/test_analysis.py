@@ -1,5 +1,7 @@
 """Analysis facade tests: classify(), evaluation pipeline, hierarchy checks."""
 
+import pytest
+
 from repro.analysis import (
     ClassificationReport,
     ClassifyConfig,
@@ -47,35 +49,17 @@ class TestClassify:
 
 
 class TestParallelPortfolio:
-    """The jobs/budgets/short-circuit portfolio added in PR 2."""
-
-    def test_jobs_report_verdict_identical(self):
-        # The full parallel portfolio must agree with the sequential path
-        # criterion by criterion, not just on the headline.
-        for seed in (0, 1, 5, 36, 43):  # includes the historical hangs
-            sigma = random_dependency_set(seed, n_deps=3, egd_fraction=0.3)
-            seq = classify(sigma)
-            par = classify(sigma, jobs=4)
-            assert list(par.results) == list(seq.results)
-            for name in seq.results:
-                assert par.results[name].accepted == seq.results[name].accepted
-                assert par.results[name].exact == seq.results[name].exact
-            assert par.verdict == seq.verdict
-
-    def test_stop_on_first_parallel(self):
-        report = classify(sigma_3(), stop_on_first=True, jobs=4)
-        accepted = [r for r in report.results.values() if r.accepted]
-        assert accepted
+    """The budgets/short-circuit portfolio added in PR 2."""
 
     def test_short_circuit_preserves_headline(self):
         for seed in range(8):
             sigma = random_dependency_set(seed, n_deps=3, egd_fraction=0.3)
             full = classify(sigma)
-            sc = classify(sigma, jobs=2, short_circuit=True)
+            sc = classify(sigma, short_circuit=True)
             assert sc.verdict == full.verdict, seed
 
     def test_short_circuited_criteria_are_marked_not_exhausted(self):
-        report = classify(sigma_3(), jobs=2, short_circuit=True)
+        report = classify(sigma_3(), short_circuit=True)
         skipped = [r for r in report.results.values() if r.skipped]
         assert skipped  # WA accepts CT∀ immediately; the rest are spared
         assert not report.any_exhausted
@@ -90,9 +74,16 @@ class TestParallelPortfolio:
         assert all(not r.exact for r in blown)
 
     def test_config_object(self):
-        config = ClassifyConfig(criteria=["WA", "SC"], jobs=2)
+        config = ClassifyConfig(criteria=["WA", "SC"])
         report = classify(sigma_3(), config=config)
         assert list(report.results) == ["WA", "SC"]
+
+    def test_one_thread_only(self):
+        # ``jobs=1`` is accepted for compatibility; criteria always run
+        # on the calling thread.
+        assert classify(sigma_3(), criteria=["WA"], jobs=1).guarantees_all
+        with pytest.raises(ValueError, match="repro batch --jobs"):
+            classify(sigma_3(), jobs=2)
 
 
 class TestEvaluationPipeline:

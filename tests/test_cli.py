@@ -85,11 +85,15 @@ class TestClassify:
 
     def test_backend_flag(self, sigma3_file, capsys):
         # The CLI always runs the shared context; the isolated recompute
-        # oracle is library-only, so the flag is gone.
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", sigma3_file, "--backend", "isolated"])
-        assert exc.value.code == 2
-        assert "--backend" in capsys.readouterr().err
+        # oracle is library-only, so the flag is gone.  An unknown flag
+        # is unusable input (exit 3), not "budget exhausted" (exit 2).
+        from repro.cli import EXIT_INPUT_ERROR
+
+        code = main(["classify", sigma3_file, "--backend", "isolated"])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and err.count("\n") == 1
+        assert "--backend" in err
 
     def test_hierarchy_flag(self, sigma3_file, capsys):
         # WA accepts Σ3, so the contained criteria are filled in.
@@ -99,8 +103,8 @@ class TestClassify:
 
 
 class TestClassifyPortfolio:
-    """The portfolio flags: --jobs, --budget-steps, --budget-ms,
-    --short-circuit, and the chase-style 0/1/2 exit codes."""
+    """The portfolio flags: --budget-steps, --budget-ms, --short-circuit,
+    and the chase-style 0/1/2 exit codes."""
 
     REJECTED = (
         "r1: A(x) -> exists y. R(x, y)\n"
@@ -113,14 +117,13 @@ class TestClassifyPortfolio:
         p.write_text(self.REJECTED)
         return str(p)
 
-    def test_jobs_same_verdict_as_sequential(self, sigma1_file, capsys):
-        assert main(["classify", sigma1_file]) == 0
-        seq = capsys.readouterr().out
-        assert main(["classify", sigma1_file, "--jobs", "4"]) == 0
-        par = capsys.readouterr().out
-        # Same criteria, same marks (timings differ).
-        strip = lambda out: [line.split("  ")[1] for line in out.splitlines()[1:-1]]
-        assert strip(seq) == strip(par)
+    def test_jobs_flag_is_an_input_error(self, sigma1_file, capsys):
+        # Criteria run on one thread; ``repro batch --jobs`` is the
+        # parallel surface.  Exit 3, not 2, which would read "exhausted".
+        from repro.cli import EXIT_INPUT_ERROR
+
+        assert main(["classify", sigma1_file, "--jobs", "4"]) == EXIT_INPUT_ERROR
+        assert "--jobs" in capsys.readouterr().err
 
     def test_trusted_rejection_exits_1(self, rejected_file):
         assert main(["classify", rejected_file]) == 1
@@ -135,7 +138,7 @@ class TestClassifyPortfolio:
         assert main(["classify", sigma1_file, "--budget-ms", "60000"]) == 0
 
     def test_short_circuit_skips_and_keeps_verdict(self, sigma1_file, capsys):
-        code = main(["classify", sigma1_file, "--jobs", "2", "--short-circuit"])
+        code = main(["classify", sigma1_file, "--short-circuit"])
         assert code == 0
         out = capsys.readouterr().out
         assert "terminating" in out
@@ -145,8 +148,9 @@ class TestClassifyPortfolio:
             main(["classify", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--jobs", "--budget-steps", "--budget-ms", "--short-circuit"):
+        for flag in ("--budget-steps", "--budget-ms", "--short-circuit"):
             assert flag in out
+        assert "--jobs" not in out
 
 
 class TestChase:
@@ -294,3 +298,47 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("repro: error: unknown --strategy 'nope'")
         assert err.count("\n") == 1 and "full_first" in err
+
+    @staticmethod
+    def assert_usage_error(capsys, code, fragment):
+        from repro.cli import EXIT_INPUT_ERROR
+
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:") and err.count("\n") == 1, err
+        assert fragment in err
+
+    @pytest.mark.parametrize("args", [
+        ["--budget-steps", "-5"],
+        ["--budget-steps", "abc"],
+        ["--budget-ms", "-1"],
+        ["--budget-ms", "nan"],
+        ["--budget-ms", "inf"],
+        ["--bogus"],
+    ])
+    def test_classify_rejects_bad_arguments(self, sigma1_file, capsys, args):
+        code = main(["classify", sigma1_file, *args])
+        self.assert_usage_error(capsys, code, args[0])
+
+    @pytest.mark.parametrize("args", [
+        ["--max-steps", "-1"],
+        ["--max-steps", "1.5"],
+        ["--variant", "bogus"],
+    ])
+    def test_chase_rejects_bad_arguments(self, sigma1_file, capsys, args):
+        code = main(["chase", sigma1_file, "--data", 'N("a")', *args])
+        self.assert_usage_error(capsys, code, args[0])
+
+    @pytest.mark.parametrize("args", [
+        ["--max-depth", "-1"],
+        ["--max-states", "-3"],
+    ])
+    def test_explore_rejects_bad_arguments(self, sigma1_file, capsys, args):
+        code = main(["explore", sigma1_file, "--data", 'N("a")', *args])
+        self.assert_usage_error(capsys, code, args[0])
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chase", "--help"])
+        assert exc.value.code == 0
+        assert "--max-steps" in capsys.readouterr().out

@@ -194,6 +194,16 @@ class TestArgumentValidation:
                      "--criteria", "BOGUS"])
         assert_input_error(capsys, code, "unknown criterion 'BOGUS'", "known: ")
 
+    @pytest.mark.parametrize("args", [
+        ["--jobs", "0"],
+        ["--jobs", "-2"],
+        ["--budget-steps", "-1"],
+        ["--budget-ms", "nan"],
+        ["--chase-steps", "-1"],
+    ])
+    def test_rejects_out_of_range_numbers(self, deps_files, capsys, args):
+        assert_input_error(capsys, main(["batch", *deps_files, *args]), args[0])
+
     def test_corpus_flag_smoke(self, capsys):
         assert main([
             "batch", "--corpus", "--corpus-scale", "0.03",

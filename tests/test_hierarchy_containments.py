@@ -106,11 +106,3 @@ class TestHierarchyScheduling:
         for name in ("WA", "SC", "SR"):
             assert not scheduled.results[name].accepted
             assert scheduled.results[name].details.get("refuted_by") == "IR"
-
-    def test_parallel_hierarchy_matches(self):
-        sigma = random_dependency_set(3, n_deps=3, egd_fraction=0.3)
-        full = classify(sigma)
-        scheduled = classify(sigma, jobs=4, hierarchy=True)
-        assert [(n, r.accepted) for n, r in scheduled.results.items()] == [
-            (n, r.accepted) for n, r in full.results.items()
-        ]
