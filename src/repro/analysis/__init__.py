@@ -14,7 +14,6 @@ from .evaluation import (
     ClassSummary,
     OntologyEvaluation,
     chase_ground_truth,
-    evaluate_ontology,
     render_table2,
     summarise,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "ClassSummary",
     "OntologyEvaluation",
     "chase_ground_truth",
-    "evaluate_ontology",
     "render_table2",
     "summarise",
     "ClaimCheck",

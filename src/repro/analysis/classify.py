@@ -22,7 +22,8 @@ Semantics:
 * with short-circuiting **off** (the default), every selected criterion
   runs to completion — criteria are independent and each pair decision
   is deterministic (the shared firing-decision cache only ever stores
-  deterministic decisions, see :mod:`repro.firing.relations`);
+  deterministic decisions, see :mod:`repro.firing.relations`, and the
+  context hands it to nested analyses by argument);
 * with short-circuiting **on**, the *headline* verdict (the ``⇒`` line)
   is always identical to the full portfolio's, but criteria whose result
   could no longer change it are reported as short-circuited instead of
@@ -38,10 +39,7 @@ from dataclasses import dataclass, field
 
 from ..budget import Budget
 from ..criteria.base import CriterionResult, Guarantee, get_criterion, registry
-from ..firing.relations import (
-    no_firing_cache,
-    shared_firing_cache,
-)
+from ..firing.relations import DecisionCache
 from ..model.dependencies import DependencySet
 from .context import AnalysisContext
 
@@ -317,6 +315,7 @@ def classify(
     backend: str = "shared",
     hierarchy: bool = False,
     config: ClassifyConfig | None = None,
+    decisions: DecisionCache | None = None,
 ) -> ClassificationReport:
     """Run the (selected) criteria on Σ.
 
@@ -324,10 +323,12 @@ def classify(
     order.  ``stop_on_first`` stops at the first acceptance — useful when
     only the verdict matters.  The remaining knobs (or an explicit
     ``config``) select budgets, short-circuiting and the artifact-sharing
-    backend: see :class:`ClassifyConfig`.  ``jobs`` is kept for
-    compatibility with callers that pass ``jobs=1``; criteria always run
-    on the calling thread, and ``repro batch --jobs`` runs programs in
-    parallel processes.
+    backend: see :class:`ClassifyConfig`.  ``decisions`` is the
+    firing-decision cache the shared context starts from (the batch
+    engine's warm-started one); the ``isolated`` backend shares nothing
+    and refuses one.  ``jobs`` is kept for compatibility with callers
+    that pass ``jobs=1``; criteria always run on the calling thread, and
+    ``repro batch --jobs`` runs programs in parallel processes.
     """
     if jobs != 1:
         raise ValueError(
@@ -344,23 +345,21 @@ def classify(
             backend=backend,
             hierarchy=hierarchy,
         )
+    if config.backend == "isolated" and decisions is not None:
+        raise ValueError("the isolated backend shares no decision cache")
     names = config.names()
     report = ClassificationReport(sigma)
     report.details["backend"] = config.backend
 
     if config.backend == "shared":
-        # One artifact store for the whole program; it adopts an
-        # enclosing scope cache (the batch engine's warm-started one)
-        # when present.  The same decision cache is installed as the
-        # scope cache so nested analyses (LS's c-stratification of Σα,
-        # IR's recursion) share it too.
-        context = AnalysisContext(sigma)
-        with shared_firing_cache(context.decisions):
-            _run(sigma, names, config, report, context)
+        # One artifact store for the whole program; its decision cache is
+        # passed down to every nested analysis (the Adn∃/AC oracles, LS's
+        # Σα, Adn∃-C's Σµ, IR's components).
+        context = AnalysisContext(sigma, decisions)
+        _run(sigma, names, config, report, context)
         report.details["context"] = context.stats()
     else:  # isolated
-        with no_firing_cache():
-            _run(sigma, names, config, report, None)
+        _run(sigma, names, config, report, None)
     implied = sum(
         1
         for r in report.results.values()

@@ -15,8 +15,15 @@ consults instead of rebuilding its own.  The classification portfolio
 creates one context per program and passes it to every criterion
 (``backend="shared"``); a criterion checked on its own creates a private
 context, which degenerates to per-criterion memoization.  The
-``"isolated"`` portfolio backend, which shares nothing at all, is the
-recompute oracle the differential suite pins the shared path against.
+``"isolated"`` portfolio backend, which shares nothing across criteria,
+is the recompute oracle the differential suite pins the shared path
+against.
+
+The context's firing-decision cache reaches nested analyses by argument
+only: the Adn∃ and AC rewritings wire their oracles to it, and LS's Σα,
+Adn∃-C's Σµ and IR's components are analysed over it, so one portfolio
+run probes each firing pair at most once.  There is no ambient cache:
+whoever builds a context or an oracle decides what it shares.
 
 A context is confined to the thread that made it; the portfolio makes
 one per classify call.
@@ -41,12 +48,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..budget import current_budget
-from ..firing.relations import (
-    DecisionCache,
-    FiringOracle,
-    Memo,
-    current_firing_cache,
-)
+from ..firing.relations import DecisionCache, FiringOracle, Memo
 from ..model.dependencies import DependencySet
 
 
@@ -69,12 +71,9 @@ class AnalysisContext(Memo):
     build it (a *miss*), memoizing only deterministic builds — see the
     module docstring.  ``decisions`` is the firing-edge
     :class:`~repro.firing.relations.DecisionCache` every oracle handed
-    out by :meth:`oracle` shares; when not given, the context adopts the
-    cache installed by the enclosing
-    :func:`~repro.firing.relations.shared_firing_cache` scope (so a
-    private per-criterion context inside a classify run still shares
-    edge decisions with its siblings, exactly as the pre-context code
-    did), or creates a fresh one.
+    out by :meth:`oracle` shares, and the one nested analyses receive by
+    argument (the Adn∃/AC oracles, LS's Σα, Adn∃-C's Σµ, IR's
+    components); a fresh cache when not given.
     """
 
     def __init__(
@@ -84,8 +83,6 @@ class AnalysisContext(Memo):
     ) -> None:
         super().__init__()
         self.sigma = sigma
-        if decisions is None:
-            decisions = current_firing_cache()
         self.decisions = decisions if decisions is not None else DecisionCache()
 
     # -- the memoization core ------------------------------------------------
@@ -267,7 +264,7 @@ class AnalysisContext(Memo):
         def build():
             from ..core.adornment import ac_rewriting
 
-            return ac_rewriting(self.simulated())
+            return ac_rewriting(self.simulated(), decisions=self.decisions)
 
         return self._get(
             ("ac_rewriting",), build, deterministic=lambda r: r.exhausted is None
@@ -279,7 +276,7 @@ class AnalysisContext(Memo):
         def build():
             from ..core.adornment import adn_exists
 
-            return adn_exists(self.sigma)
+            return adn_exists(self.sigma, decisions=self.decisions)
 
         return self._get(
             ("adn_exists",), build, deterministic=lambda r: r.exhausted is None

@@ -9,6 +9,11 @@ For every generated ontology we measure what the paper measured:
   strategy, plus an adversarial strategy to separate "some sequences
   terminate" from "the chase halted".
 
+The batch engine takes that measurement (``evaluate_corpus(corpus,
+BatchConfig(...)).evaluations()`` in :mod:`repro.batch`, cached and
+parallel); this module holds its chase ground truth and the per-class
+summaries and rendering.
+
 Columns reproduced per class:
 
 * ``A+NT``: ontologies that are semi-acyclic, plus ontologies that are not
@@ -24,13 +29,10 @@ and EXPERIMENTS.md for why it is interesting.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..chase.result import ChaseStatus
 from ..chase.runner import run_chase
-from ..core.adornment import adn_exists
-from ..generators.corpus import GeneratedOntology
 from ..generators.databases import seed_database
 from ..model.dependencies import DependencySet
 
@@ -106,27 +108,6 @@ def chase_ground_truth(
         if result.status in (ChaseStatus.SUCCESS, ChaseStatus.FAILURE):
             return True, strategy
     return False, None
-
-
-def evaluate_ontology(
-    ont: GeneratedOntology, chase_steps: int = 4_000
-) -> OntologyEvaluation:
-    """Adn∃ + chase ground truth for one ontology."""
-    start = time.perf_counter()
-    result = adn_exists(ont.sigma)
-    adn_ms = (time.perf_counter() - start) * 1000.0
-    halted, strategy = chase_ground_truth(ont.sigma, max_steps=chase_steps)
-    return OntologyEvaluation(
-        name=ont.name,
-        class_name=ont.class_name,
-        character=ont.character,
-        size=len(ont.sigma),
-        adorned_size=len(result.adorned),
-        adn_ms=adn_ms,
-        semi_acyclic=result.acyclic,
-        chase_halted=halted,
-        halted_strategy=strategy,
-    )
 
 
 def summarise(evaluations: list[OntologyEvaluation]) -> dict[str, ClassSummary]:

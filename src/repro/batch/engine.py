@@ -297,7 +297,7 @@ def _evaluate_record(sigma: DependencySet, payload: dict) -> dict:
 def _classify_record(sigma: DependencySet, payload: dict) -> dict:
     import time
 
-    from ..firing.relations import DecisionCache, shared_firing_cache
+    from ..firing.relations import DecisionCache
     from .artifacts import decisions_to_json, dependency_codes, seed_decisions
 
     # Warm-start the firing-decision layer from the artifact store, run
@@ -310,15 +310,15 @@ def _classify_record(sigma: DependencySet, payload: dict) -> dict:
     if stored:
         seed_decisions(sigma, stored, decisions, codes=codes)
     start = time.perf_counter()
-    with shared_firing_cache(decisions):
-        report = classify(
-            sigma,
-            config=ClassifyConfig(
-                criteria=payload["criteria"],
-                budget_steps=payload["budget_steps"],
-                budget_ms=payload["budget_ms"],
-            ),
-        )
+    report = classify(
+        sigma,
+        config=ClassifyConfig(
+            criteria=payload["criteria"],
+            budget_steps=payload["budget_steps"],
+            budget_ms=payload["budget_ms"],
+        ),
+        decisions=decisions,
+    )
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     decision_stats = decisions.stats()
     exhausted = None

@@ -101,24 +101,25 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _bounded(convert, minimum: int, what: str):
-    """An argparse type: ``convert(text)``, finite and at least ``minimum``."""
+def _bounded(convert, in_range, what: str):
+    """An argparse type: ``convert(text)``, finite and ``in_range``."""
 
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             value = None
-        if value is None or not math.isfinite(value) or value < minimum:
+        if value is None or not math.isfinite(value) or not in_range(value):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return value
 
     return parse
 
 
-_non_negative_int = _bounded(int, 0, "an integer >= 0")
-_positive_int = _bounded(int, 1, "an integer >= 1")
-_non_negative_float = _bounded(float, 0, "a finite number >= 0")
+_non_negative_int = _bounded(int, lambda v: v >= 0, "an integer >= 0")
+_positive_int = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+_non_negative_float = _bounded(float, lambda v: v >= 0, "a finite number >= 0")
+_positive_float = _bounded(float, lambda v: v > 0, "a finite number > 0")
 
 
 def _load_sigma(path: str) -> DependencySet:
@@ -278,11 +279,14 @@ def cmd_batch(args: argparse.Namespace) -> int:
     criteria = _criteria(args.criteria)
     if args.corpus:
         classes = args.corpus_classes.split(",") if args.corpus_classes else None
-        programs = generate_corpus(
-            scale=args.corpus_scale,
-            tests_scale=args.corpus_tests_scale,
-            classes=classes,
-        )
+        try:
+            programs = generate_corpus(
+                scale=args.corpus_scale,
+                tests_scale=args.corpus_tests_scale,
+                classes=classes,
+            )
+        except ValueError as exc:  # a bad corpus scale or class name
+            raise InputError(str(exc)) from exc
     else:
         programs = [
             GeneratedOntology(
@@ -455,8 +459,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """Run the DESIGN.md invariant checker (DESIGN.md §8).
 
     Exit 0 — clean (baselined/suppressed findings allowed); 1 — at least
-    one unsuppressed, unbaselined finding; 2 — usage trouble (bad path,
-    malformed baseline).
+    one unsuppressed, unbaselined finding; 3 — usage trouble (bad path,
+    malformed baseline), like every other command's unusable input.
     """
     from collections import Counter
 
@@ -482,15 +486,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
     try:
         baseline = Counter() if args.no_baseline else load_baseline(baseline_path)
     except ValueError as exc:
-        print(f"bad baseline: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"bad baseline: {exc}") from exc
     try:
         report = run_lint(
             root, args.paths or DEFAULT_PATHS, baseline=baseline
         )
     except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        raise InputError(str(exc)) from exc
     if args.write_baseline:
         save_baseline(baseline_path, report)
         print(f"baseline written: {baseline_path} "
@@ -551,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-scale", default=None, metavar="S",
                    help="corpus size scale (float or 'paper'; default: "
                         "REPRO_SCALE or the CI-friendly 0.06)")
-    p.add_argument("--corpus-tests-scale", type=float, default=None,
+    p.add_argument("--corpus-tests-scale", type=_positive_float, default=None,
                    metavar="T", help="per-class test count multiplier")
     p.add_argument("--corpus-classes", metavar="A,B",
                    help="restrict to these Table 2(a) classes")

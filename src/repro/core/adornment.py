@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Union
 
 from ..budget import Budget, BudgetExhausted, coerce_budget
-from ..firing.relations import FiringOracle
+from ..firing.relations import DecisionCache, FiringOracle
 from ..homomorphism.finder import find_homomorphisms
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
@@ -263,6 +263,14 @@ class AdnResult:
 DEFAULT_ADN_STEPS = 5_000_000
 DEFAULT_ADN_MS = 10_000.0
 
+#: Per-pair step allowance of the Adn∃ firing oracles.  It is part of the
+#: key of every decision they cache or persist, so changing it leaves the
+#: stored decisions unused.
+ADN_FIRING_BUDGET = 60_000
+
+#: Largest free symbol a run may mint before it stops, flagged approximate.
+ADN_MAX_SYMBOL = 5_000
+
 
 class AdornmentAlgorithm:
     """One run of Adn∃ (or the AC rewriting when ``mode="ac"``).
@@ -282,17 +290,19 @@ class AdornmentAlgorithm:
       ambient analysis budget) charged in the driver loop, the candidate
       body enumeration, the Dµ EGD chase step and — through the firing
       oracles — the witness engine;
-    * the legacy ``max_records``/``max_symbol`` size caps.
+    * the legacy ``max_records`` and :data:`ADN_MAX_SYMBOL` size caps.
+
+    ``decisions`` is the firing-decision cache both oracles probe
+    through (an analysis context's); without one each makes a private one.
     """
 
     def __init__(
         self,
         sigma: DependencySet,
         mode: str = "adn_exists",
-        firing_budget: int = 60_000,
         max_records: int | None = None,
-        max_symbol: int = 5_000,
         budget: Budget | None = None,
+        decisions: DecisionCache | None = None,
     ) -> None:
         if mode not in ("adn_exists", "ac"):
             raise ValueError(f"unknown adornment mode {mode!r}")
@@ -306,16 +316,19 @@ class AdornmentAlgorithm:
         self.exact = True
         self.stopped: str | None = None  # "livelock" | "max_symbol" | ...
         self.max_records = max_records or max(2_000, 60 * max(len(sigma), 1))
-        self.max_symbol = max_symbol
         if budget is None:
             budget = coerce_budget(None)  # fresh, linked to the ambient scope
             budget.max_steps = DEFAULT_ADN_STEPS
             budget.max_ms = DEFAULT_ADN_MS
         self.budget = budget
         # Oracle over Σµ (fireability of adorned dependencies).
-        self._mu_oracle = FiringOracle((), budget=firing_budget)
+        self._mu_oracle = FiringOracle(
+            (), budget=ADN_FIRING_BUDGET, decisions=decisions
+        )
         # Oracle over Σ (firing chains for Ω(AD) cyclicity).
-        self._sigma_oracle = FiringOracle(sigma, budget=firing_budget)
+        self._sigma_oracle = FiringOracle(
+            sigma, budget=ADN_FIRING_BUDGET, decisions=decisions
+        )
         self._chain_cache: dict[tuple, bool] = {}
         self._src_index = {d: i for i, d in enumerate(sigma)}
         self._charge_backlog = 0
@@ -603,39 +616,48 @@ class AdornmentAlgorithm:
         Each is the tuple of adorned predicate names (the record's body
         key; the arguments are Body(r)'s) and the variables' symbols.
         """
-        atoms = r.body
+        return self._coherent_from(r.body, pool, 0, [], {})
 
-        def rec(
-            idx: int, acc: list[str], binding: dict[Variable, Symbol]
-        ) -> Iterator[tuple[tuple[str, ...], dict[Variable, Symbol]]]:
-            if idx == len(atoms):
-                yield tuple(acc), binding
-                return
-            atom = atoms[idx]
-            for adn in pool.get(atom.predicate, []):
-                if not self._charge_batched():
-                    return  # run() reports the truncation
-                new_binding = dict(binding)
-                ok = True
-                for t, s in zip(atom.args, adn):
-                    if isinstance(t, Constant):
-                        if s != BOUND:
-                            ok = False
-                            break
-                    else:
-                        bound = new_binding.get(t)  # type: ignore[arg-type]
-                        if bound is None:
-                            new_binding[t] = s  # type: ignore[index]
-                        elif bound != s:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                acc.append(encode_predicate(atom.predicate, adn))
-                yield from rec(idx + 1, acc, new_binding)
-                acc.pop()
+    def _coherent_from(
+        self,
+        atoms: tuple[Atom, ...],
+        pool: dict[str, list[Adornment]],
+        idx: int,
+        acc: list[str],
+        binding: dict[Variable, Symbol],
+    ) -> Iterator[tuple[tuple[str, ...], dict[Variable, Symbol]]]:
+        """:meth:`_coherent_bodies` from ``atoms[idx]`` on.
 
-        yield from rec(0, [], {})
+        A method rather than a nested closure: a self-recursive closure is
+        a reference cycle, which would keep ``self`` (and the decision
+        cache its oracles share) alive until the cyclic collector runs.
+        """
+        if idx == len(atoms):
+            yield tuple(acc), binding
+            return
+        atom = atoms[idx]
+        for adn in pool.get(atom.predicate, []):
+            if not self._charge_batched():
+                return  # run() reports the truncation
+            new_binding = dict(binding)
+            ok = True
+            for t, s in zip(atom.args, adn):
+                if isinstance(t, Constant):
+                    if s != BOUND:
+                        ok = False
+                        break
+                else:
+                    bound = new_binding.get(t)  # type: ignore[arg-type]
+                    if bound is None:
+                        new_binding[t] = s  # type: ignore[index]
+                    elif bound != s:
+                        ok = False
+                        break
+            if not ok:
+                continue
+            acc.append(encode_predicate(atom.predicate, adn))
+            yield from self._coherent_from(atoms, pool, idx + 1, acc, new_binding)
+            acc.pop()
 
     def _head_adorn(
         self,
@@ -690,7 +712,7 @@ class AdornmentAlgorithm:
             highest = max(
                 highest, d.symbol, *(a for a in d.args if isinstance(a, int))
             )
-        if highest + 1 > self.max_symbol:
+        if highest + 1 > ADN_MAX_SYMBOL:
             self.stopped = "max_symbol"  # run() breaks at the next iteration
         return highest + 1
 
@@ -966,11 +988,27 @@ class AdornmentAlgorithm:
         return False
 
 
-def adn_exists(sigma: DependencySet, **kwargs) -> AdnResult:
+def adn_exists(
+    sigma: DependencySet,
+    max_records: int | None = None,
+    budget: Budget | None = None,
+    decisions: DecisionCache | None = None,
+) -> AdnResult:
     """Run Algorithm 1 (Adn∃) on Σ."""
-    return AdornmentAlgorithm(sigma, mode="adn_exists", **kwargs).run()
+    return AdornmentAlgorithm(
+        sigma, "adn_exists", max_records=max_records, budget=budget,
+        decisions=decisions,
+    ).run()
 
 
-def ac_rewriting(sigma: DependencySet, **kwargs) -> AdnResult:
+def ac_rewriting(
+    sigma: DependencySet,
+    max_records: int | None = None,
+    budget: Budget | None = None,
+    decisions: DecisionCache | None = None,
+) -> AdnResult:
     """The TGD-only AC adornment rewriting (EGDs must be simulated away)."""
-    return AdornmentAlgorithm(sigma, mode="ac", **kwargs).run()
+    return AdornmentAlgorithm(
+        sigma, "ac", max_records=max_records, budget=budget,
+        decisions=decisions,
+    ).run()

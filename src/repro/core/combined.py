@@ -42,7 +42,12 @@ class AdnCombined(TerminationCriterion):
             # Σµ is a truncation (budget/livelock stop): C accepting the
             # truncated set proves nothing about Σ — reject, approximate.
             return False, False, details
-        inner_result = self.inner.check(result.adorned)
+        from ..analysis.context import AnalysisContext
+
+        inner_result = self.inner.check(
+            result.adorned,
+            context=AnalysisContext(result.adorned, ctx.decisions),
+        )
         details["inner"] = inner_result.criterion
         details["inner_accepted"] = inner_result.accepted
         return inner_result.accepted, inner_result.exact, details

@@ -55,5 +55,9 @@ class LocalStratification(TerminationCriterion):
         adorned = DependencySet(
             rec.dep for rec in rewriting.records if not rec.is_bridge
         )
-        cstr = get_criterion("CStr").check(adorned)
+        from ..analysis.context import AnalysisContext
+
+        cstr = get_criterion("CStr").check(
+            adorned, context=AnalysisContext(adorned, ctx.decisions)
+        )
         return cstr.accepted, cstr.exact, details

@@ -20,8 +20,9 @@ files.  Three escape hatches keep it honest rather than annoying:
   contract, and so on).
 
 Exit-code contract of :func:`run_lint` consumers (the ``repro lint``
-CLI): 0 — no unsuppressed, unbaselined finding; 1 — findings; 2 — usage
-or internal trouble.
+CLI): 0 — no unsuppressed, unbaselined finding; 1 — findings; 3 — usage
+trouble (a missing path, a malformed baseline), the exit code every
+``repro`` command gives unusable input.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def load_baseline(path: pathlib.Path) -> Counter:
     """The committed grandfather list as a multiset of match keys.
 
     A missing file is an empty baseline; a malformed one is an error the
-    CLI surfaces as exit 2 (a silently ignored baseline would un-baseline
+    CLI surfaces as exit 3 (a silently ignored baseline would un-baseline
     everything and fail the build confusingly).
     """
     if not path.exists():

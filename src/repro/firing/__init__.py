@@ -7,13 +7,7 @@ from .graphs import (
     oblivious_chase_graph,
     render_graph,
 )
-from .relations import (
-    DecisionCache,
-    FiringOracle,
-    current_firing_cache,
-    no_firing_cache,
-    shared_firing_cache,
-)
+from .relations import DecisionCache, FiringOracle
 from .witness import (
     DEFAULT_BUDGET,
     FiringDecision,
@@ -31,9 +25,6 @@ __all__ = [
     "render_graph",
     "DecisionCache",
     "FiringOracle",
-    "current_firing_cache",
-    "no_firing_cache",
-    "shared_firing_cache",
     "DEFAULT_BUDGET",
     "FiringDecision",
     "Witness",

@@ -15,10 +15,10 @@ or cancellation stops the oracle mid-pair with a sound, inexact answer.
 Several criteria interrogate the same pairs of the same Σ (Str and S-Str
 share the standard-step relation; CStr, SR and IR all rebuild the
 oblivious-step chase graph).  A :class:`DecisionCache` — owned by an
-:class:`~repro.analysis.context.AnalysisContext`, or installed for a
-dynamic scope with :func:`shared_firing_cache` as the classification
-portfolio does — lets every oracle wired to it reuse decisions across
-criteria, so a chase probe is never duplicated.  Only deterministic
+:class:`~repro.analysis.context.AnalysisContext` and handed by argument
+to every oracle the analysis builds, nested ones included — lets them
+reuse decisions across criteria, so a chase probe is never duplicated.
+An oracle given no cache makes a private one.  Only deterministic
 decisions are stored: a decision truncated by a wall-clock deadline or a
 cancellation is kept out so one criterion's exhaustion can never leak
 approximation into another criterion's verdict.
@@ -26,9 +26,7 @@ approximation into another criterion's verdict.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..budget import coerce_budget
 from ..model.atoms import Atom
@@ -195,52 +193,13 @@ class DecisionCache(Memo):
         }
 
 
-_SHARED_CACHE: ContextVar[DecisionCache | None] = ContextVar(
-    "repro_shared_firing_cache", default=None
-)
-
-
-def current_firing_cache() -> DecisionCache | None:
-    """The decision cache installed for the current dynamic scope."""
-    return _SHARED_CACHE.get()
-
-
-@contextmanager
-def shared_firing_cache(
-    cache: DecisionCache | None = None,
-) -> Iterator[DecisionCache]:
-    """Install a decision cache shared by every oracle in the scope."""
-    cache = DecisionCache() if cache is None else cache
-    token = _SHARED_CACHE.set(cache)
-    try:
-        yield cache
-    finally:
-        _SHARED_CACHE.reset(token)
-
-
-@contextmanager
-def no_firing_cache() -> Iterator[None]:
-    """Suppress any enclosing shared cache for the scope.
-
-    The ``backend="isolated"`` reference path of the classification
-    portfolio uses this so each criterion recomputes every probe — the
-    recompute baseline the shared-context bench compares against.
-    """
-    token = _SHARED_CACHE.set(None)
-    try:
-        yield
-    finally:
-        _SHARED_CACHE.reset(token)
-
-
 class FiringOracle:
     """Decides and caches firing-relation edges.
 
-    ``decisions`` wires the oracle to an explicit :class:`DecisionCache`
-    (the shared-context path); without one the oracle falls back to the
-    scope cache installed by :func:`shared_firing_cache`, and without
-    that it probes uncached.  The per-oracle dicts stay in front of the
-    shared cache as a fast path, and ``ever_inexact`` is
+    ``decisions`` is the :class:`DecisionCache` the oracle probes
+    through: the analysis context's (the shared-context path), or a
+    fresh private one when none is given.  The per-oracle dicts stay in
+    front of that cache as a fast path, and ``ever_inexact`` is
     per-oracle so one consumer's truncated probes never flag another's
     verdict.
 
@@ -272,7 +231,7 @@ class FiringOracle:
         self.deps = list(sigma)
         self.step_variant = step_variant
         self.budget = budget
-        self._decisions = decisions
+        self.decisions = decisions if decisions is not None else DecisionCache()
         # shape -> (the pair that was probed, its decision)
         self._precedes_cache: dict[tuple, tuple[tuple, FiringDecision]] = {}
         self._fires_cache: dict[tuple, FiringDecision] = {}
@@ -291,27 +250,18 @@ class FiringOracle:
             self.ever_inexact = True
         return decision.edge
 
-    def _shared(self) -> DecisionCache | None:
-        if self._decisions is not None:
-            return self._decisions
-        return _SHARED_CACHE.get()
-
     def _rule_out(self, r1: AnyDependency, r2: AnyDependency) -> bool:
         """Record that the prefilter answered ``(r1, r2)``: no edge, exact."""
         key = (r1, r2)
         if key not in self._prefiltered:
             self._prefiltered.add(key)
-            shared = self._shared()
-            if shared is not None:
-                shared.note_prefiltered()
+            self.decisions.note_prefiltered()
         return False
 
     def note_prefiltered(self, n: int) -> None:
         """Count ``n`` pairs a caller ruled out with ``may_fire`` without
         asking (the graph builders' predicate index)."""
-        shared = self._shared()
-        if shared is not None and n:
-            shared.note_prefiltered(n)
+        self.decisions.note_prefiltered(n)
 
     def _rename(self, dep: AnyDependency, suffix: str) -> AnyDependency:
         key = (dep, dep.label, suffix)
@@ -338,19 +288,14 @@ class FiringOracle:
         )
 
     def _probe(
-        self, shared_key: tuple, build: Callable[[], WitnessEngine], method: str
+        self, cache_key: tuple, build: Callable[[], WitnessEngine], method: str
     ) -> FiringDecision:
-        shared = self._shared()
-        if shared is None:
-            engine = build()
-            return getattr(engine, method)()
-
         def compute() -> tuple[FiringDecision, bool]:
             engine = build()
             decision = getattr(engine, method)()
             return decision, _deterministic(decision, engine)
 
-        return shared.decide(shared_key, compute)
+        return self.decisions.decide(cache_key, compute)
 
     def precedes(self, r1: AnyDependency, r2: AnyDependency) -> bool:
         """``r1 ≺ r2``."""
@@ -359,17 +304,15 @@ class FiringOracle:
         shape = pair_shape(r1, r2)
         memo = self._precedes_cache.get(shape)
         if memo is None:
-            shared_key = ("precedes", r1, r2, self.step_variant, self.budget)
+            cache_key = ("precedes", r1, r2, self.step_variant, self.budget)
             decision = self._probe(
-                shared_key, lambda: self._engine(r1, r2, ()), "precedes"
+                cache_key, lambda: self._engine(r1, r2, ()), "precedes"
             )
             self._precedes_cache[shape] = ((r1, r2), decision)
         else:
             pair, decision = memo
             if pair != (r1, r2):
-                shared = self._shared()
-                if shared is not None:
-                    shared.note_shape_hit()
+                self.decisions.note_shape_hit()
         return self._note(decision)
 
     def fires(
@@ -392,11 +335,11 @@ class FiringOracle:
         key = (r1, r2, full_set)
         decision = self._fires_cache.get(key)
         if decision is None:
-            shared_key = (
+            cache_key = (
                 "fires", r1, r2, full_set, self.step_variant, self.budget,
             )
             decision = self._probe(
-                shared_key, lambda: self._engine(r1, r2, fulls), "fires"
+                cache_key, lambda: self._engine(r1, r2, fulls), "fires"
             )
             self._fires_cache[key] = decision
         return self._note(decision)

@@ -34,6 +34,7 @@ large classes — is measured, not hard-coded.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -446,13 +447,17 @@ def resolve_scale(scale: float | str | None = None) -> float:
     environment variable, or the CI-friendly default."""
     if scale is None:
         scale = os.environ.get("REPRO_SCALE", "0.06")
-    if isinstance(scale, str):
-        if scale == "paper":
-            return 1.0
-        scale = float(scale)
-    if not 0 < scale <= 1.0:
-        raise ValueError("scale must be in (0, 1]")
-    return scale
+    if scale == "paper":
+        return 1.0
+    try:
+        value = float(scale)
+    except ValueError:
+        value = math.nan
+    if not 0 < value <= 1.0:
+        raise ValueError(
+            f"corpus scale must be a number in (0, 1] or 'paper', got {scale!r}"
+        )
+    return value
 
 
 def generate_corpus(

@@ -1,6 +1,9 @@
 """White-box tests for Adn∃ internals: coherent bodies, HeadAdn, θ
 matching, Ω(AD) cyclicity, and the EGD chase step over Dµ."""
 
+import gc
+import weakref
+
 from repro.core.adornment import (
     BOUND,
     AdornedRecord,
@@ -11,6 +14,7 @@ from repro.core.adornment import (
     encode_predicate,
 )
 from repro.data import sigma_1
+from repro.firing import DecisionCache
 from repro.generators.corpus import generate_corpus
 from repro.model import TGD, Atom, Variable, parse_dependencies
 from repro.simulation.substitution_free import substitution_free_simulation
@@ -102,6 +106,21 @@ class TestCoherentBodies:
         for body, _ in algo._coherent_bodies(r2, pool):
             # The constant position must be adorned b.
             assert body[0].endswith("b")
+
+    def test_a_finished_run_is_freed_without_the_cyclic_collector(self):
+        # The algorithm's oracles hold the caller's decision cache, so a
+        # reference cycle through the algorithm would keep every decision
+        # (witness instances included) alive after the run.
+        gc.collect()
+        gc.disable()
+        try:
+            algo = AdornmentAlgorithm(sigma_1(), decisions=DecisionCache())
+            algo.run()
+            ref = weakref.ref(algo)
+            del algo
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestHeadAdorn:

@@ -7,14 +7,15 @@ from repro.analysis import (
     ClassifyConfig,
     chase_ground_truth,
     classify,
-    evaluate_ontology,
     render_table1,
     render_table2,
     summarise,
     verify_cases,
 )
+from repro.batch import BatchConfig, evaluate_corpus
 from repro.criteria.base import Guarantee
 from repro.data import sigma_1, sigma_3, sigma_10, witness_cases
+from repro.firing import DecisionCache
 from repro.generators import generate_corpus, random_dependency_set
 
 
@@ -46,6 +47,10 @@ class TestClassify:
     def test_render(self):
         text = str(classify(sigma_1(), criteria=["WA", "SAC"]))
         assert "SAC" in text and "⇒" in text
+
+    def test_isolated_backend_refuses_a_decision_cache(self):
+        with pytest.raises(ValueError, match="isolated"):
+            classify(sigma_1(), backend="isolated", decisions=DecisionCache())
 
 
 class TestParallelPortfolio:
@@ -90,14 +95,18 @@ class TestEvaluationPipeline:
     def setup_method(self):
         self.corpus = generate_corpus(scale=0.03, tests_scale=0.05)
 
-    def test_evaluate_ontology_fields(self):
-        ev = evaluate_ontology(self.corpus[0], chase_steps=600)
+    def test_evaluation_fields(self):
+        (ev,) = evaluate_corpus(
+            self.corpus[:1], BatchConfig(chase_steps=600)
+        ).evaluations()
         assert ev.size == len(self.corpus[0].sigma)
         assert ev.adorned_size >= ev.size  # bridges guarantee growth
         assert ev.ratio >= 1.0
 
     def test_summarise_and_render(self):
-        evs = [evaluate_ontology(o, chase_steps=400) for o in self.corpus[:4]]
+        evs = evaluate_corpus(
+            self.corpus[:4], BatchConfig(chase_steps=400)
+        ).evaluations()
         summaries = summarise(evs)
         assert sum(s.tests for s in summaries.values()) == 4
         table = render_table2(summaries)

@@ -20,7 +20,7 @@ from repro.batch import (
     evaluate_corpus,
     seed_decisions,
 )
-from repro.firing.relations import DecisionCache, shared_firing_cache
+from repro.firing.relations import DecisionCache
 from repro.generators import random_dependency_set
 from repro.generators.corpus import GeneratedOntology
 from repro.generators.metamorphic import rename_predicates, rename_variables
@@ -30,8 +30,7 @@ from repro.io import jsonl_dumps
 def _classify_decisions(sigma) -> DecisionCache:
     """Run the full portfolio over a fresh decision cache and return it."""
     cache = DecisionCache()
-    with shared_firing_cache(cache):
-        classify(sigma)
+    classify(sigma, decisions=cache)
     return cache
 
 
@@ -91,8 +90,7 @@ class TestCodec:
         # The oracle-heavy criteria probe only Σ's own pairs (LS would
         # also probe the adorned set Σα, which is never persisted).
         oracle_criteria = ["Str", "CStr", "SR", "IR", "S-Str"]
-        with shared_firing_cache(warmed):
-            report = classify(twin, criteria=oracle_criteria)
+        report = classify(twin, criteria=oracle_criteria, decisions=warmed)
         stats = warmed.stats()
         assert stats["misses"] == 0, "a warm-started twin re-probed an edge"
         # And the verdicts match the original's (metamorphic invariance).

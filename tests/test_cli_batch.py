@@ -204,6 +204,19 @@ class TestArgumentValidation:
     def test_rejects_out_of_range_numbers(self, deps_files, capsys, args):
         assert_input_error(capsys, main(["batch", *deps_files, *args]), args[0])
 
+    @pytest.mark.parametrize("args, fragment", [
+        (["--corpus-scale", "-1"], "corpus scale"),
+        (["--corpus-scale", "abc"], "corpus scale"),
+        (["--corpus-scale", "2"], "corpus scale"),
+        (["--corpus-classes", "BOGUS"], "BOGUS"),
+        (["--corpus-tests-scale", "nan"], "--corpus-tests-scale"),
+        (["--corpus-tests-scale", "-1"], "--corpus-tests-scale"),
+        (["--corpus-tests-scale", "0"], "--corpus-tests-scale"),
+    ])
+    def test_rejects_bad_corpus_arguments(self, capsys, args, fragment):
+        code = main(["batch", "--corpus", *args])
+        assert_input_error(capsys, code, fragment)
+
     def test_corpus_flag_smoke(self, capsys):
         assert main([
             "batch", "--corpus", "--corpus-scale", "0.03",

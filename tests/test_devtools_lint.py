@@ -600,16 +600,21 @@ class TestCli:
         assert code == 1
         assert "budget-loop" in capsys.readouterr().out
 
-    def test_exit_two_on_bad_baseline(self, tmp_path, capsys):
+    def test_exit_three_on_bad_baseline(self, tmp_path, capsys):
         (tmp_path / "lint-baseline.json").write_text("{\"version\": 99}")
         (tmp_path / "src").mkdir()
         code = main(["lint", "--root", str(tmp_path), "src"])
-        assert code == 2
-        assert "bad baseline" in capsys.readouterr().err
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: bad baseline")
+        assert err.count("\n") == 1
 
-    def test_exit_two_on_missing_path(self, tmp_path, capsys):
+    def test_exit_three_on_missing_path(self, tmp_path, capsys):
         code = main(["lint", "--root", str(tmp_path), "nowhere"])
-        assert code == 2
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "nowhere" in err
+        assert err.count("\n") == 1
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0

@@ -32,8 +32,8 @@ from repro.firing import (
     decide_precedes,
     firing_graph,
     oblivious_chase_graph,
-    shared_firing_cache,
 )
+from repro.firing.relations import DecisionCache
 from repro.firing.witness import may_fire
 from repro.generators import generate_corpus
 from repro.model import EGD, TGD, parse_dependencies, parse_dependency
@@ -121,8 +121,8 @@ def test_firing_graph_builds_one_engine_per_candidate_pair(monkeypatch):
 def test_oracle_counts_prefiltered_pairs():
     sigma = _corpus_program()
     candidates = sum(1 for r1 in sigma for r2 in sigma if may_fire(r1, r2))
-    with shared_firing_cache() as cache:
-        firing_graph(sigma)
+    cache = DecisionCache()
+    firing_graph(sigma, FiringOracle(sigma, decisions=cache))
     stats = cache.stats()
     assert stats["prefiltered"] == len(sigma) ** 2 - candidates
     assert stats["hits"] + stats["misses"] == candidates
@@ -130,10 +130,10 @@ def test_oracle_counts_prefiltered_pairs():
     # a repeat of it counts once per oracle.
     r1 = next(r for r in sigma if r.is_tgd)
     r2 = next(r for r in sigma if not may_fire(r1, r))
-    with shared_firing_cache() as cache:
-        oracle = FiringOracle(sigma)
-        assert not oracle.fires(r1, r2)
-        assert not oracle.precedes(r1, r2)
+    cache = DecisionCache()
+    oracle = FiringOracle(sigma, decisions=cache)
+    assert not oracle.fires(r1, r2)
+    assert not oracle.precedes(r1, r2)
     assert len(cache) == 0
     assert cache.stats()["prefiltered"] == 1
     assert not oracle.ever_inexact

@@ -17,12 +17,7 @@ from repro.core.adornment import ac_rewriting
 from repro.data.witnesses import witness_cases
 from repro.firing import relations
 from repro.firing.graphs import _candidate_pairs, chase_graph
-from repro.firing.relations import (
-    FiringOracle,
-    no_firing_cache,
-    pair_shape,
-    shared_firing_cache,
-)
+from repro.firing.relations import DecisionCache, FiringOracle, pair_shape
 from repro.firing.witness import WitnessEngine, decide_precedes
 from repro.generators.corpus import generate_corpus
 from repro.generators.random_deps import random_dependency_set
@@ -58,11 +53,10 @@ def assert_memo_matches_per_pair(sigma: DependencySet, variant: str) -> int:
     """Every memoised edge equals a fresh per-pair decision; returns the
     number of pairs answered from a shape twin."""
     oracle = FiringOracle(sigma, step_variant=variant)
-    with no_firing_cache():
-        pairs = _candidate_pairs(sigma, oracle)
-        for r1, r2 in pairs:
-            want = decide_precedes(r1, r2, variant, oracle.budget)
-            assert oracle.precedes(r1, r2) == want.edge, (str(r1), str(r2))
+    pairs = _candidate_pairs(sigma, oracle)
+    for r1, r2 in pairs:
+        want = decide_precedes(r1, r2, variant, oracle.budget)
+        assert oracle.precedes(r1, r2) == want.edge, (str(r1), str(r2))
     return len(pairs) - len(oracle._precedes_cache)
 
 
@@ -99,9 +93,8 @@ def test_one_engine_per_distinct_shape(classify_adorned, monkeypatch):
     for sigma in classify_adorned.values():
         built.clear()
         oracle = FiringOracle(sigma, step_variant="oblivious")
-        with no_firing_cache():
-            pairs = _candidate_pairs(sigma, oracle)
-            chase_graph(sigma, oracle)
+        pairs = _candidate_pairs(sigma, oracle)
+        chase_graph(sigma, oracle)
         shapes = {pair_shape(r1, r2) for r1, r2 in pairs}
         assert len(built) == len(shapes)
         assert {pair_shape(r1, r2) for r1, r2 in built} == shapes
@@ -110,8 +103,10 @@ def test_one_engine_per_distinct_shape(classify_adorned, monkeypatch):
 def test_shared_cache_counts_shape_hits(classify_adorned):
     sigma = classify_adorned["E101-1000/G1-10#3"]
     pairs = _candidate_pairs(sigma, FiringOracle(sigma))
-    with shared_firing_cache() as cache:
-        chase_graph(sigma, FiringOracle(sigma, step_variant="oblivious"))
+    cache = DecisionCache()
+    chase_graph(
+        sigma, FiringOracle(sigma, step_variant="oblivious", decisions=cache)
+    )
     stats = cache.stats()
     shapes = {pair_shape(r1, r2) for r1, r2 in pairs}
     # The first pair of each shape reaches the shared cache; the rest are
@@ -180,9 +175,8 @@ class TestShapeKeepsWhatTheDecisionReads:
         )
         r1, r2, r3 = sigma
         oracle = FiringOracle(sigma)
-        with no_firing_cache():
-            assert oracle.precedes(r1, r2)
-            assert not oracle.precedes(r1, r3)
+        assert oracle.precedes(r1, r2)
+        assert not oracle.precedes(r1, r3)
         assert not decide_precedes(r1, r3).edge
 
     def test_twin_pair_answered_without_an_engine(self, monkeypatch):
@@ -192,7 +186,6 @@ class TestShapeKeepsWhatTheDecisionReads:
         )
         r1, r2, r3, r4 = sigma
         oracle = FiringOracle(sigma)
-        with no_firing_cache():
-            assert oracle.precedes(r1, r2)
-            monkeypatch.setattr(relations, "WitnessEngine", None)
-            assert oracle.precedes(r3, r4)
+        assert oracle.precedes(r1, r2)
+        monkeypatch.setattr(relations, "WitnessEngine", None)
+        assert oracle.precedes(r3, r4)
