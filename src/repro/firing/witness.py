@@ -169,6 +169,22 @@ def may_fire(r1: AnyDependency, r2: AnyDependency) -> bool:
 # -- the engine ------------------------------------------------------------------
 
 
+@dataclass
+class _Freeze:
+    """One variable freeze of Body(r1): what every h2 candidate under it
+    shares.  ``K`` holds exactly the frozen body ``K0`` between
+    candidates (each candidate's mutations are rolled back), and
+    ``known`` is ``frozenset(K0)``."""
+
+    K: ColumnarInstance
+    K0: list[Atom]
+    known: frozenset[Atom]
+    new_atoms: list[Atom]
+    gamma: tuple[Term, Term] | None
+    h1: dict
+    supply: _TermSupply
+
+
 class WitnessEngine:
     """Decides firing-relation edges for one pair of dependencies."""
 
@@ -295,30 +311,23 @@ class WitnessEngine:
 
         # Materialise the frozen body once per freeze and scope every
         # candidate mutation below it under a savepoint.
-        Kbase = ColumnarInstance(K0)
-        yield from self._enumerate_h2(
-            Kbase, K0, new_atoms, gamma, h1, supply, check_defusal
+        freeze = _Freeze(
+            ColumnarInstance(K0), K0, frozenset(K0), new_atoms, gamma, h1, supply
         )
+        yield from self._enumerate_h2(freeze, check_defusal)
 
     def _enumerate_h2(
-        self,
-        Kbase: ColumnarInstance,
-        K0: list[Atom],
-        new_atoms: list[Atom],
-        gamma: tuple[Term, Term] | None,
-        h1: dict,
-        supply: _TermSupply,
-        check_defusal: bool,
+        self, fz: _Freeze, check_defusal: bool
     ) -> Iterator[tuple[Witness | None, bool]]:
         """Enumerate mappings of Body(r2) into J = (K ∪ extras)γ ∪ New."""
         # J0 is its own instance, loaded once per call: the h2 enumeration
-        # below stays live while _complete_with_bound mutates Kbase under
-        # savepoints, so it must not be an overlay of Kbase (DESIGN.md §5).
-        if gamma is None:
-            J0 = ColumnarInstance(K0 + new_atoms)
+        # below stays live while _complete_with_bound mutates fz.K under
+        # savepoints, so it must not be an overlay of fz.K (DESIGN.md §5).
+        if fz.gamma is None:
+            J0 = ColumnarInstance(fz.K0 + fz.new_atoms)
         else:
-            old, new = gamma
-            J0 = ColumnarInstance(a.apply({old: new}) for a in K0)
+            old, new = fz.gamma
+            J0 = ColumnarInstance(a.apply({old: new}) for a in fz.K0)
         b2 = list(self.r2.body)
         n = len(b2)
         # Choose, per body atom of r2, whether it maps into J0 or becomes a
@@ -331,24 +340,29 @@ class WitnessEngine:
             for g in find_homomorphisms(matched, J0, limit=None):
                 if not self.budget.charge():
                     return
+                # A TGD r1's free atoms enter K as their own preimages, so
+                # when every matched image already lies in K0 no
+                # completion of g can be new (DESIGN.md §6, step 5).
+                doomed = fz.gamma is None and all(
+                    a.apply(g) in fz.known for a in matched
+                )
                 yield from self._complete_witness(
-                    Kbase, K0, new_atoms, gamma, h1, dict(g), free, supply,
-                    check_defusal,
+                    fz, dict(g), free, check_defusal, doomed
                 )
 
     def _complete_witness(
         self,
-        Kbase: ColumnarInstance,
-        K0: list[Atom],
-        new_atoms: list[Atom],
-        gamma: tuple[Term, Term] | None,
-        h1: dict,
+        fz: _Freeze,
         h2: dict,
         free: list[Atom],
-        supply: _TermSupply,
         check_defusal: bool,
+        doomed: bool,
     ) -> Iterator[tuple[Witness | None, bool]]:
-        """Instantiate free atoms, build concrete K and J, run the checks."""
+        """Instantiate free atoms, build concrete K and J, run the checks.
+
+        A ``doomed`` h2 only draws its fresh nulls and charges what its
+        rejected candidates would have charged.
+        """
         unbound = sorted(
             {v for a in free for v in a.variables() if v not in h2},
             key=lambda v: v.name,
@@ -358,37 +372,48 @@ class WitnessEngine:
             # witness term (e.g. the EGD merge survivor — needed when the
             # new match owes its existence to the merge, as in
             # "E(x,y) → x=y fires M(w) → ...": K = {E(a,η), M(η)}).
-            if gamma is None:
-                pool = sorted({t for a in K0 for t in a.args}, key=str)
+            if fz.gamma is None:
+                pool = sorted({t for a in fz.K0 for t in a.args}, key=str)
             else:
-                pool = sorted({t for a in K0 for t in a.args if t is not gamma[0]}, key=str)
-            choices = [[supply.null()] + pool for _ in unbound]
+                eliminated = fz.gamma[0]
+                pool = sorted(
+                    {t for a in fz.K0 for t in a.args if t is not eliminated},
+                    key=str,
+                )
+            choices = [[fz.supply.null()] + pool for _ in unbound]
             if len(unbound) > 3:
-                choices = [[supply.null()] for _ in unbound]  # cap blow-up
+                choices = [[fz.supply.null()] for _ in unbound]  # cap blow-up
             for combo in itertools.product(*choices):
                 if not self.budget.charge():
                     return
+                if doomed:
+                    self._charge_rejected()
+                    continue
                 h2c = dict(h2)
                 for v, t in zip(unbound, combo):
                     h2c[v] = t
-                yield from self._complete_with_bound(
-                    Kbase, new_atoms, gamma, h1, h2c, free, check_defusal
-                )
+                yield from self._complete_with_bound(fz, h2c, free, check_defusal)
             return
-        yield from self._complete_with_bound(
-            Kbase, new_atoms, gamma, h1, dict(h2), free, check_defusal
-        )
+        if doomed:
+            self._charge_rejected()
+            return
+        yield from self._complete_with_bound(fz, dict(h2), free, check_defusal)
+
+    def _charge_rejected(self) -> None:
+        """Charge what :meth:`_complete_with_bound` charges for a candidate
+        that fails newness: one step for the candidate, one for the J
+        checks it would have run."""
+        if self.budget.charge():
+            self.budget.charge()
 
     def _complete_with_bound(
         self,
-        K: ColumnarInstance,
-        new_atoms: list[Atom],
-        gamma: tuple[Term, Term] | None,
-        h1: dict,
+        fz: _Freeze,
         h2: dict,
         free: list[Atom],
         check_defusal: bool,
     ) -> Iterator[tuple[Witness | None, bool]]:
+        K, gamma = fz.K, fz.gamma
         free_images = [a.apply(h2) for a in free]
 
         # Preimage patterns: for an EGD r1, a free atom may pre-exist in K
@@ -414,36 +439,42 @@ class WitnessEngine:
                 per_atom.append(options)
             preimage_choices = [list(c) for c in itertools.product(*per_atom)]
 
+        inst_body = [a.apply(h2) for a in self.r2.body]
         for preimages in preimage_choices:
             if not self.budget.charge():
                 return
+            # Newness first: K holds exactly K0 here, and the candidate's
+            # K is K0 ∪ preimages.  If that already contains h2(Body(r2)),
+            # (i) or (iii) fails whatever J holds, so reject it without
+            # touching K, charging the J checks as if they had run.
+            if all(a in fz.known or a in preimages for a in inst_body):
+                self.budget.charge()
+                continue
             sp = K.savepoint()
             try:
                 K.add_all(preimages)
                 # Build J as an overlay on K under a nested savepoint.
                 spJ = K.savepoint()
                 if gamma is None:
-                    K.add_all(new_atoms)
+                    K.add_all(fz.new_atoms)
                 else:
                     K.merge_terms(gamma[0], gamma[1])
                 J = K
                 # Free images must actually be present in J (preimages
                 # merge into them); guaranteed by construction, asserted
                 # cheaply.
-                inst_body: list[Atom] | None = None
                 ok = all(img in J for img in free_images)
                 if ok:
                     if not self.budget.charge():
                         ok = False
                     else:
-                        inst_body = [a.apply(h2) for a in self.r2.body]
                         ok = self._witness_checks_J(J, inst_body, h2)
                 K.rollback(spJ)
-                if not ok or inst_body is None:
+                if not ok:
                     continue
-                if not self._witness_checks_K(K, inst_body, h1):
+                if not self._witness_checks_K(K, inst_body, fz.h1):
                     continue
-                witness = self._materialize(K, new_atoms, gamma, h1, h2)
+                witness = self._materialize(K, fz.new_atoms, gamma, fz.h1, h2)
                 if not check_defusal:
                     yield witness, False
                     return
