@@ -8,7 +8,7 @@ from repro.firing.witness import (
 from repro.matching import BACKENDS, using_backend
 from repro.matching import naive
 from repro.model import parse_dependency
-from repro.model.dependencies import EGD
+from repro.model.dependencies import EGD, TGD
 from repro.model.terms import Null
 
 
@@ -111,10 +111,53 @@ class TestWitnessReplay:
     """Every witness the engine returns satisfies the firing relation's
     definition, re-checked here with the naive matcher over plain fact
     sets: ``K --(r1, h1)--> J`` is a chase step (ii), ``h2(Body(r2))`` is
-    new in ``J`` (i, by newness) and ``J`` violates ``h2(r2)`` (iii).
-    Decisions run under both matching backends, so witness instances are
-    columnar and plain ``Instance``s in turn.
+    new in ``J`` (i, by newness) and ``J`` violates ``h2(r2)`` (iii).  A
+    ``<`` witness for an existential ``r2`` also has no defuser (iv).
+    Decisions run under both matching backends (compiled plans and the
+    naive matcher); the witness instances are ``ColumnarInstance``s
+    either way and are replayed as frozensets of their facts.
     """
+
+    @staticmethod
+    def _satisfied(facts, r2, h2):
+        """``facts ⊨ h2(r2)``, vacuously when ``h2(Body(r2)) ⊄ facts``."""
+        if not {a.apply(h2) for a in r2.body} <= facts:
+            return True
+        if isinstance(r2, EGD):
+            return h2[r2.lhs] is h2[r2.rhs]
+        seed = {v: h2[v] for v in r2.frontier()}
+        return bool(list(naive.match(
+            r2.head, facts, seed=seed, frozen_nulls=True, limit=1
+        )))
+
+    @classmethod
+    def _replay_defusal(cls, w, fulls):
+        """(iv): no full dependency has a standard chase step on ``K``
+        whose result satisfies ``h2(r2)``.  An EGD step's substitution
+        direction is taken per homomorphism: the witness survives it if
+        some realisable direction leaves ``h2(r2)`` violated, and a step
+        equating two constants fails, which defuses (Example 11)."""
+        r2 = w.r2.rename_variables("2")
+        K = frozenset(w.K)
+        for r3 in fulls:
+            for h3 in naive.match(r3.body, K, limit=None):
+                if isinstance(r3, TGD):
+                    head = {a.apply(h3) for a in r3.head}
+                    if head <= K:
+                        continue  # not applicable
+                    assert not cls._satisfied(K | head, r2, w.h2), (r3, h3)
+                    continue
+                t1, t2 = h3[r3.lhs], h3[r3.rhs]
+                if t1 is t2:
+                    continue
+                results = [
+                    frozenset(a.apply({old: new}) for a in K)
+                    for old, new in ((t1, t2), (t2, t1))
+                    if isinstance(old, Null)
+                ]
+                assert any(
+                    not cls._satisfied(J2, r2, w.h2) for J2 in results
+                ), (r3, h3)
 
     @staticmethod
     def _replay(decision, variant):
@@ -182,6 +225,29 @@ class TestWitnessReplay:
                                     witnesses += 1
         assert witnesses > 100
 
+    def test_defusal_replay_on_random_programs(self):
+        # Condition (iv) of every standard ``<`` witness with an
+        # existential r2, over every pair of the first 60 random programs.
+        from repro.generators.random_deps import random_dependency_set
+
+        checked = 0
+        for backend in BACKENDS:
+            with using_backend(backend):
+                for seed in range(60):
+                    sigma = list(random_dependency_set(seed))
+                    fulls = [d for d in sigma if d.is_full]
+                    for r1 in sigma:
+                        for r2 in sigma:
+                            if not r2.is_existential:
+                                continue
+                            d = WitnessEngine(
+                                r1, r2, tuple(fulls), "standard", 50_000
+                            ).fires()
+                            if d.witness is not None:
+                                self._replay_defusal(d.witness, fulls)
+                                checked += 1
+        assert checked > 100
+
     def test_defusal_saturation_witness_replays(self):
         # A pair whose witness only survives after the full-TGD defuser is
         # saturated away — exercises the savepoint-scoped defuser probes.
@@ -193,6 +259,7 @@ class TestWitnessReplay:
                 decision = WitnessEngine(r1, r2, (full,)).fires()
                 assert decision.edge and decision.exact
                 self._replay(decision, "standard")
+                self._replay_defusal(decision.witness, (full,))
 
     def test_exhausted_budget_is_inexact_under_both_backends(self):
         # A tiny budget exhausts mid-search: the engine stops and reports
