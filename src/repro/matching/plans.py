@@ -523,6 +523,10 @@ def _codegen_columnar(plan: _Plan, emit: tuple[Term, ...] | None) -> Callable:
 
     mark = len(src)
     emit_step(0, " ", False)
+    # The three emitters call each other through closure cells; emptying
+    # the cells frees them by reference counting instead of leaving a
+    # cycle per compiled plan to the cyclic collector.
+    del emit_tail, emit_scalar_loop, emit_step
     src[mark:mark] = inner_defs
     ns: dict = {"len": len, "_K": _kernels}
     for j, (t, _) in enumerate(plan.out_pairs):

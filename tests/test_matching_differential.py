@@ -207,6 +207,44 @@ def test_long_bodies_chain_generated_functions():
         assert_same_hom_sets(path, inst, f"hub {length}", seed={xs[0]: hub})
 
 
+def test_codegen_leaves_no_reference_cycles():
+    """Compiling a plan frees its code emitters by reference counting:
+    with the cyclic collector off, nothing of ``_codegen_columnar`` is
+    left for it to find."""
+    import gc
+    import types
+
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    body = [Atom("GcProbe", (x, y)), Atom("GcProbe", (y, z))]
+    inst = ColumnarInstance([Atom("GcProbe", (Constant("a"), Constant("b")))])
+
+    def from_codegen(obj) -> bool:
+        if isinstance(obj, types.CellType):
+            try:
+                obj = obj.cell_contents
+            except ValueError:  # an emptied cell
+                return False
+        return isinstance(obj, types.FunctionType) and obj.__qualname__.startswith(
+            "_codegen_columnar."
+        )
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        plan_engine.clear_cache()
+        assert list(plan_engine.match(body, inst)) == []
+        gc.collect()
+        leaked = [o for o in gc.garbage if from_codegen(o)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert not leaked
+
+
 # -- chase differential -------------------------------------------------------
 
 
