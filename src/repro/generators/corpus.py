@@ -487,7 +487,11 @@ def generate_corpus(
     if os.environ.get("REPRO_SCALE") == "paper" and scale is None:
         max_size = None
     scale = resolve_scale(scale)
-    tests_scale = 1.0 if tests_scale is None else tests_scale
+    tests_scale = 1.0 if tests_scale is None else float(tests_scale)
+    if not (math.isfinite(tests_scale) and tests_scale > 0):
+        raise ValueError(
+            f"corpus tests_scale must be a finite number > 0, got {tests_scale!r}"
+        )
     if classes is not None:
         known = {c["name"] for c in TABLE2A_CLASSES}
         unknown = set(classes) - known

@@ -47,6 +47,16 @@ class TestCorpusStructure:
         with pytest.raises(ValueError):
             resolve_scale(3.0)
 
+    def test_tests_scale_must_be_finite_and_positive(self):
+        import pytest
+
+        for bad in (-1, 0, 0.0, float("nan"), float("inf"), "abc"):
+            with pytest.raises(ValueError):
+                generate_corpus(scale=0.03, tests_scale=bad)
+        # A tiny positive scale still draws one program per class.
+        corpus = generate_corpus(scale=0.03, tests_scale=1e-9)
+        assert len(corpus) == len(TABLE2A_CLASSES)
+
 
 class TestCharacterGroundTruth:
     """The cycle motifs must actually produce their termination character
