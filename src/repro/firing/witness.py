@@ -21,7 +21,12 @@ practice witness search over canonical instances:
   head atoms / the EGD merge do not provide;
 * condition (i) reduces to *newness* — at least one atom of
   ``h2(Body(r2))`` must be absent from ``K`` (if all body atoms pre-exist,
-  either (i) or (iii) necessarily fails; see the derivation in DESIGN.md);
+  either (i) or (iii) necessarily fails; DESIGN.md §6 *Pair enumeration*,
+  step 5, gives the derivation).  Newness is decided first, from plain
+  atom sets: a candidate's ``K`` is the frozen body ``K0`` plus its
+  preimages, so one whose ``h2(Body(r2))`` lies in that union is rejected
+  before ``K`` or ``J`` is built, and for a TGD ``r1`` an ``h2`` whose
+  matched atoms all land in ``K0`` is rejected with every completion;
 * for (iv), minimal witnesses are *saturated*: every applicable-and-
   defusing full TGD's head is added to K (the only way to neutralise it),
   re-checking (i)–(iii) after each addition; EGD defusers can be
@@ -44,11 +49,14 @@ analysis scope, so a criterion-level deadline or cancellation cuts the
 witness search off mid-pair.
 
 State management is transactional: the candidate instance ``K`` is
-built once per variable-freeze and every enumerated candidate — the
-preimage pattern, the ``J`` overlay, each defuser's probe instance — is a
-savepoint-scoped mutation rolled back in O(changes), instead of a
+built once per variable-freeze and every candidate that passes newness —
+the preimage pattern, the ``J`` overlay, each defuser's probe instance —
+is a savepoint-scoped mutation rolled back in O(changes), instead of a
 per-candidate rebuild or fork.  Only a witness that is returned gets
-detached copies of ``K`` and ``J``.
+detached copies of ``K`` and ``J``.  A candidate rejected by newness
+still draws its fresh nulls and charges the budget the steps its full
+checks would have charged, so decisions, witnesses and step counts are
+the same as if every candidate had been built.
 """
 
 from __future__ import annotations
