@@ -138,15 +138,6 @@ def no_scale_override(monkeypatch):
     monkeypatch.delenv("REPRO_SCALE", raising=False)
 
 
-def test_dump_round_trips():
-    data = {
-        "fields": list(FIELDS),
-        "runs": list(RUNS),
-        "programs": {"p": {"0>1": [[True, True, 3, None]] * 3}, "q": {}},
-    }
-    assert json.loads(dump(data)) == data
-
-
 def test_witness_engines_match_golden(no_scale_override):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert want["fields"] == list(FIELDS) and want["runs"] == list(RUNS)
