@@ -557,7 +557,7 @@ def explore_chase(
             live = [f for f in child.added_since(tick) if f in child]
             carried.extend(
                 (Trigger.make(dep, h), False)
-                for dep, h in delta_homomorphisms(body_index, child, live)
+                for dep, h in delta_homomorphisms(body_index, child, tick)
             )
             return child, child_fired, frame.depth + 1, carried, live
         return child, child_fired, frame.depth + 1, initial_candidates(child), []

@@ -26,9 +26,8 @@ discovery") states and proves the invariant that replaces it:
 **Lid rows.**  The runner works on the family-local term ids (lids) of
 the :class:`~repro.model.columnar.ColumnarInstance` it owns.  A trigger
 is a row ``(dependency index, lids)`` — the images of the body variables
-in name order — which the columnar matcher emits directly
-(:func:`~repro.matching.plans.delta_row_homomorphisms` with
-``lid_rows``).  The seen set, the (semi-)oblivious fired keys and the
+in name order — which semi-naive discovery emits directly
+(:func:`~repro.matching.delta_homomorphisms` with ``lid_rows``).  The seen set, the (semi-)oblivious fired keys and the
 EGD-merge rewriting (old lid → new lid) all work on these int tuples.
 The standard chase's head-extension test runs each TGD's head plan —
 bound once per run, frontier seeded, nulls frozen — on the frontier's
@@ -43,12 +42,12 @@ the rows (``.dependency``, plus ``.assignment`` on demand).
 dependency index in Σ, then the ``repr`` strings of the images (a per-lid
 cache that grows with the term table).  A run's step sequence therefore
 depends only on the *set* of homomorphisms each discovery finds.  The
-naive reference backend (``engine="naive"``) runs the same loop: its
-dict homomorphisms are lowered to lid rows, and the head test goes
-through :func:`repro.matching.naive.match` — only those two matching
-calls differ — so both backends drive byte-identical chase runs, which
-the differential suites and the golden step sequences
-(``tests/golden/chase_sequences.json``) hold them to.
+runner never asks which matcher is active: its two matching calls —
+delta discovery and the head plan — answer under the ambient backend
+(``using_backend("naive")`` selects the reference), so both backends
+drive byte-identical chase runs, which the differential suites and the
+golden step sequences (``tests/golden/chase_sequences.json``) hold them
+to.
 
 Variant-specific applicability (Section 2):
 
@@ -65,16 +64,7 @@ from typing import Iterable, Mapping
 
 from ..budget import Budget
 from ..homomorphism.finder import find_homomorphisms
-from ..matching import (
-    BoundPlan,
-    body_atom_index,
-    delta_homomorphisms,
-    delta_row_homomorphisms,
-    get_backend,
-    lid_getter,
-    using_backend,
-)
-from ..matching import naive as _naive
+from ..matching import BoundPlan, body_atom_index, delta_homomorphisms, lid_getter
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.dependencies import EGD, TGD, AnyDependency, DependencySet
@@ -119,7 +109,7 @@ class _Rule:
     """
 
     __slots__ = (
-        "dep", "variables", "is_egd", "lhs", "rhs", "key", "frontier",
+        "dep", "variables", "is_egd", "lhs", "rhs", "key",
         "head_plan", "head_seed", "extras", "templates",
     )
 
@@ -132,7 +122,6 @@ class _Rule:
         if isinstance(dep, EGD):
             self.lhs, self.rhs = pos[dep.lhs], pos[dep.rhs]
             return
-        self.frontier = tuple((v, pos[v]) for v in dep.frontier())
         self.head_plan = BoundPlan(dep.head, dep.frontier(), True, ())
         self.head_seed = lid_getter([pos[v] for v in self.head_plan.seed_terms])
         existential = {z: k for k, z in enumerate(dep.existential)}
@@ -165,8 +154,6 @@ class ChaseRunner:
         variant: str = "standard",
         strategy: Strategy | str = "fifo",
         max_steps: int = 10_000,
-        copy_database: bool = True,
-        engine: str | None = None,
         check_exhaustive: bool = False,
         budget: Budget | None = None,
     ) -> None:
@@ -179,16 +166,14 @@ class ChaseRunner:
         # The step cap is one dimension of the run budget; an explicit
         # budget adds fact/wall-clock bounds and cancellation on top.
         self.budget = budget if budget is not None else Budget()
-        self.engine = engine
         self.check_exhaustive = check_exhaustive
         # ``copy()`` is an O(predicates) copy-on-write fork.
-        self.instance = database.copy() if copy_database else database
+        self.instance = database.copy()
         start = max((n.label for n in self.instance.nulls()), default=0) + 1
         self.nulls = NullFactory(start=start)
         self.steps: list[StepOutcome] = []
         self._rules = [_Rule(d, variant) for d in sigma]
         self._standard = variant == "standard"
-        self._naive = False  # set per run from the active backend
         self._pending: list[PendingTrigger] = []
         self._seen: set[Row] = set()
         self._fired_keys: set[Row] = set()
@@ -251,31 +236,9 @@ class ChaseRunner:
         """Semi-naive discovery: join the delta-log facts added since the
         last call against the bodies mentioning their predicates."""
         inst = self.instance
-        if self._naive:
-            # The naive oracle's path: materialised delta facts, re-checked
-            # for membership (a merge may have rewritten them away since),
-            # and its dict homomorphisms lowered to rows.
-            delta = inst.added_since(self._tick)
-            self._tick = inst.tick
-            live = [f for f in delta if f in inst]
-            if live:
-                self._push_batch(
-                    self._lower(i, h)
-                    for i, h in delta_homomorphisms(self._body_index, inst, live)
-                )
-            return
-        # Row-handle path: no Atom is materialised for discovery; dead rows
-        # (discarded or merge-rewritten since being logged) are filtered
-        # by liveness, and the matcher emits trigger rows directly.
-        handles = inst.added_rows_since(self._tick)
+        rows = delta_homomorphisms(self._body_index, inst, self._tick, lid_rows=True)
         self._tick = inst.tick
-        live_rows = [hd for hd in handles if inst.row_live(hd)]
-        if live_rows:
-            self._push_batch(
-                delta_row_homomorphisms(
-                    self._body_index, inst, live_rows, lid_rows=True
-                )
-            )
+        self._push_batch(rows)
 
     # -- applicability -------------------------------------------------------
 
@@ -293,13 +256,7 @@ class ChaseRunner:
 
     def _head_holds(self, rule: _Rule, lids: tuple[int, ...]) -> bool:
         """Does the trigger's frontier image extend to the TGD's head?"""
-        inst = self.instance
-        if self._naive:
-            terms = self._terms
-            seed = {v: terms[lids[p]] for v, p in rule.frontier}
-            found = _naive.match(rule.dep.head, inst, seed, True, limit=1)
-            return next(found, None) is not None
-        extensions = rule.head_plan.run(inst, rule.head_seed(lids))
+        extensions = rule.head_plan.run(self.instance, rule.head_seed(lids))
         return next(extensions, None) is not None
 
     # -- steps and merges -----------------------------------------------------
@@ -364,13 +321,6 @@ class ChaseRunner:
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> ChaseResult:
-        if self.engine is None:  # inherit the ambient matching backend
-            return self._run()
-        with using_backend(self.engine):
-            return self._run()
-
-    def _run(self) -> ChaseResult:
-        self._naive = get_backend() == "naive"
         self._discover_initial()
         self._tick = self.instance.tick
         facts_seen = len(self.instance)
@@ -444,24 +394,20 @@ def run_chase(
     variant: str = "standard",
     strategy: Strategy | str = "fifo",
     max_steps: int = 10_000,
-    engine: str | None = None,
     budget: Budget | None = None,
 ) -> ChaseResult:
     """Run one chase sequence of ``database`` with ``sigma``.
 
     ``variant`` is one of ``standard``, ``oblivious``, ``semi_oblivious``;
     ``strategy`` resolves the nondeterministic choice among applicable
-    steps; ``engine`` selects the matching backend (``columnar`` or the
-    ``naive`` reference), or inherits the ambient backend when None —
-    ``using_backend(...)`` around this call is honoured; both run over a
-    copy-on-write fork of ``database``.  ``budget``
+    steps.  The run works on a copy-on-write fork of ``database`` and
+    matches under the ambient backend (``using_backend("naive")`` around
+    this call selects the reference matcher).  ``budget``
     adds fact/wall-clock bounds and cancellation on top of ``max_steps``;
     exhaustion yields ``EXCEEDED`` with ``result.exhausted`` set — in
     either case only when some step is still applicable (a chase that
     halts exactly at a cap is ``SUCCESS``/``FAILURE``).  The input
     database is not modified.
     """
-    runner = ChaseRunner(
-        database, sigma, variant, strategy, max_steps, engine=engine, budget=budget
-    )
+    runner = ChaseRunner(database, sigma, variant, strategy, max_steps, budget=budget)
     return runner.run()

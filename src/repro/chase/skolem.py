@@ -19,12 +19,7 @@ from typing import Iterable
 
 from ..budget import Budget, BudgetExhausted
 from ..homomorphism.finder import find_homomorphisms
-from ..matching import (
-    body_atom_index,
-    delta_homomorphisms,
-    delta_row_homomorphisms,
-    get_backend,
-)
+from ..matching import body_atom_index, delta_homomorphisms
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.dependencies import TGD, DependencySet
@@ -155,7 +150,7 @@ def saturate(
     database: ColumnarInstance,
     rules: Iterable[SkolemisedTGD],
     stop_on_cyclic: bool = True,
-    max_facts: int = 200_000,
+    max_facts: int | None = 200_000,
     max_rounds: int = 10_000,
     budget: Budget | None = None,
 ) -> SaturationResult:
@@ -170,13 +165,16 @@ def saturate(
 
     Stops early when a cyclic term is produced (MFA's alarm) if
     ``stop_on_cyclic``; gives up (``saturated=False``) past the
-    ``max_facts``/``max_rounds`` caps or when the ``budget`` — which adds
-    wall-clock bounds and cancellation, and is charged one step per derived
-    fact — exhausts mid-round.
+    ``max_facts`` (None: uncapped) or ``max_rounds`` caps, or when the
+    ``budget`` — which adds wall-clock bounds and cancellation, and is
+    charged one step per body homomorphism — exhausts mid-round.
+
+    A rule is anything with a ``source`` TGD and a ``head_facts(h)``
+    method: :class:`SkolemisedTGD` here, MSA's summarised rules in
+    :mod:`repro.criteria.mfa`.
     """
     budget = budget if budget is not None else Budget()
     instance = database.copy()
-    naive = get_backend() == "naive"
     rules = list(rules)
     body_index = body_atom_index((rule, rule.source.body) for rule in rules)
     rounds = 0
@@ -190,16 +188,8 @@ def saturate(
                 for rule in rules
                 for h in find_homomorphisms(rule.source.body, instance, limit=None)
             )
-        elif naive:
-            homs = delta_homomorphisms(
-                body_index, instance, instance.added_since(tick)
-            )
         else:
-            # Saturation only ever adds facts, so every logged row is
-            # live — the handles seed discovery with no Atom built.
-            homs = delta_row_homomorphisms(
-                body_index, instance, instance.added_rows_since(tick)
-            )
+            homs = delta_homomorphisms(body_index, instance, tick)
         new_facts: list[Atom] = []
         pending: set[Atom] = set()
         for rule, h in homs:
@@ -225,7 +215,7 @@ def saturate(
             return SaturationResult(instance, True, None, rounds)
         if not budget.charge_facts(added):
             return SaturationResult(instance, False, None, rounds, budget.exhausted)
-        if len(instance) > max_facts:
+        if max_facts is not None and len(instance) > max_facts:
             return SaturationResult(instance, False, None, rounds)
     return SaturationResult(instance, False, None, rounds)
 

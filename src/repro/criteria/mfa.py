@@ -18,9 +18,10 @@ critical instance and raise an alarm on evidence of cyclic computation.
 Per the paper's Section 4 both are defined for TGDs only; EGD sets are
 lifted through the substitution-free simulation.
 
-The criterion classes are the one implementation: their saturation loops
-run over the Skolem rules and critical instance of the analysis context,
-and :func:`is_mfa` / :func:`is_msa` run the classes.
+The criterion classes are the one implementation: both run
+:func:`repro.chase.skolem.saturate` over the Skolem rules and critical
+instance of the analysis context (MSA with summarised rules), and
+:func:`is_mfa` / :func:`is_msa` run the classes.
 """
 
 from __future__ import annotations
@@ -29,13 +30,6 @@ import networkx as nx
 
 from ..budget import coerce_budget
 from ..chase.skolem import saturate
-from ..homomorphism.finder import find_homomorphisms
-from ..matching import (
-    body_atom_index,
-    delta_homomorphisms,
-    delta_row_homomorphisms,
-    get_backend,
-)
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.dependencies import DependencySet
@@ -77,70 +71,60 @@ def _mfa(rules: tuple, base: ColumnarInstance) -> tuple[bool, bool]:
     return False, False  # budget exceeded: reject, flagged approximate
 
 
-def _msa(rules: tuple, instance: ColumnarInstance) -> tuple[bool, bool]:
-    """Run the summarised Skolem chase on ``instance`` (mutated); alarm on
-    a cycle of the contribution relation."""
-    budget = coerce_budget(None)  # links the ambient analysis budget
+class _SummarisedRule:
+    """A Skolem rule under MSA's summary: every ``f``-term is the constant
+    ``c_f``, and each firing that builds an ``f``-value from images
+    holding ``c_g`` records ``g ⇒ f`` in ``contributes``."""
+
+    __slots__ = ("source", "functors", "inverse", "contributes")
+
+    def __init__(
+        self,
+        rule,
+        summary_const: dict[str, Constant],
+        inverse: dict[Constant, str],
+        contributes: nx.DiGraph,
+    ) -> None:
+        self.source = rule.source
+        self.functors = tuple(
+            (z, functor, summary_const[functor]) for z, functor, _ in rule.functors
+        )
+        self.inverse = inverse
+        self.contributes = contributes
+
+    def head_facts(self, h: dict) -> list[Atom]:
+        mapping: dict[Term, Term] = {v: h[v] for v in self.source.body_variables()}
+        used = {
+            self.inverse[t]
+            for t in mapping.values()
+            if isinstance(t, Constant) and t in self.inverse
+        }
+        for z, functor, const in self.functors:
+            mapping[z] = const
+            for g in used:
+                self.contributes.add_edge(g, functor)
+        return [a.apply(mapping) for a in self.source.head]
+
+
+def _msa(rules: tuple, base: ColumnarInstance) -> tuple[bool, bool]:
+    """Saturate ``base`` with the summarised Skolem ``rules``; alarm on a
+    cycle of the contribution relation."""
     summary_const = {
         functor: Constant(f"@{functor}")
         for rule in rules
         for _, functor, _ in rule.functors
     }
+    inverse = {c: f for f, c in summary_const.items()}
     contributes = nx.DiGraph()
     contributes.add_nodes_from(summary_const)
-    inverse = {c: f for f, c in summary_const.items()}
-
-    # Semi-naive rounds: after the first full enumeration, only join facts
-    # added in the previous round (the delta log) against rule bodies.  A
-    # homomorphism entirely within older rounds already recorded its
-    # contribution edges and head facts when it was first enumerated.
-    body_index = body_atom_index((rule, rule.source.body) for rule in rules)
-    naive = get_backend() == "naive"
-    tick = instance.tick
-    first_round = True
-    for _ in range(MSA_MAX_ROUNDS):
-        if first_round:
-            homs = (
-                (rule, h)
-                for rule in rules
-                for h in find_homomorphisms(rule.source.body, instance, limit=None)
-            )
-            first_round = False
-        elif naive:
-            homs = delta_homomorphisms(
-                body_index, instance, instance.added_since(tick)
-            )
-        else:
-            # MSA only ever adds facts, so every logged row is live.
-            homs = delta_row_homomorphisms(
-                body_index, instance, instance.added_rows_since(tick)
-            )
-        new_facts: list[Atom] = []
-        for rule, h in homs:
-            if not budget.charge():
-                return False, False  # budget exhausted mid-round
-            mapping: dict[Term, Term] = {
-                v: h[v] for v in rule.source.body_variables()
-            }
-            used = {
-                inverse[t]
-                for t in mapping.values()
-                if isinstance(t, Constant) and t in inverse
-            }
-            for z, functor, arg_vars in rule.functors:
-                mapping[z] = summary_const[functor]
-                for g in used:
-                    contributes.add_edge(g, functor)
-            for atom in rule.source.head:
-                fact = atom.apply(mapping)
-                if fact not in instance:
-                    new_facts.append(fact)
-        tick = instance.tick
-        if instance.add_all(new_facts) == 0:
-            break
-    else:
+    result = saturate(
+        base,
+        [_SummarisedRule(r, summary_const, inverse, contributes) for r in rules],
+        stop_on_cyclic=False, max_facts=None, max_rounds=MSA_MAX_ROUNDS,
+        budget=coerce_budget(None),  # links the ambient analysis budget
+    )
+    if not result.saturated:
         return False, False  # did not converge within budget
-
     try:
         nx.find_cycle(contributes)
         return False, True

@@ -11,9 +11,11 @@ a growing instance".  The enumeration itself lives in the backends
 * :func:`match_atom` / :func:`seed_mapping` — extend a partial mapping
   so one body atom lands on one fact;
 * :func:`body_atom_index` / :func:`delta_homomorphisms` — semi-naive
-  discovery over an instance's delta log, materialised as atoms (the
-  ``naive`` backend's path; the ``columnar`` one is
-  :func:`repro.matching.plans.delta_row_homomorphisms`).
+  discovery over an instance's delta log, the one entry point every
+  consumer calls.  It picks the backend's path itself: the ``columnar``
+  row-handle join (:func:`repro.matching.plans.delta_row_homomorphisms`)
+  or, under ``naive``, the materialised delta facts anchored one by one
+  and completed by the reference matcher.
 
 Semi-naive discovery (:func:`delta_homomorphisms`) enumerates exactly the
 homomorphisms whose image uses at least one fact from a delta batch, by
@@ -36,9 +38,12 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..model.atoms import Atom
+from ..model.atoms import Atom, atoms_variables
 from ..model.columnar import ColumnarInstance
 from ..model.terms import Null, Term, Variable
+from . import naive as _naive
+from . import plans as _plans
+from .config import _backend
 
 Homomorphism = dict[Term, Term]
 
@@ -144,21 +149,58 @@ def body_atom_index(
 def delta_homomorphisms(
     by_pred: Mapping[str, list[BodyAnchor]],
     target: ColumnarInstance,
-    new_facts: Iterable[Atom],
-) -> Iterator[tuple[object, Homomorphism]]:
-    """Yield ``(key, h)`` for every body homomorphism anchored at a new fact.
+    since_tick: int,
+    lid_rows: bool = False,
+) -> Iterable[tuple[object, Homomorphism | tuple[int, ...]]]:
+    """Yield ``(key, h)`` for every body homomorphism anchored at a fact
+    added to ``target`` after delta-log position ``since_tick``.
 
-    ``target`` must already contain the new facts.  Every homomorphism whose
-    image uses at least one fact of ``new_facts`` is produced (possibly more
-    than once — see the module docstring); homomorphisms entirely within the
-    pre-delta instance are *not*, which is exactly the semi-naive contract.
+    The one semi-naive entry point, under the active backend.  Every
+    homomorphism whose image uses at least one live delta fact is
+    produced (possibly more than once — see the module docstring);
+    homomorphisms entirely within the pre-delta instance are *not*, which
+    is exactly the semi-naive contract.  Rows discarded (or
+    merge-rewritten) since they were logged are skipped.  The delta is
+    read when this is called, so the caller may move its tick on before
+    consuming the stream.
+
+    With ``lid_rows`` each homomorphism is the tuple of family-local ids
+    of the body's variables in name order — the chase runner's trigger
+    rows — instead of a term dict.
     """
-    from . import homomorphisms  # backend dispatch; no cycle at module load
+    if _backend.get() == "naive":
+        facts = [f for f in target.added_since(since_tick) if f in target]
+        if not facts:
+            return ()
+        return _anchored_naive(by_pred, target, facts, lid_rows)
+    handles = [
+        hd for hd in target.added_rows_since(since_tick) if target.row_live(hd)
+    ]
+    if not handles:
+        return ()
+    return _plans.delta_row_homomorphisms(by_pred, target, handles, lid_rows)
 
-    for fact in new_facts:
+
+def _anchored_naive(
+    by_pred: Mapping[str, list[BodyAnchor]],
+    target: ColumnarInstance,
+    facts: Iterable[Atom],
+    lid_rows: bool,
+) -> Iterator[tuple[object, Homomorphism | tuple[int, ...]]]:
+    """The ``naive`` backend's discovery: each delta fact anchors every
+    body atom it unifies with, and the reference matcher completes the
+    body from that seed."""
+    local_of = target.term_table.local_of
+    for fact in facts:
         for anchor in by_pred.get(fact.predicate, ()):
             seed = seed_mapping(anchor.atom, fact)
             if seed is None:
                 continue
-            for h in homomorphisms(anchor.body, target, seed=seed, limit=None):
-                yield anchor.key, h
+            homs = _naive.match(anchor.body, target, seed)
+            if not lid_rows:
+                for h in homs:
+                    yield anchor.key, h
+                continue
+            names = sorted(atoms_variables(anchor.body), key=lambda v: v.name)
+            for h in homs:
+                yield anchor.key, tuple([local_of[h[v].tid] for v in names])

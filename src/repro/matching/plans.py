@@ -56,13 +56,17 @@ the registers' lids (see :func:`_codegen_columnar`'s emit modes).
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..model import kernels as _kernels
 from ..model.atoms import Atom, atoms_variables
 from ..model.columnar import ColumnarInstance
 from ..model.terms import Constant, Null, Term, Variable
-from .engine import BodyAnchor, Homomorphism
+from . import naive as _naive
+from .config import _backend
+
+if TYPE_CHECKING:  # the engine imports this module to dispatch to it
+    from .engine import BodyAnchor, Homomorphism
 
 #: Most join steps one generated function nests.  Each step is one
 #: ``for`` level, and CPython refuses more than 20 statically nested
@@ -603,8 +607,19 @@ class BoundPlan:
         return self.fn  # type: ignore[return-value]
 
     def run(self, target: ColumnarInstance, seed_lids: Sequence[int]) -> Iterator:
-        """The executor's results on ``target`` for one seed binding."""
+        """The plan's results on ``target`` for one seed binding, under
+        the active backend: the ``naive`` reference answers the same
+        question from the seed terms, in the same emit mode (its term
+        dicts also carry the seed bindings)."""
         table = target._terms
+        if _backend.get() == "naive":
+            terms, local_of = table.terms, table.local_of
+            seed = {t: terms[lid] for t, lid in zip(self.seed_terms, seed_lids)}
+            homs = _naive.match(self.atoms, target, seed, self.frozen_nulls)
+            emit = self.emit
+            if emit is None:
+                return homs
+            return (tuple([local_of[h[v].tid] for v in emit]) for h in homs)
         return self.executor(target)(
             target._stores, table.terms, table.local_of, *seed_lids
         )
@@ -703,17 +718,16 @@ def delta_row_homomorphisms(
 ) -> Iterator[tuple[object, Homomorphism | tuple[int, ...]]]:
     """Semi-naive discovery over columnar delta-row handles.
 
-    The columnar counterpart of
-    :func:`repro.matching.engine.delta_homomorphisms`: each ``(storekey,
-    row)`` handle from :meth:`ColumnarInstance.added_rows_since` anchors
+    The ``columnar`` backend of
+    :func:`repro.matching.engine.delta_homomorphisms`, which passes it
+    the live handles: each ``(storekey, row)`` handle anchors
     every body atom over its predicate without materialising the fact —
     the anchor is checked lid-by-lid (repeated variables must agree,
     constants and nulls must sit on the row exactly), then the anchor's
     plan runs with the row's lids as its seeds.  Each anchor binds its
     plan once (:func:`_bind_anchor`), so a row costs no plan lookup.
-    Same ``(key, h)`` stream, in the same order, as the object version
-    and as :func:`match` per anchor; same duplication caveats; consumers
-    dedupe.
+    Same ``(key, h)`` stream as :func:`match` run per anchor; same
+    duplication caveats; consumers dedupe.
 
     With ``lid_rows`` each homomorphism is emitted as the tuple of
     family-local ids of the body's variables in name order instead of a

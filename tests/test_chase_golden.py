@@ -28,6 +28,7 @@ from repro.chase.strategies import random_strategy
 from repro.data.witnesses import witness_cases
 from repro.generators.corpus import generate_corpus
 from repro.generators.databases import seed_database
+from repro.matching import using_backend
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "chase_sequences.json"
 
@@ -67,15 +68,15 @@ def sequence_record(result) -> dict:
     }
 
 
-def record_all(engine: str | None = None) -> dict[str, dict]:
-    """Every golden run, keyed by a readable run id."""
+def record_all() -> dict[str, dict]:
+    """Every golden run under the active matching backend, keyed by a
+    readable run id."""
     out: dict[str, dict] = {}
     for ont in generate_corpus(**TABLE2_CORPUS):
         db = seed_database(ont.sigma)
         for strategy in TABLE2_STRATEGIES:
             result = run_chase(
-                db, ont.sigma, strategy=strategy, max_steps=TABLE2_STEPS,
-                engine=engine,
+                db, ont.sigma, strategy=strategy, max_steps=TABLE2_STEPS
             )
             out[f"table2/{ont.name}/{strategy}"] = sequence_record(result)
     for case in witness_cases():
@@ -84,7 +85,6 @@ def record_all(engine: str | None = None) -> dict[str, dict]:
                 result = run_chase(
                     case.database, case.sigma, variant=variant,
                     strategy=_strategy(strategy), max_steps=WITNESS_STEPS,
-                    engine=engine,
                 )
                 key = f"witness/{case.name}/{variant}/{strategy}"
                 out[key] = sequence_record(result)
@@ -113,11 +113,11 @@ def test_witness_sequences_match_golden_under_naive_engine(no_scale_override):
     for case in witness_cases():
         for variant in WITNESS_VARIANTS:
             for strategy in WITNESS_STRATEGIES:
-                result = run_chase(
-                    case.database, case.sigma, variant=variant,
-                    strategy=_strategy(strategy), max_steps=WITNESS_STEPS,
-                    engine="naive",
-                )
+                with using_backend("naive"):
+                    result = run_chase(
+                        case.database, case.sigma, variant=variant,
+                        strategy=_strategy(strategy), max_steps=WITNESS_STEPS,
+                    )
                 key = f"witness/{case.name}/{variant}/{strategy}"
                 assert sequence_record(result) == want[key], key
 

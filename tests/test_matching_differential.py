@@ -60,6 +60,12 @@ def random_instance(seed, sigma, n_facts=14, n_consts=4, n_nulls=2):
     return inst
 
 
+def chase_under(backend, *args, **kwargs):
+    """``run_chase`` with ``backend`` as the active matching backend."""
+    with using_backend(backend):
+        return run_chase(*args, **kwargs)
+
+
 def hom_key(h):
     """Order-insensitive identity of one homomorphism."""
     return frozenset((repr(k), repr(v)) for k, v in h.items())
@@ -92,6 +98,9 @@ def assert_same_result(r1, r2, context=""):
     assert r1.step_count == r2.step_count, context
     assert (r1.instance is None) == (r2.instance is None), context
     if r1.instance is not None:
+        # Both backends chase over the one fact store.
+        assert isinstance(r1.instance, ColumnarInstance), context
+        assert isinstance(r2.instance, ColumnarInstance), context
         assert r1.instance.facts() == r2.instance.facts(), context
 
 
@@ -249,19 +258,20 @@ def test_codegen_leaves_no_reference_cycles():
 
 
 def test_chase_differential_on_random_programs():
-    """≥200 seeded random programs × all variants × two strategies."""
+    """≥200 seeded random programs × all variants × two strategies, each
+    run under the ambient backend ``using_backend`` selects."""
     for seed in range(200):
         sigma = random_dependency_set(seed, n_deps=6)
         db = random_instance(seed * 13 + 3, sigma, n_facts=8, n_nulls=0)
         for variant in VARIANTS:
             for strategy in ("fifo", "full_first"):
-                r_nai = run_chase(
-                    db, sigma, variant=variant, strategy=strategy,
-                    max_steps=50, engine="naive",
+                r_nai = chase_under(
+                    "naive", db, sigma, variant=variant, strategy=strategy,
+                    max_steps=50,
                 )
-                r_col = run_chase(
-                    db, sigma, variant=variant, strategy=strategy,
-                    max_steps=50, engine="columnar",
+                r_col = chase_under(
+                    "columnar", db, sigma, variant=variant, strategy=strategy,
+                    max_steps=50,
                 )
                 assert_same_result(
                     r_col, r_nai, f"seed={seed} {variant}/{strategy}"
@@ -285,13 +295,13 @@ def test_chase_differential_all_strategies():
         for variant in VARIANTS:
             for strategy in ("fifo", "lifo", "full_first", "egd_first",
                              "existential_first", smallest_images_first):
-                r_nai = run_chase(
-                    db, sigma, variant=variant, strategy=strategy,
-                    max_steps=40, engine="naive",
+                r_nai = chase_under(
+                    "naive", db, sigma, variant=variant, strategy=strategy,
+                    max_steps=40,
                 )
-                r_col = run_chase(
-                    db, sigma, variant=variant, strategy=strategy,
-                    max_steps=40, engine="columnar",
+                r_col = chase_under(
+                    "columnar", db, sigma, variant=variant, strategy=strategy,
+                    max_steps=40,
                 )
                 assert_same_result(
                     r_col, r_nai, f"seed={seed} {variant}/{strategy}"
@@ -304,13 +314,13 @@ def test_chase_differential_on_corpus():
     for ont in corpus:
         db = seed_database(ont.sigma)
         for variant in VARIANTS:
-            r_nai = run_chase(
-                db, ont.sigma, variant=variant, strategy="full_first",
-                max_steps=150, engine="naive",
+            r_nai = chase_under(
+                "naive", db, ont.sigma, variant=variant, strategy="full_first",
+                max_steps=150,
             )
-            r_col = run_chase(
-                db, ont.sigma, variant=variant, strategy="full_first",
-                max_steps=150, engine="columnar",
+            r_col = chase_under(
+                "columnar", db, ont.sigma, variant=variant, strategy="full_first",
+                max_steps=150,
             )
             assert_same_result(r_col, r_nai, f"{ont.name} {variant}")
 
@@ -476,24 +486,6 @@ def test_columnar_saturation_differential():
     assert checked >= 40
 
 
-def test_columnar_ambient_backend_chase():
-    """``using_backend("columnar")`` (no explicit engine=) drives
-    byte-identical decisions over the same kind of working instance."""
-    for seed in range(30):
-        sigma = random_dependency_set(seed, n_deps=6)
-        db = random_instance(seed * 13 + 3, sigma, n_facts=8, n_nulls=0)
-        for variant in VARIANTS:
-            r_nai = run_chase(
-                db, sigma, variant=variant, strategy="fifo",
-                max_steps=50, engine="naive",
-            )
-            with using_backend("columnar"):
-                runner = ChaseRunner(db, sigma, variant, "fifo", max_steps=50)
-                assert isinstance(runner.instance, ColumnarInstance)
-                r_col = runner.run()
-            assert_same_result(r_col, r_nai, f"seed={seed} {variant} (columnar)")
-
-
 def test_columnar_chase_exhaustive_oracle():
     """The drain-time exhaustiveness oracle holds under columnar
     semi-naive discovery (row handles seed exactly the full sweep)."""
@@ -501,7 +493,8 @@ def test_columnar_chase_exhaustive_oracle():
         sigma = random_dependency_set(seed, n_deps=5)
         db = random_instance(seed * 3 + 11, sigma, n_facts=8, n_nulls=0)
         for variant in VARIANTS:
-            ChaseRunner(
-                db, sigma, variant, "fifo", max_steps=80,
-                engine="columnar", check_exhaustive=True,
-            ).run()
+            with using_backend("columnar"):
+                ChaseRunner(
+                    db, sigma, variant, "fifo", max_steps=80,
+                    check_exhaustive=True,
+                ).run()
