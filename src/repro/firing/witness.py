@@ -239,22 +239,19 @@ class WitnessEngine:
     def _decide(self, check_defusal: bool) -> FiringDecision:
         if not may_fire(self.r1, self.r2):
             return FiringDecision(False, True)
-        inexact = False
-        for witness, died_by_defusal in self._search(check_defusal):
-            if witness is not None:
-                return FiringDecision(True, True, witness)
+        witness = next(self._search(check_defusal), None)
+        if witness is not None:
+            return FiringDecision(True, True, witness)
         if not self.budget.exact:
             return FiringDecision(True, False)
-        if self._hit_partition_limit:
-            inexact = True
-        return FiringDecision(False, not inexact)
+        return FiringDecision(False, not self._hit_partition_limit)
 
     # -- witness enumeration ------------------------------------------------
 
     def _search(
         self, check_defusal: bool
-    ) -> Iterator[tuple[Witness | None, bool]]:
-        """Yield (witness, died_by_defusal) for each candidate examined."""
+    ) -> Iterator[Witness]:
+        """Yield each witness found (one per candidate that passes)."""
         self._hit_partition_limit = False
         r1_vars = sorted(self.r1.body_variables(), key=lambda v: v.name)
         if len(r1_vars) > MAX_PARTITION_VARS:
@@ -285,7 +282,7 @@ class WitnessEngine:
         partition: list[list],
         direction: str,
         check_defusal: bool,
-    ) -> Iterator[tuple[Witness | None, bool]]:
+    ) -> Iterator[Witness]:
         """Freeze Body(r1) per the partition and enumerate h2 candidates.
 
         ``direction`` selects, for an EGD r1, which equality side is the
@@ -326,7 +323,7 @@ class WitnessEngine:
 
     def _enumerate_h2(
         self, fz: _Freeze, check_defusal: bool
-    ) -> Iterator[tuple[Witness | None, bool]]:
+    ) -> Iterator[Witness]:
         """Enumerate mappings of Body(r2) into J = (K ∪ extras)γ ∪ New."""
         # J0 is its own instance, loaded once per call: the h2 enumeration
         # below stays live while _complete_with_bound mutates fz.K under
@@ -365,7 +362,7 @@ class WitnessEngine:
         free: list[Atom],
         check_defusal: bool,
         doomed: bool,
-    ) -> Iterator[tuple[Witness | None, bool]]:
+    ) -> Iterator[Witness]:
         """Instantiate free atoms, build concrete K and J, run the checks.
 
         A ``doomed`` h2 only draws its fresh nulls and charges what its
@@ -420,7 +417,7 @@ class WitnessEngine:
         h2: dict,
         free: list[Atom],
         check_defusal: bool,
-    ) -> Iterator[tuple[Witness | None, bool]]:
+    ) -> Iterator[Witness]:
         K, gamma = fz.K, fz.gamma
         free_images = [a.apply(h2) for a in free]
 
@@ -483,14 +480,11 @@ class WitnessEngine:
                 if not self._witness_checks_K(K, inst_body, fz.h1):
                     continue
                 witness = self._materialize(K, fz.new_atoms, gamma, fz.h1, h2)
-                if not check_defusal:
-                    yield witness, False
+                if check_defusal:
+                    witness = self._defusal(witness, gamma)
+                if witness is not None:
+                    yield witness
                     return
-                survivor = self._defusal(witness)
-                if survivor is not None:
-                    yield survivor, False
-                    return
-                yield None, True
             finally:
                 K.rollback(sp)
 
@@ -577,11 +571,15 @@ class WitnessEngine:
 
     # -- condition (iv): defusal -------------------------------------------------
 
-    def _defusal(self, witness: Witness) -> Witness | None:
+    def _defusal(
+        self, witness: Witness, gamma: tuple[Term, Term] | None
+    ) -> Witness | None:
         """Return a (possibly saturated) surviving witness, or None.
 
         Full-TGD defusers are neutralised by adding their instantiated
-        heads to K (mandatory — the only way to make them inapplicable);
+        heads to K (mandatory — the only way to make them inapplicable),
+        and their images under the r1 step to J — as is for a TGD r1, and
+        under ``gamma`` for an EGD r1, so that J stays Kγ;
         EGD defusers kill the witness (blocking them needs different
         variable merges, which the outer partition loop provides, or a
         flipped substitution direction, which we try here).
@@ -607,6 +605,8 @@ class WitnessEngine:
             # Neutralise the full TGD by satisfying it in K (and hence J).
             inst_head = [a.apply(h3) for a in r3.head]
             K.add_all(inst_head)
+            if gamma is not None:
+                inst_head = [a.apply({gamma[0]: gamma[1]}) for a in inst_head]
             J.add_all(inst_head)
             refreshed = self._check_witness(K, J, witness.h1, h2)
             if refreshed is None:

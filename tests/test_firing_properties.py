@@ -101,7 +101,5 @@ class TestPrefilterSoundness:
                 # _search is the enumeration _decide runs after the gate;
                 # driving it directly checks the gate loses no witness.
                 engine = WitnessEngine(r1, r2, fulls, step_variant)
-                witnesses = [
-                    w for w, _ in engine._search(check_defusal) if w is not None
-                ]
+                witnesses = list(engine._search(check_defusal))
                 assert witnesses == [], (r1, r2, check_defusal)

@@ -226,8 +226,10 @@ class TestWitnessReplay:
         assert witnesses > 100
 
     def test_defusal_replay_on_random_programs(self):
-        # Condition (iv) of every standard ``<`` witness with an
-        # existential r2, over every pair of the first 60 random programs.
+        # Conditions (i)-(iii) and (iv) of every standard ``<`` witness
+        # with an existential r2, over every pair of the first 60 random
+        # programs (an EGD r1's J must stay Kγ through the defusal
+        # saturation).
         from repro.generators.random_deps import random_dependency_set
 
         checked = 0
@@ -244,6 +246,7 @@ class TestWitnessReplay:
                                 r1, r2, tuple(fulls), "standard", 50_000
                             ).fires()
                             if d.witness is not None:
+                                self._replay(d, "standard")
                                 self._replay_defusal(d.witness, fulls)
                                 checked += 1
         assert checked > 100
