@@ -286,6 +286,57 @@ class InstanceEncapsulationRule(Rule):
 
 
 # ---------------------------------------------------------------------------
+# backend-dispatch (§1)
+# ---------------------------------------------------------------------------
+
+#: The matching backend's switch and its context variable (DESIGN.md §1).
+_BACKEND_NAMES = {"get_backend", "set_backend", "using_backend", "_backend"}
+
+
+@register
+class BackendDispatchRule(Rule):
+    """Only ``repro.matching`` reads or switches the matching backend.
+
+    §1: every consumer calls one matching function per job
+    (``homomorphisms``, ``delta_homomorphisms``, ``BoundPlan.run``), and
+    that function answers under the active backend.  A consumer that
+    branches on the backend itself grows a private second path — the
+    runner's, ``saturate``'s and MSA's discovery branches were three —
+    which only its own callers exercise.  Tests pick a backend with
+    ``using_backend``; they are not patrolled.
+    """
+
+    name = "backend-dispatch"
+    section = "§1"
+    summary = (
+        "only repro/matching/ may reference get_backend, set_backend, "
+        "using_backend or _backend"
+    )
+    include = ("*src/repro/*.py",)
+    exclude = ("*src/repro/matching/*.py",)
+
+    def check(self, mod: ModuleSource) -> Iterator[Finding]:
+        assert mod.tree is not None
+        for node in ast.walk(mod.tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in _BACKEND_NAMES:
+                yield mod.finding(
+                    node,
+                    self.name,
+                    f"'{name}' outside repro/matching/ (DESIGN.md §1): call "
+                    "the matching entry point, which dispatches on the "
+                    "active backend itself",
+                )
+
+
+# ---------------------------------------------------------------------------
 # fork-safety (§7)
 # ---------------------------------------------------------------------------
 

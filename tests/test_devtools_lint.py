@@ -308,6 +308,60 @@ class TestInstanceEncapsulation:
 
 
 # ---------------------------------------------------------------------------
+# backend-dispatch (§1)
+# ---------------------------------------------------------------------------
+
+
+class TestBackendDispatch:
+    def test_flags_a_consumer_branching_on_the_backend(self, tmp_path):
+        report = lint_tree(tmp_path, {"src/repro/chase/loop.py": """\
+            from ..matching import get_backend
+
+            def discover(instance):
+                return get_backend() == "naive"
+            """})
+        assert rules_of(report) == ["backend-dispatch"] * 2
+        assert "get_backend" in report.findings[0].message
+
+    def test_flags_attribute_and_private_access(self, tmp_path):
+        report = lint_tree(tmp_path, {"src/repro/criteria/peek.py": """\
+            from ..matching import config
+
+            def run(f):
+                with config.using_backend("naive"):
+                    return config._backend.get(), f()
+            """})
+        assert rules_of(report) == ["backend-dispatch"] * 2
+
+    def test_matching_package_is_exempt(self, tmp_path):
+        report = lint_tree(tmp_path, {"src/repro/matching/engine.py": """\
+            from .config import _backend, get_backend
+
+            def dispatch():
+                return _backend.get() == get_backend()
+            """})
+        assert report.clean
+
+    def test_unrelated_backend_names_pass(self, tmp_path):
+        # The classify context's ``backend=`` is another switch.
+        report = lint_tree(tmp_path, {"src/repro/analysis/run.py": """\
+            def classify(sigma, backend="shared"):
+                return backend
+            """})
+        assert report.clean
+
+    def test_tests_are_not_patrolled(self, tmp_path):
+        report = lint_tree(tmp_path, {"tests/test_switch.py": """\
+            from repro.matching import using_backend
+
+            def test_naive():
+                with using_backend("naive"):
+                    pass
+            """})
+        assert report.clean
+
+
+# ---------------------------------------------------------------------------
 # fork-safety (§7)
 # ---------------------------------------------------------------------------
 
