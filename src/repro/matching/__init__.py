@@ -6,11 +6,13 @@ The shared matching engine behind every chase consumer — see DESIGN.md,
 * :func:`homomorphisms` — backend-dispatching homomorphism enumeration
   (``repro.homomorphism.finder`` delegates here);
 * :func:`delta_homomorphisms` / :func:`body_atom_index` — semi-naive
-  discovery over an instance's delta log;
+  discovery over an instance's delta log, backend-dispatching too;
+* :class:`BoundPlan` — one plan bound for repeated runs (the chase
+  runner's head test), answering under the active backend;
 * :func:`seed_mapping` — anchor a body atom onto a fact;
 * :func:`get_backend` / :func:`set_backend` / :func:`using_backend` —
   switch between the ``columnar`` compiled plans (default) and the
-  ``naive`` reference.
+  ``naive`` reference.  Only this package reads the switch.
 
 Both backends run over the one fact store,
 :class:`~repro.model.columnar.ColumnarInstance`: :func:`homomorphisms`
@@ -35,7 +37,7 @@ from .engine import (
     match_atom,
     seed_mapping,
 )
-from .plans import BoundPlan, delta_row_homomorphisms, lid_getter
+from .plans import BoundPlan, lid_getter
 
 
 def homomorphisms(
@@ -65,7 +67,6 @@ __all__ = [
     "Homomorphism",
     "body_atom_index",
     "delta_homomorphisms",
-    "delta_row_homomorphisms",
     "get_backend",
     "homomorphisms",
     "lid_getter",

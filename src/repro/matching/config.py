@@ -11,9 +11,13 @@ Two interchangeable homomorphism-search backends exist:
   snapshots, no interning anywhere on its path (:mod:`.naive`).
 
 The backend selects a *matcher*, never a fact representation: chase entry
-points build the same ``ColumnarInstance`` under both, and the few
-consumers whose discovery differs (the chase runner, the Skolem
-saturation, MSA) branch on :func:`get_backend`, not on the instance type.
+points build the same ``ColumnarInstance`` under both.  Only
+:mod:`repro.matching` reads the setting — its entry points
+(:func:`~repro.matching.homomorphisms`,
+:func:`~repro.matching.delta_homomorphisms`,
+:meth:`~repro.matching.BoundPlan.run`) answer under the active backend, so
+no consumer branches on it (the ``backend-dispatch`` lint rule checks
+this).  :func:`using_backend` is the one way to pick the matcher.
 
 Both backends enumerate exactly the same *set* of homomorphisms (possibly
 in a different order); the differential test suite holds them against
