@@ -290,27 +290,24 @@ class InstanceEncapsulationRule(Rule):
 # ---------------------------------------------------------------------------
 
 #: The matching backend's switch and its context variable (DESIGN.md §1).
-_BACKEND_NAMES = {"get_backend", "set_backend", "using_backend", "_backend"}
+_BACKEND_NAMES = {"get_backend", "using_backend", "_backend"}
 
 
 @register
 class BackendDispatchRule(Rule):
     """Only ``repro.matching`` reads or switches the matching backend.
 
-    §1: every consumer calls one matching function per job
-    (``homomorphisms``, ``delta_homomorphisms``, ``BoundPlan.run``), and
-    that function answers under the active backend.  A consumer that
-    branches on the backend itself grows a private second path — the
-    runner's, ``saturate``'s and MSA's discovery branches were three —
-    which only its own callers exercise.  Tests pick a backend with
-    ``using_backend``; they are not patrolled.
+    §1: a consumer calls one matching entry point per job, and that entry
+    point dispatches on the active backend; a consumer that branches on
+    the backend itself grows a second path of its own.  Tests pick a
+    backend with ``using_backend`` and are not patrolled.
     """
 
     name = "backend-dispatch"
     section = "§1"
     summary = (
-        "only repro/matching/ may reference get_backend, set_backend, "
-        "using_backend or _backend"
+        "only repro/matching/ may reference get_backend, using_backend "
+        "or _backend"
     )
     include = ("*src/repro/*.py",)
     exclude = ("*src/repro/matching/*.py",)
@@ -328,11 +325,9 @@ class BackendDispatchRule(Rule):
                 continue
             if name in _BACKEND_NAMES:
                 yield mod.finding(
-                    node,
-                    self.name,
-                    f"'{name}' outside repro/matching/ (DESIGN.md §1): call "
-                    "the matching entry point, which dispatches on the "
-                    "active backend itself",
+                    node, self.name,
+                    f"'{name}' outside repro/matching/ (DESIGN.md §1); call "
+                    "a matching entry point, which dispatches itself",
                 )
 
 

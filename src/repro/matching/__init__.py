@@ -10,8 +10,8 @@ The shared matching engine behind every chase consumer — see DESIGN.md,
 * :class:`BoundPlan` — one plan bound for repeated runs (the chase
   runner's head test), answering under the active backend;
 * :func:`seed_mapping` — anchor a body atom onto a fact;
-* :func:`get_backend` / :func:`set_backend` / :func:`using_backend` —
-  switch between the ``columnar`` compiled plans (default) and the
+* :func:`get_backend` / :func:`using_backend` — read or (scoped) switch
+  between the ``columnar`` compiled plans (default) and the
   ``naive`` reference.  Only this package reads the switch.
 
 Both backends run over the one fact store,
@@ -29,7 +29,7 @@ from ..model.columnar import ColumnarInstance
 from ..model.terms import Term
 from . import naive as _naive
 from . import plans as _plans
-from .config import BACKENDS, get_backend, set_backend, using_backend
+from .config import BACKENDS, get_backend, using_backend
 from .engine import (
     Homomorphism,
     body_atom_index,
@@ -72,6 +72,5 @@ __all__ = [
     "lid_getter",
     "match_atom",
     "seed_mapping",
-    "set_backend",
     "using_backend",
 ]

@@ -12,12 +12,9 @@ Two interchangeable homomorphism-search backends exist:
 
 The backend selects a *matcher*, never a fact representation: chase entry
 points build the same ``ColumnarInstance`` under both.  Only
-:mod:`repro.matching` reads the setting — its entry points
-(:func:`~repro.matching.homomorphisms`,
-:func:`~repro.matching.delta_homomorphisms`,
-:meth:`~repro.matching.BoundPlan.run`) answer under the active backend, so
-no consumer branches on it (the ``backend-dispatch`` lint rule checks
-this).  :func:`using_backend` is the one way to pick the matcher.
+:mod:`repro.matching` reads the setting: its entry points dispatch on it,
+so no consumer branches on it (lint rule ``backend-dispatch``), and
+:func:`using_backend` is the one way to pick it.
 
 Both backends enumerate exactly the same *set* of homomorphisms (possibly
 in a different order); the differential test suite holds them against
@@ -39,18 +36,6 @@ _backend: ContextVar[str] = ContextVar("repro_matching_backend", default="column
 def get_backend() -> str:
     """The currently active matching backend name."""
     return _backend.get()
-
-
-def set_backend(name: str) -> None:
-    """Set the matching backend for the *current context*.
-
-    The setting lives in a :mod:`contextvars` variable: new threads (and
-    contexts copied before the call) start from the ``"columnar"`` default
-    and do not observe it.  Use :func:`using_backend` for scoped switches.
-    """
-    if name not in BACKENDS:
-        raise ValueError(f"unknown matching backend {name!r}; known: {BACKENDS}")
-    _backend.set(name)
 
 
 @contextlib.contextmanager
