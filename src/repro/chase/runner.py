@@ -27,8 +27,9 @@ discovery") states and proves the invariant that replaces it:
 the :class:`~repro.model.columnar.ColumnarInstance` it owns.  A trigger
 is a row ``(dependency index, lids)`` — the images of the body variables
 in name order — which semi-naive discovery emits directly
-(:func:`~repro.matching.delta_homomorphisms` with ``lid_rows``).  The seen set, the (semi-)oblivious fired keys and the
-EGD-merge rewriting (old lid → new lid) all work on these int tuples.
+(:func:`~repro.matching.delta_homomorphisms` with ``lid_rows``).  The
+seen set, the (semi-)oblivious fired keys and the EGD-merge rewriting
+(old lid → new lid) all work on these int tuples.
 The standard chase's head-extension test runs each TGD's head plan —
 bound once per run, frontier seeded, nulls frozen — on the frontier's
 lids; an EGD trigger is live iff its two lids differ.  Head instantiation
@@ -43,11 +44,10 @@ dependency index in Σ, then the ``repr`` strings of the images (a per-lid
 cache that grows with the term table).  A run's step sequence therefore
 depends only on the *set* of homomorphisms each discovery finds.  The
 runner never asks which matcher is active: its two matching calls —
-delta discovery and the head plan — answer under the ambient backend
-(``using_backend("naive")`` selects the reference), so both backends
-drive byte-identical chase runs, which the differential suites and the
-golden step sequences (``tests/golden/chase_sequences.json``) hold them
-to.
+delta discovery and the head plan — answer under the ambient backend,
+so both backends drive byte-identical chase runs, which the
+differential suites and the golden step sequences
+(``tests/golden/chase_sequences.json``) hold them to.
 
 Variant-specific applicability (Section 2):
 

@@ -26,13 +26,15 @@ instance of the analysis context (MSA with summarised rules), and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import networkx as nx
 
 from ..budget import coerce_budget
 from ..chase.skolem import saturate
 from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
-from ..model.dependencies import DependencySet
+from ..model.dependencies import TGD, DependencySet
 from ..model.terms import Constant, Term
 from .base import Guarantee, TerminationCriterion, register, verdict
 
@@ -71,34 +73,20 @@ def _mfa(rules: tuple, base: ColumnarInstance) -> tuple[bool, bool]:
     return False, False  # budget exceeded: reject, flagged approximate
 
 
+@dataclass
 class _SummarisedRule:
     """A Skolem rule under MSA's summary: every ``f``-term is the constant
     ``c_f``, and each firing that builds an ``f``-value from images
     holding ``c_g`` records ``g ⇒ f`` in ``contributes``."""
 
-    __slots__ = ("source", "functors", "inverse", "contributes")
-
-    def __init__(
-        self,
-        rule,
-        summary_const: dict[str, Constant],
-        inverse: dict[Constant, str],
-        contributes: nx.DiGraph,
-    ) -> None:
-        self.source = rule.source
-        self.functors = tuple(
-            (z, functor, summary_const[functor]) for z, functor, _ in rule.functors
-        )
-        self.inverse = inverse
-        self.contributes = contributes
+    source: TGD
+    functors: tuple  # (existential variable, functor f, c_f) triples
+    inverse: dict  # c_f → f
+    contributes: nx.DiGraph
 
     def head_facts(self, h: dict) -> list[Atom]:
         mapping: dict[Term, Term] = {v: h[v] for v in self.source.body_variables()}
-        used = {
-            self.inverse[t]
-            for t in mapping.values()
-            if isinstance(t, Constant) and t in self.inverse
-        }
+        used = {self.inverse[t] for t in mapping.values() if t in self.inverse}
         for z, functor, const in self.functors:
             mapping[z] = const
             for g in used:
@@ -117,9 +105,17 @@ def _msa(rules: tuple, base: ColumnarInstance) -> tuple[bool, bool]:
     inverse = {c: f for f, c in summary_const.items()}
     contributes = nx.DiGraph()
     contributes.add_nodes_from(summary_const)
+    summarised = [
+        _SummarisedRule(
+            r.source,
+            tuple((z, f, summary_const[f]) for z, f, _ in r.functors),
+            inverse,
+            contributes,
+        )
+        for r in rules
+    ]
     result = saturate(
-        base,
-        [_SummarisedRule(r, summary_const, inverse, contributes) for r in rules],
+        base, summarised,
         stop_on_cyclic=False, max_facts=None, max_rounds=MSA_MAX_ROUNDS,
         budget=coerce_budget(None),  # links the ambient analysis budget
     )

@@ -98,13 +98,15 @@ class BodyAnchor:
     ``(pos, first_pos)`` pairs of later occurrences, which must agree;
     ``rigid`` the ``(pos, term)`` pairs of constants and nulls, which must
     sit on the fact exactly; ``checked`` says whether either is non-empty.
-    ``bound`` is the columnar backend's per-emit-mode plan binding, filled
-    on first use by :func:`repro.matching.plans.delta_row_homomorphisms`.
+    ``names`` lists the body's variables in name order (the layout of a
+    lid row).  ``bound`` is the columnar backend's per-emit-mode plan
+    binding, filled on first use by
+    :func:`repro.matching.plans.delta_row_homomorphisms`.
     """
 
     __slots__ = (
         "key", "body", "atom", "arity", "variables", "repeats", "rigid",
-        "checked", "bound",
+        "checked", "names", "bound",
     )
 
     def __init__(self, key: object, body: Sequence[Atom], atom: Atom) -> None:
@@ -126,6 +128,7 @@ class BodyAnchor:
         self.repeats = tuple(repeats)
         self.rigid = tuple(rigid)
         self.checked = bool(repeats or rigid)
+        self.names = tuple(sorted(atoms_variables(body), key=lambda v: v.name))
         self.bound: dict[bool, tuple] = {}
 
 
@@ -152,21 +155,15 @@ def delta_homomorphisms(
     since_tick: int,
     lid_rows: bool = False,
 ) -> Iterable[tuple[object, Homomorphism | tuple[int, ...]]]:
-    """Yield ``(key, h)`` for every body homomorphism anchored at a fact
-    added to ``target`` after delta-log position ``since_tick``.
+    """``(key, h)`` for every body homomorphism anchored at a live fact
+    added to ``target`` after delta-log position ``since_tick``, under the
+    active backend.
 
-    The one semi-naive entry point, under the active backend.  Every
-    homomorphism whose image uses at least one live delta fact is
-    produced (possibly more than once — see the module docstring);
-    homomorphisms entirely within the pre-delta instance are *not*, which
-    is exactly the semi-naive contract.  Rows discarded (or
-    merge-rewritten) since they were logged are skipped.  The delta is
-    read when this is called, so the caller may move its tick on before
-    consuming the stream.
-
-    With ``lid_rows`` each homomorphism is the tuple of family-local ids
-    of the body's variables in name order — the chase runner's trigger
-    rows — instead of a term dict.
+    Homomorphisms entirely within the pre-delta instance are *not*
+    produced — the semi-naive contract; others may repeat (see the module
+    docstring).  The delta is read by this call, before the stream is
+    consumed.  With ``lid_rows`` each ``h`` is the lid row of the body's
+    variables in name order (the chase runner's triggers).
     """
     if _backend.get() == "naive":
         facts = [f for f in target.added_since(since_tick) if f in target]
@@ -196,11 +193,7 @@ def _anchored_naive(
             seed = seed_mapping(anchor.atom, fact)
             if seed is None:
                 continue
-            homs = _naive.match(anchor.body, target, seed)
-            if not lid_rows:
-                for h in homs:
-                    yield anchor.key, h
-                continue
-            names = sorted(atoms_variables(anchor.body), key=lambda v: v.name)
-            for h in homs:
-                yield anchor.key, tuple([local_of[h[v].tid] for v in names])
+            for h in _naive.match(anchor.body, target, seed):
+                if lid_rows:
+                    h = tuple([local_of[h[v].tid] for v in anchor.names])
+                yield anchor.key, h

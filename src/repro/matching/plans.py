@@ -59,7 +59,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..model import kernels as _kernels
-from ..model.atoms import Atom, atoms_variables
+from ..model.atoms import Atom
 from ..model.columnar import ColumnarInstance
 from ..model.terms import Constant, Null, Term, Variable
 from . import naive as _naive
@@ -700,13 +700,8 @@ def _bind_anchor(
     """The plan ``match`` would run for every fact this anchor accepts
     (the body seeded with the anchor's variables), bound once, plus the
     getter of its seed lids (in executor-parameter order) from a row."""
-    emit = (
-        tuple(sorted(atoms_variables(anchor.body), key=lambda v: v.name))
-        if lid_rows
-        else None
-    )
     first = dict(anchor.variables)
-    bound = BoundPlan(anchor.body, first, False, emit)
+    bound = BoundPlan(anchor.body, first, False, anchor.names if lid_rows else None)
     return bound, lid_getter([first[t] for t in bound.seed_terms])
 
 
