@@ -486,6 +486,24 @@ def test_columnar_saturation_differential():
     assert checked >= 40
 
 
+def test_columnar_ambient_backend_chase():
+    """A ``ChaseRunner`` built inside ``using_backend("columnar")`` works
+    over a columnar instance and takes the naive backend's decisions."""
+    for seed in range(30):
+        sigma = random_dependency_set(seed, n_deps=6)
+        db = random_instance(seed * 13 + 3, sigma, n_facts=8, n_nulls=0)
+        for variant in VARIANTS:
+            r_nai = chase_under(
+                "naive", db, sigma, variant=variant, strategy="fifo",
+                max_steps=50,
+            )
+            with using_backend("columnar"):
+                runner = ChaseRunner(db, sigma, variant, "fifo", max_steps=50)
+                assert isinstance(runner.instance, ColumnarInstance)
+                r_col = runner.run()
+            assert_same_result(r_col, r_nai, f"seed={seed} {variant} (columnar)")
+
+
 def test_columnar_chase_exhaustive_oracle():
     """The drain-time exhaustiveness oracle holds under columnar
     semi-naive discovery (row handles seed exactly the full sweep)."""
